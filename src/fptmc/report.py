@@ -53,22 +53,25 @@ def normalized_l1(values_a, values_b, grid) -> float:
     return diff / denom
 
 
+def _floats(array) -> list:
+    """Python floats (nested lists for 2-D), whose repr is the CSV text."""
+    return np.asarray(array, dtype=float).tolist()
+
+
 def emit_density_csv(estimate: DensityEstimate, path: str) -> None:
     """Write a density estimate in the documented CSV format."""
     rows = []
     if isinstance(estimate.grid, tuple):
         if len(estimate.grid) != 2:
             raise ValueError("CSV output supports 1-D and 2-D estimates only")
-        g0, g1 = estimate.grid
+        g0, g1 = (_floats(g) for g in estimate.grid)
         rows.append("# t1,t2,density")
-        vals = estimate.values
-        for i0 in range(len(g0)):
-            for i1 in range(len(g1)):
-                rows.append(f"{repr(float(g0[i0]))},{repr(float(g1[i1]))},{repr(float(vals[i0, i1]))}")
+        for t1, row in zip(g0, _floats(estimate.values)):
+            rows.extend(f"{t1!r},{t2!r},{v!r}" for t2, v in zip(g1, row))
     else:
         rows.append("# t,density")
-        for t, v in zip(estimate.grid, estimate.values):
-            rows.append(f"{repr(float(t))},{repr(float(v))}")
+        grid, values = _floats(estimate.grid), _floats(estimate.values)
+        rows.extend(f"{t!r},{v!r}" for t, v in zip(grid, values))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
 

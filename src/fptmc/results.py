@@ -141,7 +141,7 @@ def run_blocks(
     if workers == 1:
         outputs = [task(b) for b in range(len(sizes))]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
             outputs = list(pool.map(task, range(len(sizes))))
     elapsed = time.perf_counter() - start
     return outputs, elapsed

@@ -157,6 +157,27 @@ def bm_fpt_density(t, x0: float, level: float, mu: float, sigma: float):
     return out
 
 
+def direct_kernel_sum(times, weights, axes, std: float) -> np.ndarray:
+    """Direct product-kernel sum on a tensor grid:
+    sum_k w_k prod_i N(axes[i]; times[k, i], std^2), one sample chunk at a
+    time, with every sample evaluated at every grid node."""
+    weights = np.asarray(weights, dtype=float)
+    times = np.asarray(times, dtype=float).reshape(len(weights), -1)
+    m = len(axes)
+    values = np.zeros(tuple(len(g) for g in axes))
+    for k in range(0, len(weights), 1024):
+        sk = times[k : k + 1024]
+        operands = []
+        for i, g in enumerate(axes):
+            d = np.asarray(g, dtype=float)[:, None] - sk[None, :, i]
+            factor = np.exp(-np.square(d) / (2.0 * std * std)) / (
+                math.sqrt(2.0 * math.pi) * std
+            )
+            operands += [factor, [i, m]]
+        values += np.einsum(*operands, weights[k : k + 1024], [m], list(range(m)))
+    return values
+
+
 def gamma_density_curvature_quad(alpha: float, beta: float) -> float:
     """Quadrature of the integrated squared second derivative of the gamma
     density t^(beta-1) exp(-alpha t) alpha^beta / Gamma(beta)."""

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,13 +11,15 @@ from fptmc import (
     WeightedSamples,
     estimate_density_1d,
     estimate_density_multi,
+    estimate_densities,
     gamma_moment_fit,
     gaussian_kernel,
     optimal_bandwidth_1d,
     optimal_bandwidth_multi,
     roughness_functional,
 )
-from helpers import gamma_density_curvature_quad
+from fptmc.results import collect_result
+from helpers import direct_kernel_sum, gamma_density_curvature_quad
 
 
 class TestGaussianKernel:
@@ -264,6 +267,95 @@ class TestEstimateMulti:
         d2 = np.square(mesh[..., None, :] - times).sum(axis=-1)
         direct = (np.exp(-d2 / (2 * h * h)) @ w) * (2 * math.pi * h * h) ** -1.5 / 100
         assert np.allclose(est.values, direct, rtol=1e-10)
+
+
+def _heavy_weights(rng):
+    times = rng.gamma(3.0, 0.1, 5000)
+    weights = rng.exponential(1.0, 5000)
+    weights[rng.choice(5000, 4, replace=False)] = 1000.0 * weights.mean()
+    return times, weights, np.linspace(0.0, 1.0, 512)
+
+
+def _grid_aligned(rng):
+    # cmc-style crossing times: multiples of dt = 1e-3, unit weights
+    times = rng.integers(1, 1001, 8000) * 1e-3
+    return times, np.ones(8000), np.linspace(0.0, 1.0, 512)
+
+
+def _grid_ends(rng):
+    ends = [0.0, 1.0, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), -0.01, 1.01]
+    times = np.concatenate([ends, rng.uniform(0.0, 1.0, 200)])
+    return times, rng.uniform(0.5, 2.0, len(times)), np.linspace(0.0, 1.0, 512)
+
+
+def _non_uniform_grid(rng):
+    grid = np.concatenate([[0.0, 1.0], np.sort(rng.uniform(0.0, 1.0, 300)) ** 2])
+    return rng.beta(2.0, 5.0, 3000), rng.uniform(0.5, 2.0, 3000), np.sort(grid)
+
+
+class TestBinnedKernelSum:
+    """The binned Taylor sum against the direct sum of every sample at every
+    grid node: equal up to rounding, relative to the estimate's peak."""
+
+    @pytest.mark.parametrize(
+        "make", [_heavy_weights, _grid_aligned, _grid_ends, _non_uniform_grid]
+    )
+    def test_1d_matches_direct_sum(self, rng, make):
+        times, weights, grid = make(rng)
+        n_runs = 2 * len(times)
+        h = 0.03
+        est = estimate_density_1d(WeightedSamples(times, weights, n_runs), grid, h)
+        direct = direct_kernel_sum(times, weights, (grid,), h / 2.0) / n_runs
+        assert np.abs(est.values - direct).max() <= 1e-12 * direct.max()
+        assert abs(est.total_mass - np.trapezoid(direct, grid)) <= 1e-14
+
+    def test_joint_matches_direct_sum(self, rng):
+        n = 20_000
+        times = np.column_stack([rng.gamma(3.0, 0.1, n), rng.beta(2.0, 3.0, n)])
+        weights = rng.exponential(1.0, n)
+        axis = np.linspace(0.0, 1.0, 128)
+        h = optimal_bandwidth_multi(2, n)
+        est = estimate_density_multi(
+            WeightedSamples(times, weights, 2 * n), (axis, axis), h
+        )
+        direct = direct_kernel_sum(times, weights, (axis, axis), h) / (2 * n)
+        assert np.abs(est.values - direct).max() <= 1e-12 * direct.max()
+        mass = np.trapezoid(np.trapezoid(direct, axis, axis=-1), axis)
+        assert abs(est.total_mass - mass) <= 1e-14
+
+    def test_3d_memory_is_bounded_by_the_grid(self, rng):
+        # a direct sum over 256-sample chunks would hold ~200 MB per chunk
+        n = 20_000
+        ws = WeightedSamples(rng.uniform(0.2, 0.8, (n, 3)), rng.uniform(0.5, 2.0, n), n)
+        axis = np.linspace(0.0, 1.0, 32)
+        tracemalloc.start()
+        try:
+            est = estimate_density_multi(ws, (axis, axis, axis), 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert est.values.shape == (32, 32, 32)
+        assert est.total_mass == pytest.approx(ws.weights.sum() / n, rel=0.05)
+
+    def test_estimate_densities_three_components(self, rng):
+        n = 3000
+        hit_t = rng.uniform(0.0, 1.0, (n, 3))
+        hit_w = rng.uniform(0.5, 2.0, (n, 3))
+        hit_k = np.ones((n, 3), dtype=np.int8)
+        hit_k[rng.uniform(size=(n, 3)) < 0.3] = 0
+        result = collect_result("unif", 0, [(hit_t, hit_w, hit_k)], elapsed=1.0)
+        axis = np.linspace(0.0, 1.0, 12)
+        marginals, joint = estimate_densities(
+            result, np.linspace(0.0, 1.0, 64), joint_grid=(axis, axis, axis)
+        )
+        assert len(marginals) == 3
+        assert joint.values.shape == (12, 12, 12)
+        direct = direct_kernel_sum(
+            result.joint.times, result.joint.weights, (axis,) * 3, joint.bandwidth
+        )
+        direct /= n
+        assert np.abs(joint.values - direct).max() <= 1e-12 * direct.max()
 
 
 class TestWeightedSamplesValidation:
