@@ -165,15 +165,19 @@ def collect_result(
     recorded = (hit_k != KIND_NONE) & (hit_w > 0.0)
     marginals = []
     run_indices = []
+    complete = np.ones(n_runs, dtype=bool)
     for i in range(m):
         sel = recorded[:, i]
         marginals.append(
             WeightedSamples(times=hit_t[sel, i], weights=hit_w[sel, i], n_runs=n_runs)
         )
-        run_indices.append(np.nonzero(sel)[0])
-    complete = np.all(recorded, axis=1)
-    joint_w = hit_w[complete].prod(axis=1) if complete.any() else np.empty(0)
-    joint_rows = np.nonzero(complete)[0]
+        run_indices.append(np.flatnonzero(sel))
+        complete &= sel
+    joint_rows = np.flatnonzero(complete)
+    # one column at a time: numpy reduces a short last axis slowly
+    joint_w = np.ones(len(joint_rows))
+    for i in range(m):
+        joint_w *= hit_w[joint_rows, i]
     positive = joint_w > 0.0  # the product itself can underflow
     joint = WeightedSamples(
         times=hit_t[joint_rows[positive]],
@@ -181,8 +185,9 @@ def collect_result(
         n_runs=n_runs,
     )
     diag = dict(diagnostics or {})
-    diag.setdefault("interior_crossings", int((hit_k == KIND_INTERIOR).sum()))
-    diag.setdefault("at_jump_crossings", int((hit_k == KIND_AT_JUMP).sum()))
+    diag.setdefault("interior_crossings", int(np.count_nonzero(hit_k == KIND_INTERIOR)))
+    diag.setdefault("at_jump_crossings", int(np.count_nonzero(hit_k == KIND_AT_JUMP)))
+    diag.update(weight_health(hit_k, marginals))
     return EngineResult(
         engine=engine,
         n_runs=n_runs,
@@ -194,6 +199,30 @@ def collect_result(
         seconds_per_run=elapsed / n_runs,
         diagnostics=diag,
     )
+
+
+def weight_health(hit_k: np.ndarray, marginals: list[WeightedSamples]) -> dict[str, list]:
+    """Per-component importance-weight health, one list entry per component.
+
+    ``zero_weight_dropped`` counts crossings in ``hit_k`` left out of the
+    marginal because their weight is not positive (it underflowed to zero);
+    ``ess_frac`` is the effective sample size (sum w)^2 / sum w^2 over the
+    number of recorded samples (1 for equal weights); ``max_weight_share`` is
+    the largest weight over the weight total.  Both ratios are NaN for a
+    component without samples.
+    """
+    health = {"zero_weight_dropped": [], "ess_frac": [], "max_weight_share": []}
+    for i, ws in enumerate(marginals):
+        health["zero_weight_dropped"].append(int(np.count_nonzero(hit_k[:, i])) - len(ws))
+        total = float(ws.weights.sum())
+        if total > 0.0:
+            ess = total**2 / float(np.square(ws.weights).sum()) / len(ws)
+            share = float(ws.weights.max()) / total
+        else:
+            ess = share = float("nan")
+        health["ess_frac"].append(ess)
+        health["max_weight_share"].append(share)
+    return health
 
 
 def outcome_from_arrays(

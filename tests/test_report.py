@@ -183,6 +183,23 @@ class TestRunExperiment:
         assert "l1.1" in values and "l1.2" in values
         assert 0.0 < values["unif.crossing_prob.1"] < 1.0
 
+    def test_report_values_carry_weight_health(self, tmp_path):
+        cfg = parse_config_text(TINY_CFG + f"out = {tmp_path}/exp\n")
+        report = run_experiment(cfg)
+        text = open(os.path.join(tmp_path, "exp", "report.txt")).read()
+        block = text.split("[values]\n", 1)[1]
+        values = {
+            key.strip(): float(raw)
+            for key, raw in (line.split("=", 1) for line in block.splitlines())
+        }
+        for eng in ("unif", "cmc"):
+            for name in ("zero_weight_dropped", "ess_frac", "max_weight_share"):
+                for i, v in enumerate(report.weight_health[eng][name]):
+                    assert values[f"{eng}.{name}.{i+1}"] == v
+        assert values["cmc.ess_frac.1"] == 1.0
+        assert 0.0 < values["unif.ess_frac.1"] < 1.0
+        assert 0.0 < values["unif.max_weight_share.2"] < 1.0
+
     def test_density_files_reproducible(self, tmp_path):
         for sub in ("a", "b"):
             cfg = parse_config_text(TINY_CFG + f"out = {tmp_path}/{sub}\n")

@@ -2,7 +2,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from fptmc import results
+from fptmc import CmcConfig, results, run_cmc
 
 
 def draw_block(rng, size):
@@ -22,3 +22,35 @@ def test_thread_pool_capped_at_block_count(monkeypatch):
     assert requested == [1]
     assert len(pooled) == len(serial) == 1
     assert np.array_equal(pooled[0][0], serial[0][0])
+
+
+def test_weight_health_counts_zero_weight_drops():
+    nan = np.nan
+    hit_t = np.array([[0.2, 0.3], [0.4, nan], [0.5, 0.6], [nan, nan]])
+    hit_w = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    hit_k = np.array([[1, 1], [2, 0], [1, 1], [0, 0]], dtype=np.int8)
+    result = results.collect_result("unif", 0, [(hit_t, hit_w, hit_k)], elapsed=1.0)
+    diag = result.diagnostics
+    assert diag["zero_weight_dropped"] == [1, 1]
+    assert [len(ws) for ws in result.marginals] == [2, 1]
+    assert diag["ess_frac"] == [16.0 / 10.0 / 2, 1.0]
+    assert diag["max_weight_share"] == [0.75, 1.0]
+
+
+def test_weight_health_without_samples_is_nan():
+    hit_t = np.full((3, 1), np.nan)
+    result = results.collect_result(
+        "unif", 0, [(hit_t, np.zeros((3, 1)), np.zeros((3, 1), dtype=np.int8))], 1.0
+    )
+    assert result.diagnostics["zero_weight_dropped"] == [0]
+    assert np.isnan(result.diagnostics["ess_frac"][0])
+    assert np.isnan(result.diagnostics["max_weight_share"][0])
+
+
+def test_cmc_unit_weights_have_full_ess(single_bm_spec):
+    result = run_cmc(single_bm_spec, CmcConfig(dt=0.01, n_runs=2000, seed=3))
+    n_hits = len(result.marginals[0])
+    assert n_hits > 0
+    assert result.diagnostics["ess_frac"] == [1.0]
+    assert result.diagnostics["max_weight_share"] == [1.0 / n_hits]
+    assert result.diagnostics["zero_weight_dropped"] == [0]

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import fptmc
-from fptmc import LinearBarrier, ModelSpec, estimate_densities, run_engine, run_single
+from fptmc import LinearBarrier, ModelSpec, bridge, estimate_densities, run_engine, run_single
 from fptmc.bridge import survival_array
 from fptmc.results import AT_JUMP, INTERIOR, collect_result
 from conftest import make_example_spec
@@ -249,3 +250,61 @@ def test_engine_rejects_bad_run_args(example1_spec):
         run_engine(example1_spec, 10, seed=-1)
     with pytest.raises(ValueError):
         run_engine(example1_spec, 10, seed=0, workers=0)
+
+
+def step_down_spec(jump_rate, barriers, m=2):
+    """Diffusion-free path stepping down by exactly 1 at every jump."""
+    return ModelSpec(
+        m=m,
+        x0=np.zeros(m),
+        mu=np.zeros(m),
+        sigma=np.eye(m) * 1e-9,
+        jump_rate=jump_rate,
+        jump_mean=np.full(m, -1.0),
+        jump_sd=np.zeros(m),
+        barriers=tuple(LinearBarrier(b, 0.0) for b in barriers),
+        horizon=1.0,
+    )
+
+
+def test_jump_clock_chains_gaps_per_run():
+    # component 1 crosses at the 1st jump, component 2 at the 3rd: their
+    # times are the 1st and 3rd arrival of one Poisson clock per run
+    lam, n = 3.0, 20_000
+    result = run_engine(step_down_spec(lam, [-0.5, -2.5]), n, seed=17)
+    first, third = result.marginals
+    for ws in result.marginals:
+        assert np.all(ws.weights == 1.0)
+    assert result.diagnostics["interior_crossings"] == 0
+
+    def truncated(cdf):
+        return lambda t: cdf(t) / cdf(1.0)
+
+    p1 = stats.expon(scale=1.0 / lam).cdf
+    p3 = stats.gamma(3, scale=1.0 / lam).cdf
+    assert stats.kstest(first.times, truncated(p1)).pvalue > 1e-3
+    assert stats.kstest(third.times, truncated(p3)).pvalue > 1e-3
+    for ws, p in ((first, p1(1.0)), (third, p3(1.0))):
+        se = math.sqrt(p * (1 - p) / n)
+        assert len(ws) / n == pytest.approx(p, abs=4 * se)
+    # every run that reached its 3rd jump is a joint row
+    assert len(result.joint) == len(third)
+    assert np.all(result.joint.times[:, 1] > result.joint.times[:, 0])
+
+
+def test_work_scales_with_live_runs(monkeypatch):
+    # both components cross at the first jump, so a run needs one interval
+    # although it would see about 50 jumps
+    counted = []
+    survival = bridge.survival_array
+
+    def counting(*args):
+        p = survival(*args)
+        counted.append(p.size)
+        return p
+
+    monkeypatch.setattr(bridge, "survival_array", counting)
+    n, m = 4000, 2
+    result = run_engine(step_down_spec(50.0, [-0.5, -0.5], m=m), n, seed=19)
+    assert all(len(ws) == n for ws in result.marginals)
+    assert sum(counted) <= 2 * m * n
