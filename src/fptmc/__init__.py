@@ -13,24 +13,7 @@ Both feed ``estimate_densities`` for kernel density estimates of the marginal
 and joint first-passage-time densities.
 """
 
-from .model import (
-    LinearBarrier,
-    ModelSpec,
-    JumpTimeline,
-    effective_sigma,
-    sample_jump_instants,
-    propagate_interjump,
-    apply_jump,
-    build_timeline,
-)
-from .bridge import (
-    BridgeSegment,
-    CrossingDraw,
-    survival_probability,
-    interjump_fpt_density,
-    sample_crossing,
-    first_jump_crossing,
-)
+from .model import LinearBarrier, ModelSpec, effective_sigma
 from .kde import (
     WeightedSamples,
     GammaFit,
@@ -60,18 +43,7 @@ __version__ = "0.1.0"
 __all__ = [
     "LinearBarrier",
     "ModelSpec",
-    "JumpTimeline",
     "effective_sigma",
-    "sample_jump_instants",
-    "propagate_interjump",
-    "apply_jump",
-    "build_timeline",
-    "BridgeSegment",
-    "CrossingDraw",
-    "survival_probability",
-    "interjump_fpt_density",
-    "sample_crossing",
-    "first_jump_crossing",
     "WeightedSamples",
     "GammaFit",
     "DensityEstimate",

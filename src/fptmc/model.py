@@ -1,11 +1,14 @@
-"""Problem specification and path-skeleton generation for a constant-coefficient
-multivariate jump-diffusion.
+"""Problem specification for a constant-coefficient multivariate
+jump-diffusion.
 
 The process is  dX = mu dt + sigma dW + dZ  with a shared Poisson clock of rate
 ``jump_rate`` driving jumps in every component and per-component normal jump
 sizes.  Each component X_i is watched against its own affine barrier
 D_i(t) = intercept_i + slope_i * t on the horizon [0, T]; a run ends for a
 component the first time it touches or falls below its barrier.
+
+Paths are simulated by the engines (``unif`` and ``cmc``), which read the
+spec's arrays directly.
 """
 
 from __future__ import annotations
@@ -14,16 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "LinearBarrier",
-    "ModelSpec",
-    "JumpTimeline",
-    "effective_sigma",
-    "sample_jump_instants",
-    "propagate_interjump",
-    "apply_jump",
-    "build_timeline",
-]
+__all__ = ["LinearBarrier", "ModelSpec", "effective_sigma"]
 
 
 @dataclass(frozen=True)
@@ -36,10 +30,6 @@ class LinearBarrier:
     def __post_init__(self):
         if not (np.isfinite(self.intercept) and np.isfinite(self.slope)):
             raise ValueError("barrier intercept and slope must be finite")
-
-    def at(self, t):
-        """Barrier level at time t (scalar or array)."""
-        return self.intercept + self.slope * np.asarray(t)
 
 
 def _as_readonly(a, dtype=float) -> np.ndarray:
@@ -134,47 +124,6 @@ class ModelSpec:
         return np.array([effective_sigma(self.sigma, i) for i in range(self.m)])
 
 
-@dataclass(frozen=True)
-class JumpTimeline:
-    """One run's jump skeleton: instants 0 = T_0 < T_1 < ... < T_M < T_{M+1} = T
-    with values immediately before and after every jump.
-
-    ``pre_jump`` has shape (m, M+1): column j holds X(T_{j+1}^-) for j < M and
-    the horizon-end value in the last column.  ``post_jump`` has shape (m, M).
-    """
-
-    instants: np.ndarray
-    pre_jump: np.ndarray
-    post_jump: np.ndarray
-
-    def __post_init__(self):
-        inst = _as_readonly(self.instants)
-        if inst.ndim != 1 or len(inst) < 2:
-            raise ValueError("instants must hold at least [0, T]")
-        if inst[0] != 0.0:
-            raise ValueError("first instant must be 0")
-        if np.any(np.diff(inst) <= 0):
-            raise ValueError("instants must be strictly increasing")
-        object.__setattr__(self, "instants", inst)
-        n_jumps = len(inst) - 2
-        pre = _as_readonly(self.pre_jump)
-        post = _as_readonly(self.post_jump)
-        if pre.ndim != 2 or pre.shape[1] != n_jumps + 1:
-            raise ValueError(f"pre_jump must have {n_jumps + 1} columns")
-        if post.shape != (pre.shape[0], n_jumps):
-            raise ValueError(f"post_jump must have shape ({pre.shape[0]}, {n_jumps})")
-        object.__setattr__(self, "pre_jump", pre)
-        object.__setattr__(self, "post_jump", post)
-
-    @property
-    def n_jumps(self) -> int:
-        return len(self.instants) - 2
-
-    def jump_sizes(self) -> np.ndarray:
-        """Realised jump sizes, shape (m, M)."""
-        return self.post_jump - self.pre_jump[:, : self.n_jumps]
-
-
 def effective_sigma(sigma: np.ndarray, i: int) -> float:
     """Volatility of component i once its Brownian drivers are aggregated:
     the Euclidean norm of row i of the diffusion matrix.
@@ -186,71 +135,3 @@ def effective_sigma(sigma: np.ndarray, i: int) -> float:
             f"degenerate diffusion row {i}: all sigma entries are zero"
         )
     return out
-
-
-def sample_jump_instants(rate: float, horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Jump instants of a Poisson(rate) clock on (0, horizon).
-
-    Built by accumulating exponential inter-arrival gaps of mean 1/rate until
-    the horizon is passed.  rate = 0 yields an empty array.  An instant landing
-    exactly on the horizon (measure zero) is discarded so the horizon itself
-    always caps the timeline.
-    """
-    if rate < 0:
-        raise ValueError("rate must be >= 0")
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
-    if rate == 0:
-        return np.empty(0)
-    out = []
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / rate)
-        if t >= horizon:
-            break
-        out.append(t)
-    return np.array(out)
-
-
-def propagate_interjump(
-    state: np.ndarray, dt: float, spec: ModelSpec, rng: np.random.Generator
-) -> np.ndarray:
-    """Advance the diffusion part over a jump-free stretch of length dt.
-
-    The increment is mu * dt + sigma @ N with N ~ Normal(0, dt I) shared across
-    rows, so repeated calls have mean state + mu*dt and covariance
-    sigma sigma^T * dt.  ``state`` may carry leading batch dimensions.
-    """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
-    state = np.asarray(state, dtype=float)
-    z = rng.standard_normal(state.shape)
-    return state + spec.mu * dt + np.sqrt(dt) * (z @ spec.sigma.T)
-
-
-def apply_jump(state: np.ndarray, spec: ModelSpec, rng: np.random.Generator) -> np.ndarray:
-    """Add one normal jump per component, independent across components."""
-    state = np.asarray(state, dtype=float)
-    z = rng.standard_normal(state.shape)
-    return state + spec.jump_mean + spec.jump_sd * z
-
-
-def build_timeline(spec: ModelSpec, rng: np.random.Generator) -> JumpTimeline:
-    """Generate one complete jump skeleton for the spec.
-
-    Draws the shared jump instants, then alternates interjump propagation and
-    jump application from x0 out to the horizon.
-    """
-    jumps = sample_jump_instants(spec.jump_rate, spec.horizon, rng)
-    instants = np.concatenate([[0.0], jumps, [spec.horizon]])
-    n_seg = len(instants) - 1
-    pre = np.empty((spec.m, n_seg))
-    post = np.empty((spec.m, n_seg - 1))
-    state = spec.x0
-    for j in range(n_seg):
-        state = propagate_interjump(state, instants[j + 1] - instants[j], spec, rng)
-        pre[:, j] = state
-        if j < n_seg - 1:
-            state = apply_jump(state, spec, rng)
-            post[:, j] = state
-    return JumpTimeline(instants=instants, pre_jump=pre, post_jump=post)

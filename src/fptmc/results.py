@@ -69,7 +69,6 @@ class RunOutcome:
     component never crossed within the horizon."""
 
     samples: tuple[Optional[FptSample], ...]
-    run_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -168,8 +167,9 @@ def collect_result(
     complete = np.ones(n_runs, dtype=bool)
     for i in range(m):
         sel = recorded[:, i]
+        # select from the column view: a mixed boolean/integer index is slower
         marginals.append(
-            WeightedSamples(times=hit_t[sel, i], weights=hit_w[sel, i], n_runs=n_runs)
+            WeightedSamples(times=hit_t[:, i][sel], weights=hit_w[:, i][sel], n_runs=n_runs)
         )
         run_indices.append(np.flatnonzero(sel))
         complete &= sel
@@ -225,9 +225,7 @@ def weight_health(hit_k: np.ndarray, marginals: list[WeightedSamples]) -> dict[s
     return health
 
 
-def outcome_from_arrays(
-    hit_t: np.ndarray, hit_w: np.ndarray, hit_k: np.ndarray, run_index: int = 0
-) -> RunOutcome:
+def outcome_from_arrays(hit_t: np.ndarray, hit_w: np.ndarray, hit_k: np.ndarray) -> RunOutcome:
     """Build a RunOutcome from one row of the block arrays."""
     samples = []
     for i in range(hit_t.shape[-1]):
@@ -242,7 +240,7 @@ def outcome_from_arrays(
                     kind=KIND_NAMES[int(hit_k[i])],
                 )
             )
-    return RunOutcome(samples=tuple(samples), run_index=run_index)
+    return RunOutcome(samples=tuple(samples))
 
 
 def marginal_bandwidth(times: np.ndarray, horizon: float) -> float:

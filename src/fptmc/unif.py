@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import bridge
+from .bridge import _cells
 from .model import ModelSpec
 from .results import (
     KIND_AT_JUMP,
@@ -102,31 +103,12 @@ def simulate_block(
 
         # condition 1: interior bridge crossing via one uniform candidate
         u = 1.0 - rng.random((n, m))
-        keep = 1.0 - bridge.survival_array(state, x_end, level, tau[:, None], sig_eff)
-        interior = alive & (keep > bridge.SURVIVAL_SHORTCUT) & (u <= keep)
-        if interior.any():
-            ii = _cells(interior)
-            stretch = tau[ii[0]] / keep[ii]
-            s = t0[ii[0]] + stretch * u[ii]
-            # both density prefactors are singular at the interval endpoints
-            ok = (s < t1[ii[0]]) & (s > t0[ii[0]])
-            ii = (ii[0][ok], ii[1][ok])
-            s = s[ok]
-            g = bridge.fpt_density_array(
-                s,
-                state[ii],
-                x_end[ii],
-                level[ii],
-                t0[ii[0]],
-                t1[ii[0]],
-                mu[ii[1]],
-                sig_eff[ii[1]],
-            )
-            out = (run[ii[0]], ii[1])
-            hit_t[out] = s
-            hit_w[out] = stretch[ok] * g
-            hit_k[out] = KIND_INTERIOR
-            alive[ii] = False
+        ii, s, w = bridge.uniform_candidates(state, x_end, level, t0, t1, sig_eff, u, alive)
+        out = (run[ii[0]], ii[1])
+        hit_t[out] = s
+        hit_w[out] = w
+        hit_k[out] = KIND_INTERIOR
+        alive[ii] = False
 
         # retire rows that reached the horizon or have no component left;
         # the rest move on to their jump at t1
@@ -150,12 +132,6 @@ def simulate_block(
             run, state, alive, t0 = (a.take(cont, axis=0) for a in (run, state, alive, t0))
 
     return hit_t, hit_w, hit_k, grazing
-
-
-def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns) of the true cells of an (n, m) mask, like
-    ``np.nonzero`` but several times faster for a handful of columns."""
-    return np.divmod(np.flatnonzero(mask), mask.shape[1])
 
 
 def _row_any(mask: np.ndarray) -> np.ndarray:

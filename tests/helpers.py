@@ -87,15 +87,15 @@ def simulate_bridge_crossing_times(
     return hit[~np.isnan(hit)]
 
 
-def quad_interjump_density(seg) -> float:
+def quad_interjump_density(x_start, x_end, level, t_start, t_end, sigma) -> float:
     """Adaptive quadrature of the interior crossing-time density over its
     open interval."""
-    from fptmc import interjump_fpt_density
+    from fptmc.bridge import fpt_density_array
 
     val, _ = quad(
-        lambda t: interjump_fpt_density(seg, t),
-        seg.t_start,
-        seg.t_end,
+        lambda t: float(fpt_density_array(t, x_start, x_end, level, t_start, t_end, sigma)),
+        t_start,
+        t_end,
         limit=300,
     )
     return val

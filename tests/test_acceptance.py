@@ -15,13 +15,11 @@ from scipy import integrate, stats
 
 import fptmc
 from fptmc import (
-    BridgeSegment,
     CmcConfig,
     GammaFit,
     estimate_densities,
     gamma_moment_fit,
     gaussian_kernel,
-    interjump_fpt_density,
     normalized_l1,
     optimal_bandwidth_1d,
     optimal_bandwidth_multi,
@@ -30,13 +28,14 @@ from fptmc import (
     run_cmc,
     run_engine,
     run_experiment,
-    survival_probability,
 )
+from fptmc.bridge import survival_array
 from conftest import make_example_spec
 from helpers import (
     bm_crossing_probability,
     bm_fpt_density,
     gamma_density_curvature_quad,
+    quad_interjump_density,
     simulate_bridge_survival,
 )
 
@@ -75,22 +74,15 @@ def test_c1_bridge_survival_brute_force():
     rng = np.random.default_rng(20240917)
     segments = []
     while len(segments) < 5:
-        seg = BridgeSegment(
-            x_start=rng.uniform(0.1, 2.0),
-            x_end=rng.uniform(0.05, 2.0),
-            level=0.0,
-            t_start=0.0,
-            t_end=rng.uniform(0.3, 2.0),
-            mu=0.0,
-            sigma=rng.uniform(0.3, 1.2),
-        )
-        if 0.1 <= survival_probability(seg) <= 0.9:
-            segments.append(seg)
-    for k, seg in enumerate(segments):
-        p = survival_probability(seg)
-        est, se = simulate_bridge_survival(
-            seg.x_start, seg.x_end, seg.level, seg.tau, seg.sigma, 100_000, 1000, rng
-        )
+        x_start = rng.uniform(0.1, 2.0)
+        x_end = rng.uniform(0.05, 2.0)
+        tau = rng.uniform(0.3, 2.0)
+        sigma = rng.uniform(0.3, 1.2)
+        p = float(survival_array(x_start, x_end, 0.0, tau, sigma))
+        if 0.1 <= p <= 0.9:
+            segments.append((x_start, x_end, tau, sigma, p))
+    for k, (x_start, x_end, tau, sigma, p) in enumerate(segments):
+        est, se = simulate_bridge_survival(x_start, x_end, 0.0, tau, sigma, 100_000, 1000, rng)
         _report(
             "C1",
             f"segment {k + 1}: exact {p:.5f}, oracle {est:.5f} +- {se:.5f}",
@@ -102,30 +94,21 @@ def test_c2_density_integrates_to_crossing_probability():
     rng = np.random.default_rng(77)
     cases = []
     for _ in range(8):
-        cases.append(
-            BridgeSegment(
-                x_start=rng.uniform(0.1, 2.0),
-                x_end=rng.uniform(-1.0, 2.0),
-                level=0.0,
-                t_start=rng.uniform(0.0, 0.5),
-                t_end=rng.uniform(0.8, 2.5),
-                mu=rng.uniform(-1.0, 1.0),
-                sigma=rng.uniform(0.2, 1.5),
-            )
-        )
+        x_start = rng.uniform(0.1, 2.0)
+        x_end = rng.uniform(-1.0, 2.0)
+        t_start = rng.uniform(0.0, 0.5)
+        t_end = rng.uniform(0.8, 2.5)
+        rng.uniform(-1.0, 1.0)  # a drift: the bridge density does not depend on it
+        sigma = rng.uniform(0.2, 1.5)
+        cases.append((x_start, x_end, 0.0, t_start, t_end, sigma))
     # pin the two qualitative regimes explicitly
-    cases.append(
-        BridgeSegment(x_start=1.0, x_end=-0.5, t_start=0.0, t_end=1.0, mu=0.0, sigma=1.0, level=0.0)
-    )
-    cases.append(
-        BridgeSegment(x_start=1.0, x_end=1.0, t_start=0.0, t_end=1.0, mu=0.0, sigma=1.0, level=0.0)
-    )
+    cases.append((1.0, -0.5, 0.0, 0.0, 1.0, 1.0))
+    cases.append((1.0, 1.0, 0.0, 0.0, 1.0, 1.0))
     worst = 0.0
-    for seg in cases:
-        total, _ = integrate.quad(
-            lambda t: interjump_fpt_density(seg, t), seg.t_start, seg.t_end, limit=300
-        )
-        worst = max(worst, abs(total - (1.0 - survival_probability(seg))))
+    for x_start, x_end, level, t_start, t_end, sigma in cases:
+        total = quad_interjump_density(x_start, x_end, level, t_start, t_end, sigma)
+        p = float(survival_array(x_start, x_end, level, t_end - t_start, sigma))
+        worst = max(worst, abs(total - (1.0 - p)))
     _report("C2", f"10 cases, max |quad(g) - (1-P)| = {worst:.2e} (tol 1e-3)", worst < 1e-3)
 
 

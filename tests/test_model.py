@@ -1,20 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from fptmc import (
-    JumpTimeline,
-    LinearBarrier,
-    ModelSpec,
-    apply_jump,
-    build_timeline,
-    effective_sigma,
-    propagate_interjump,
-    sample_jump_instants,
-)
+from fptmc import LinearBarrier, ModelSpec, bridge, effective_sigma
+from fptmc.unif import simulate_block
 from conftest import make_example_spec
+
+# a diffusion row this small moves no value of order 1e-3 or more by one ulp,
+# so the engine's paths are exactly the drift-and-jump polyline
+NO_DIFFUSION = 1e-100
 
 
 def test_effective_sigma_diagonal():
@@ -32,183 +29,9 @@ def test_effective_sigma_zero_row_rejected():
         effective_sigma([[0.0, 0.0], [0.0, 1.0]], 0)
 
 
-def test_barrier_at():
-    b = LinearBarrier(math.log(0.9), -0.002)
-    assert b.at(0.0) == pytest.approx(-0.105361, abs=1e-6)
-    assert LinearBarrier(0.0, 0.0).at(17.3) == 0.0
-    assert LinearBarrier(1.0, -1.0).at(1.0) == pytest.approx(0.0)
-
-
 def test_barrier_requires_finite_fields():
     with pytest.raises(ValueError):
         LinearBarrier(math.inf, 0.0)
-
-
-def test_jump_instants_zero_rate(rng):
-    assert len(sample_jump_instants(0.0, 1.0, rng)) == 0
-
-
-def test_jump_instants_mean_count(rng):
-    counts = [len(sample_jump_instants(8.0, 1.0, rng)) for _ in range(100_000)]
-    assert np.mean(counts) == pytest.approx(8.0, abs=0.1)
-
-
-def test_jump_instants_zero_count_probability(rng):
-    empty = sum(
-        len(sample_jump_instants(1.0, 1.0, rng)) == 0 for _ in range(100_000)
-    )
-    assert empty / 100_000 == pytest.approx(math.exp(-1.0), abs=0.01)
-
-
-def test_jump_instants_sorted_and_inside_horizon(rng):
-    for _ in range(200):
-        rate = rng.uniform(0.1, 20.0)
-        horizon = rng.uniform(0.1, 5.0)
-        t = sample_jump_instants(rate, horizon, rng)
-        if len(t):
-            assert np.all(np.diff(t) > 0)
-            assert t[0] > 0.0
-            assert t[-1] < horizon
-
-
-def test_jump_instants_invalid_args(rng):
-    with pytest.raises(ValueError):
-        sample_jump_instants(-1.0, 1.0, rng)
-    with pytest.raises(ValueError):
-        sample_jump_instants(1.0, 0.0, rng)
-
-
-def _drift_only_spec(mu, m=1):
-    return ModelSpec(
-        m=m,
-        x0=np.ones(m),
-        mu=np.full(m, mu),
-        sigma=np.zeros((m, m)),
-        jump_rate=0.0,
-        jump_mean=np.zeros(m),
-        jump_sd=np.zeros(m),
-        barriers=tuple(LinearBarrier(-10.0, 0.0) for _ in range(m)),
-        horizon=1.0,
-    )
-
-
-def test_propagate_drift_only(rng):
-    spec = _drift_only_spec(-0.002)
-    out = propagate_interjump(np.array([0.0]), 1.0, spec, rng)
-    assert out[0] == pytest.approx(-0.002, abs=0.0)
-
-
-def test_propagate_covariance(example1_spec, rng):
-    n = 100_000
-    start = np.zeros((n, 2))
-    out = propagate_interjump(start, 1.0, example1_spec, rng)
-    cov = np.cov(out.T)
-    se_var = 0.04 * math.sqrt(2.0 / n)
-    se_cov = 0.04 / math.sqrt(n)
-    assert cov[0, 0] == pytest.approx(0.04, abs=3 * se_var)
-    assert cov[1, 1] == pytest.approx(0.04, abs=3 * se_var)
-    assert cov[0, 1] == pytest.approx(0.0, abs=3 * se_cov)
-
-
-def test_propagate_mean(example1_spec, rng):
-    n = 100_000
-    out = propagate_interjump(np.full((n, 2), 5.0), 0.5, example1_spec, rng)
-    se = 0.2 * math.sqrt(0.5) / math.sqrt(n)
-    assert out[:, 0].mean() == pytest.approx(5.0 - 0.001, abs=3 * se)
-    assert out[:, 1].mean() == pytest.approx(5.0 - 0.006, abs=3 * se)
-
-
-def test_propagate_vanishing_dt(example1_spec, rng):
-    out = propagate_interjump(np.array([5.0, 5.0]), 1e-12, example1_spec, rng)
-    assert np.allclose(out, [5.0, 5.0], atol=1e-5)
-
-
-def test_propagate_rejects_nonpositive_dt(example1_spec, rng):
-    with pytest.raises(ValueError):
-        propagate_interjump(np.zeros(2), 0.0, example1_spec, rng)
-
-
-def test_apply_jump_deterministic(rng):
-    spec = ModelSpec(
-        m=2,
-        x0=[1.0, 1.0],
-        mu=[0.0, 0.0],
-        sigma=np.eye(2),
-        jump_rate=1.0,
-        jump_mean=[0.5, -0.5],
-        jump_sd=[0.0, 0.0],
-        barriers=(LinearBarrier(-10.0, 0.0), LinearBarrier(-10.0, 0.0)),
-        horizon=1.0,
-    )
-    out = apply_jump(np.array([1.0, 1.0]), spec, rng)
-    assert np.array_equal(out, [1.5, 0.5])
-
-
-def test_apply_jump_moments(example1_spec, rng):
-    n = 100_000
-    jumps = apply_jump(np.zeros((n, 2)), example1_spec, rng)
-    sd_se = 0.12 / math.sqrt(2 * n)
-    assert jumps[:, 1].std() == pytest.approx(0.12, abs=3 * sd_se)
-    mean_se = 0.2 / math.sqrt(n)
-    assert jumps[:, 0].mean() == pytest.approx(0.0, abs=3 * mean_se)
-
-
-def test_build_timeline_no_jumps(example1_spec, rng):
-    spec = make_example_spec(0.0)
-    tl = build_timeline(spec, rng)
-    assert np.array_equal(tl.instants, [0.0, 1.0])
-    assert tl.pre_jump.shape == (2, 1)
-    assert tl.post_jump.shape == (2, 0)
-    assert tl.n_jumps == 0
-
-
-def test_build_timeline_deterministic_polyline(rng):
-    spec = _drift_only_spec(-1.0)
-    tl = build_timeline(spec, rng)
-    assert tl.pre_jump[0, -1] == pytest.approx(0.0, abs=0.0)  # x0 - 1 exactly
-
-
-def test_build_timeline_brackets_horizon(example1_spec, rng):
-    for _ in range(50):
-        tl = build_timeline(example1_spec, rng)
-        assert tl.instants[0] == 0.0
-        assert tl.instants[-1] == 1.0
-        assert np.all(np.diff(tl.instants) > 0)
-        assert tl.jump_sizes().shape == (2, tl.n_jumps)
-
-
-def test_build_timeline_jump_count_poisson(example1_spec, rng):
-    counts = np.array(
-        [build_timeline(example1_spec, rng).n_jumps for _ in range(10_000)]
-    )
-    edges = np.arange(6)
-    observed = np.array(
-        [np.sum(counts == k) for k in range(5)] + [np.sum(counts >= 5)]
-    )
-    pmf = stats.poisson.pmf(edges[:5], 1.0)
-    expected = np.append(pmf, 1.0 - pmf.sum()) * len(counts)
-    result = stats.chisquare(observed, expected)
-    assert result.pvalue > 0.01
-
-
-def test_deterministic_path_with_jumps(rng):
-    # all randomness off: drift plus mean jumps, exactly reconstructable
-    spec = ModelSpec(
-        m=1,
-        x0=[0.0],
-        mu=[-1.0],
-        sigma=[[0.0]],
-        jump_rate=2.0,
-        jump_mean=[0.25],
-        jump_sd=[0.0],
-        barriers=(LinearBarrier(-10.0, 0.0),),
-        horizon=1.0,
-    )
-    tl = build_timeline(spec, rng)
-    t = tl.instants
-    expected_pre = -t[1:] + 0.25 * np.arange(tl.n_jumps + 1)
-    assert np.allclose(tl.pre_jump[0], expected_pre, atol=1e-12)
-    assert np.allclose(tl.jump_sizes()[0], 0.25, atol=0.0)
 
 
 def test_model_spec_validation():
@@ -238,20 +61,210 @@ def test_model_spec_validation():
         ModelSpec(**{**good, "jump_rate": -1.0})
 
 
-def test_timeline_validation():
-    with pytest.raises(ValueError, match="increasing"):
-        JumpTimeline(
-            instants=[0.0, 0.5, 0.5, 1.0],
-            pre_jump=np.zeros((1, 3)),
-            post_jump=np.zeros((1, 2)),
-        )
-    with pytest.raises(ValueError, match="first instant"):
-        JumpTimeline(
-            instants=[0.1, 1.0], pre_jump=np.zeros((1, 1)), post_jump=np.zeros((1, 0))
-        )
-    with pytest.raises(ValueError, match="columns"):
-        JumpTimeline(
-            instants=[0.0, 0.5, 1.0],
-            pre_jump=np.zeros((1, 1)),
-            post_jump=np.zeros((1, 1)),
-        )
+def engine_passes(monkeypatch, spec, n, seed=0):
+    """Run one engine block of n runs and read its path skeletons off the
+    interval step.
+
+    ``unif.simulate_block`` calls ``bridge.uniform_candidates`` once per pass
+    with every live row's interval (t0, t1), its value just after the jump at
+    t0 and its value just before t1.  The spec's barriers must be out of
+    reach, so that a run leaves the live set exactly when its clock passes
+    the horizon.  Returns one (runs, t1, start, end) tuple per pass, with
+    ``runs`` the block index of each live row.
+    """
+    recorded = []
+    step = bridge.uniform_candidates
+
+    def recording(x_start, x_end, level, t0, t1, *rest):
+        recorded.append((t1.copy(), x_start.copy(), x_end.copy()))
+        return step(x_start, x_end, level, t0, t1, *rest)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(bridge, "uniform_candidates", recording)
+        hit_t, _, _, _ = simulate_block(spec, np.random.default_rng(seed), n)
+    assert np.isnan(hit_t).all(), "a barrier was reached"
+    runs = np.arange(n)
+    passes = []
+    for t1, start, end in recorded:
+        passes.append((runs, t1, start, end))
+        runs = runs[t1 < spec.horizon]
+    assert runs.size == 0
+    return passes
+
+
+def jump_counts(passes, n):
+    """Jumps per run: a run steps one interval more than it jumps."""
+    return np.bincount(np.concatenate([p[0] for p in passes]), minlength=n) - 1
+
+
+def skeleton(passes, r):
+    """Run r's instants 0 = T_0 < T_1 < ... < T_M < T_{M+1} = T, its values
+    just before every jump and at the horizon, shape (m, M+1), and just after
+    every jump, shape (m, M)."""
+    rows = [
+        (t1[k], start[k], end[k])
+        for runs, t1, start, end in passes
+        for k in np.flatnonzero(runs == r)
+    ]
+    instants = np.array([0.0] + [t for t, _, _ in rows])
+    pre = np.array([end for _, _, end in rows]).T
+    post = np.array([start for _, start, _ in rows[1:]]).reshape(-1, len(pre)).T
+    return instants, pre, post
+
+
+def far_barriers(spec, **changes):
+    """The spec with every barrier out of the paths' reach."""
+    barriers = tuple(LinearBarrier(-50.0, 0.0) for _ in range(spec.m))
+    return dataclasses.replace(spec, barriers=barriers, **changes)
+
+
+def _clock_spec(rate, horizon=1.0):
+    return ModelSpec(
+        m=1,
+        x0=[0.0],
+        mu=[0.0],
+        sigma=[[1.0]],
+        jump_rate=rate,
+        jump_mean=[0.0],
+        jump_sd=[0.0],
+        barriers=(LinearBarrier(-1e3, 0.0),),
+        horizon=horizon,
+    )
+
+
+def _drift_only_spec(mu, x0=1.0, m=1):
+    return ModelSpec(
+        m=m,
+        x0=np.full(m, x0),
+        mu=np.full(m, mu),
+        sigma=np.eye(m) * NO_DIFFUSION,
+        jump_rate=0.0,
+        jump_mean=np.zeros(m),
+        jump_sd=np.zeros(m),
+        barriers=tuple(LinearBarrier(-10.0, 0.0) for _ in range(m)),
+        horizon=1.0,
+    )
+
+
+def test_jump_instants_zero_rate(monkeypatch):
+    passes = engine_passes(monkeypatch, _clock_spec(0.0), 1000)
+    assert len(passes) == 1
+    assert np.all(passes[0][1] == 1.0)
+
+
+def test_jump_instants_mean_count(monkeypatch):
+    n = 100_000
+    counts = jump_counts(engine_passes(monkeypatch, _clock_spec(8.0), n, seed=1), n)
+    assert np.mean(counts) == pytest.approx(8.0, abs=0.1)
+
+
+def test_jump_instants_zero_count_probability(monkeypatch):
+    n = 100_000
+    counts = jump_counts(engine_passes(monkeypatch, _clock_spec(1.0), n, seed=2), n)
+    assert np.sum(counts == 0) / n == pytest.approx(math.exp(-1.0), abs=0.01)
+
+
+def test_jump_instants_sorted_and_inside_horizon(monkeypatch, rng):
+    for seed in range(200):
+        rate = rng.uniform(0.1, 20.0)
+        horizon = rng.uniform(0.1, 5.0)
+        passes = engine_passes(monkeypatch, _clock_spec(rate, horizon), 5, seed=seed)
+        for r in range(5):
+            t = skeleton(passes, r)[0][1:-1]
+            if len(t):
+                assert np.all(np.diff(t) > 0)
+                assert t[0] > 0.0
+                assert t[-1] < horizon
+
+
+def test_propagate_drift_only(monkeypatch):
+    spec = _drift_only_spec(-0.002, x0=0.0)
+    (_, _, _, end), = engine_passes(monkeypatch, spec, 100)
+    assert np.all(end == -0.002)
+
+
+def test_propagate_covariance(example1_spec, monkeypatch):
+    n = 100_000
+    spec = far_barriers(example1_spec, jump_rate=0.0)
+    (_, _, _, end), = engine_passes(monkeypatch, spec, n, seed=3)
+    cov = np.cov(end.T)
+    se_var = 0.04 * math.sqrt(2.0 / n)
+    se_cov = 0.04 / math.sqrt(n)
+    assert cov[0, 0] == pytest.approx(0.04, abs=3 * se_var)
+    assert cov[1, 1] == pytest.approx(0.04, abs=3 * se_var)
+    assert cov[0, 1] == pytest.approx(0.0, abs=3 * se_cov)
+
+
+def test_propagate_mean(example1_spec, monkeypatch):
+    n = 100_000
+    spec = far_barriers(example1_spec, x0=[5.0, 5.0], jump_rate=0.0, horizon=0.5)
+    (_, _, _, end), = engine_passes(monkeypatch, spec, n, seed=4)
+    se = 0.2 * math.sqrt(0.5) / math.sqrt(n)
+    assert end[:, 0].mean() == pytest.approx(5.0 - 0.001, abs=3 * se)
+    assert end[:, 1].mean() == pytest.approx(5.0 - 0.006, abs=3 * se)
+
+
+def test_build_timeline_no_jumps(monkeypatch):
+    spec = far_barriers(make_example_spec(0.0))
+    passes = engine_passes(monkeypatch, spec, 50)
+    for r in range(50):
+        instants, pre, post = skeleton(passes, r)
+        assert np.array_equal(instants, [0.0, 1.0])
+        assert pre.shape == (2, 1)
+        assert post.shape == (2, 0)
+
+
+def test_build_timeline_deterministic_polyline(monkeypatch):
+    spec = _drift_only_spec(-1.0, x0=1.5)
+    passes = engine_passes(monkeypatch, spec, 1)
+    _, pre, _ = skeleton(passes, 0)
+    assert pre[0, -1] == pytest.approx(0.5, abs=0.0)  # x0 - 1 exactly
+
+
+def test_build_timeline_brackets_horizon(example1_spec, monkeypatch):
+    passes = engine_passes(monkeypatch, far_barriers(example1_spec), 50, seed=5)
+    for r in range(50):
+        instants, pre, post = skeleton(passes, r)
+        n_jumps = len(instants) - 2
+        assert instants[0] == 0.0
+        assert instants[-1] == 1.0
+        assert np.all(np.diff(instants) > 0)
+        assert (post - pre[:, :n_jumps]).shape == (2, n_jumps)
+
+
+def test_build_timeline_jump_count_poisson(example1_spec, monkeypatch):
+    n = 10_000
+    passes = engine_passes(monkeypatch, far_barriers(example1_spec), n, seed=6)
+    counts = jump_counts(passes, n)
+    edges = np.arange(6)
+    observed = np.array(
+        [np.sum(counts == k) for k in range(5)] + [np.sum(counts >= 5)]
+    )
+    pmf = stats.poisson.pmf(edges[:5], 1.0)
+    expected = np.append(pmf, 1.0 - pmf.sum()) * len(counts)
+    result = stats.chisquare(observed, expected)
+    assert result.pvalue > 0.01
+
+
+def test_deterministic_path_with_jumps(monkeypatch):
+    # randomness off (up to a diffusion below one ulp): drift plus mean
+    # jumps, exactly reconstructable
+    spec = ModelSpec(
+        m=1,
+        x0=[0.0],
+        mu=[-1.0],
+        sigma=[[NO_DIFFUSION]],
+        jump_rate=2.0,
+        jump_mean=[0.25],
+        jump_sd=[0.0],
+        barriers=(LinearBarrier(-10.0, 0.0),),
+        horizon=1.0,
+    )
+    passes = engine_passes(monkeypatch, spec, 20, seed=7)
+    assert jump_counts(passes, 20).max() >= 2
+    for r in range(20):
+        t, pre, post = skeleton(passes, r)
+        n_jumps = len(t) - 2
+        expected_pre = -t[1:] + 0.25 * np.arange(n_jumps + 1)
+        assert np.allclose(pre[0], expected_pre, atol=1e-12)
+        assert np.allclose(post[0] - pre[0, :n_jumps], 0.25, atol=0.0)

@@ -290,6 +290,16 @@ def test_jump_clock_chains_gaps_per_run():
     # every run that reached its 3rd jump is a joint row
     assert len(result.joint) == len(third)
     assert np.all(result.joint.times[:, 1] > result.joint.times[:, 0])
+    # more (rate, k) inputs: a component with its barrier at 1/2 - k crosses
+    # exactly when its run sees k jumps by T = 1, with probability P(N(1) >= k)
+    for lam, ks, seed in ((8.0, (1, 4, 8, 12), 18), (1.0, (1,), 19)):
+        result = run_engine(step_down_spec(lam, [0.5 - k for k in ks], m=len(ks)), n, seed=seed)
+        for k, ws in zip(ks, result.marginals):
+            p = stats.poisson.sf(k - 1, lam)  # 1 - e^-1 for rate 1, k = 1
+            se = math.sqrt(p * (1 - p) / n)
+            assert len(ws) / n == pytest.approx(p, abs=4 * se)
+            assert np.all((ws.times > 0.0) & (ws.times < 1.0))
+        assert np.all(np.diff(result.joint.times, axis=1) > 0.0)
 
 
 def test_work_scales_with_live_runs(monkeypatch):
@@ -308,3 +318,29 @@ def test_work_scales_with_live_runs(monkeypatch):
     result = run_engine(step_down_spec(50.0, [-0.5, -0.5], m=m), n, seed=19)
     assert all(len(ws) == n for ws in result.marginals)
     assert sum(counted) <= 2 * m * n
+
+
+def test_drift_and_diffusion_row_norm():
+    # no jumps: component i is a drifted Brownian motion whose volatility is
+    # the norm of row i of the correlated sigma
+    sigma = [[0.3, 0.4], [-0.1, 0.2]]
+    mu = [-0.3, 0.2]
+    levels = [-0.5, -0.3]
+    spec = ModelSpec(
+        m=2,
+        x0=[0.0, 0.0],
+        mu=mu,
+        sigma=sigma,
+        jump_rate=0.0,
+        jump_mean=[0.0, 0.0],
+        jump_sd=[0.0, 0.0],
+        barriers=tuple(LinearBarrier(b, 0.0) for b in levels),
+        horizon=1.0,
+    )
+    n = 100_000
+    result = run_engine(spec, n, seed=29)
+    for i, ws in enumerate(result.marginals):
+        p = bm_crossing_probability(0.0, levels[i], mu[i], math.hypot(*sigma[i]), 1.0)
+        crossed = len(ws) + result.diagnostics["zero_weight_dropped"][i]
+        se = math.sqrt(p * (1 - p) / n)
+        assert crossed / n == pytest.approx(p, abs=4 * se)
