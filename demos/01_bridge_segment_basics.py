@@ -4,12 +4,14 @@ Between two simulated endpoint values the diffusion is a Brownian bridge, so
 the probability of dipping below a level, and the density of the first time
 it happens, have closed forms.  This script evaluates both with the array
 kernels the engine runs and checks them the slow way: by simulating many
-fine-grained bridges.
+fine-grained bridges.  It then draws crossing times the way the engine
+does, exactly and with weight 1, sets them beside the paper's weighted
+uniform candidate, and histograms the exact draws against the density.
 """
 
 import numpy as np
 
-from fptmc.bridge import fpt_density_array, survival_array, uniform_candidates
+from fptmc.bridge import draw_crossings, fpt_density_array, survival_array
 
 rng = np.random.default_rng(7)
 
@@ -46,24 +48,50 @@ ts = np.linspace(0.02, 0.98, 200)
 dens = fpt_density_array(ts, x_start, x_end, level, t_start, t_end, sigma)
 print(f"quadrature of the crossing density:               {np.trapezoid(dens, ts):.4f}")
 
-# one uniform candidate per run either crosses (with a weight) or does not;
-# the engine draws them for a whole block of (run, component) cells at once
-n = 5
-cells, times, weights = uniform_candidates(
-    np.full((n, 1), x_start),
-    np.full((n, 1), x_end),
-    np.full((n, 1), level),
-    np.full(n, t_start),
-    np.full(n, t_end),
-    np.array([sigma]),
-    1.0 - rng.random((n, 1)),
-    np.ones((n, 1), dtype=bool),
-)
-crossed = dict(zip(cells[0].tolist(), zip(times, weights)))
-print("\nfive candidate draws:")
-for run in range(n):
-    if run in crossed:
-        time, weight = crossed[run]
-        print(f"  crossed at t = {time:.3f}, importance weight {weight:.3f}")
+# one uniform per run decides whether the bridge crosses; the engine does it
+# for a whole block of (run, component) cells at once and draws the time of
+# each crossing exactly, with weight 1.  The paper's sampler instead places
+# the crossing at the candidate t0 + tau / (1 - P) * u and weights it by
+# tau / (1 - P) * g(candidate).
+def draw(u, seed):
+    n = len(u)
+    cells, times, weights = draw_crossings(
+        np.full((n, 1), x_start),
+        np.full((n, 1), x_end),
+        np.full((n, 1), level),
+        np.full(n, t_start),
+        np.full(n, t_end),
+        np.array([sigma]),
+        u.reshape(n, 1),
+        np.ones((n, 1), dtype=bool),
+        np.random.default_rng(seed),
+    )
+    return dict(zip(cells[0].tolist(), zip(times, weights)))
+
+
+u = 1.0 - rng.random(5)
+stretch = tau / (1.0 - p_survive)
+print("\nfive runs, exact draw and the paper's candidate on the same uniforms:")
+exact = draw(u, 1)
+for run in range(len(u)):
+    if run in exact:
+        t_ig, w_ig = exact[run]
+        t_un = t_start + stretch * u[run]
+        g_un = fpt_density_array(t_un, x_start, x_end, level, t_start, t_end, sigma)
+        w_un = stretch * float(g_un)
+        print(f"  crossed: exact t = {t_ig:.3f} (weight {w_ig:.0f}), "
+              f"candidate t = {t_un:.3f} (weight {w_un:.3f})")
     else:
         print("  no interior crossing in this run")
+
+# the exact draws, histogrammed, follow the crossing density given a crossing
+times = np.array([t for t, _ in draw(1.0 - rng.random(200_000), 2).values()])
+edges = np.linspace(t_start, t_end, 11)
+width = edges[1] - edges[0]
+counts, _ = np.histogram(times, bins=edges)
+print(f"\n{len(times)} exact crossing times against g(t) / (1 - P), bin averages:")
+print("  bin            histogram  density")
+for lo, c in zip(edges[:-1], counts):
+    sub = lo + (np.arange(200) + 0.5) * width / 200  # midpoint rule in the bin
+    g = fpt_density_array(sub, x_start, x_end, level, t_start, t_end, sigma).mean()
+    print(f"  [{lo:.1f}, {lo + width:.1f}]   {c / len(times) / width:8.4f}  {g / (1 - p_survive):8.4f}")

@@ -8,12 +8,14 @@ level over the interval, this module provides, elementwise:
   for the whole interval (drift-free by bridge conditioning);
 * ``fpt_density_array``: the conditional first-crossing-time density on the
   open interval, which integrates to one minus that survival probability;
-* ``uniform_candidates``: the paper's uniform candidate, which turns one
-  uniform per (run, component) cell into either "no interior crossing" or a
-  crossing time with an importance weight.
+* ``draw_crossings``: turns one uniform per (run, component) cell into
+  either "no interior crossing" or a crossing time, drawn exactly from the
+  bridge's conditional crossing-time law (an inverse-Gaussian transform),
+  so every crossing has weight 1.
 
-The bridge-sampling engine calls these kernels directly; they are the only
-implementation of the formulas.
+The bridge-sampling engine calls ``survival_array`` and ``draw_crossings``
+directly; the crossing times it draws follow ``fpt_density_array``.  These
+are the only implementation of the formulas.
 """
 
 from __future__ import annotations
@@ -24,11 +26,11 @@ __all__ = [
     "SURVIVAL_SHORTCUT",
     "survival_array",
     "fpt_density_array",
-    "uniform_candidates",
+    "draw_crossings",
 ]
 
-# Survival this close to 1 is treated as certain survival: the candidate
-# stretch tau / (1 - P) would otherwise overflow.
+# Survival this close to 1 is treated as certain survival: such a cell
+# never crosses.
 SURVIVAL_SHORTCUT = 1e-12
 
 
@@ -51,7 +53,11 @@ def fpt_density_array(t, x_start, x_end, level, t_start, t_end, sigma):
 
     Valid strictly inside (t_start, t_end); the prefactors are singular at
     the endpoints.  The drift does not enter: conditioning on both endpoints
-    cancels it.
+    cancels it.  With d0 and d1 the start and end distances to the level and
+    u = t - t_start, v = t_end - t, the hitting terms over the endpoint
+    normaliser collapse to the single exponent
+    -(d0 v + d1 u)^2 / (2 sigma^2 u v tau), which is never positive, so the
+    density stays finite where the normaliser alone would underflow.
     """
     (t, x_start, x_end, level, t_start, t_end, sigma) = np.broadcast_arrays(
         t, x_start, x_end, level, t_start, t_end, sigma
@@ -59,34 +65,27 @@ def fpt_density_array(t, x_start, x_end, level, t_start, t_end, sigma):
     tau = t_end - t_start
     u = t - t_start
     v = t_end - t
-    sig2 = np.square(sigma)
-    # density of the observed endpoint given the start, the normaliser
-    y = np.exp(-np.square(x_start - x_end) / (2.0 * tau * sig2)) / (
-        sigma * np.sqrt(2.0 * np.pi * tau)
-    )
-    pref = (x_start - level) / (2.0 * y * np.pi * sig2) * u**-1.5 * v**-0.5
-    down = np.exp(-np.square(x_end - level) / (2.0 * v * sig2))
-    up = np.exp(-np.square(x_start - level) / (2.0 * u * sig2))
-    return pref * down * up
+    d0 = x_start - level
+    expo = -np.square(d0 * v + (x_end - level) * u) / (2.0 * np.square(sigma) * u * v * tau)
+    return d0 * np.sqrt(tau / (2.0 * np.pi)) / sigma * u**-1.5 * v**-0.5 * np.exp(expo)
 
 
-def uniform_candidates(x_start, x_end, level, t0, t1, sigma, u, alive):
-    """One uniform candidate per cell of a block of bridge intervals.
+def draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
+    """Interior crossings of a block of bridge intervals, one uniform per cell.
 
     Row r of the (n, m) arrays ``x_start``, ``x_end`` and ``level`` is run r's
     interval (t0[r], t1[r]) for each of its m components; ``sigma`` holds
     the (m,) per-component volatilities, ``u`` holds (n, m) uniforms on
     (0, 1] and ``alive`` marks the cells that are still uncrossed.
 
-    With P the cell's survival probability, the candidate time is
-    t0 + tau / (1 - P) * u.  It is accepted exactly when it lands strictly
-    inside the interval, which happens with probability 1 - P, and it then
-    carries the importance weight tau / (1 - P) * g(s), so weighted accepted
-    candidates are an unbiased sample of the interior crossing-time density.
-    Cells whose survival rounds to one (within ``SURVIVAL_SHORTCUT``) never
-    accept.
+    With P the cell's survival probability, a cell crosses exactly when
+    u <= 1 - P, which happens with probability 1 - P; cells whose survival
+    rounds to one (within ``SURVIVAL_SHORTCUT``) never cross.  The crossing
+    time is drawn exactly from the bridge's conditional crossing-time law,
+    with one standard normal per crossing cell from ``rng``, so every
+    crossing has weight 1.
 
-    Returns ((rows, cols), times, weights) of the accepted cells, in
+    Returns ((rows, cols), times, weights) of the crossing cells, in
     row-major order.
     """
     tau = t1 - t0
@@ -96,16 +95,43 @@ def uniform_candidates(x_start, x_end, level, t0, t1, sigma, u, alive):
         none = np.empty(0, dtype=np.intp)
         return (none, none), np.empty(0), np.empty(0)
     ii = _cells(hit)
-    stretch = tau[ii[0]] / keep[ii]
-    s = t0[ii[0]] + stretch * u[ii]
-    # both density prefactors are singular at the interval endpoints
-    ok = (s < t1[ii[0]]) & (s > t0[ii[0]])
-    ii = (ii[0][ok], ii[1][ok])
-    s = s[ok]
-    g = fpt_density_array(
-        s, x_start[ii], x_end[ii], level[ii], t0[ii[0]], t1[ii[0]], sigma[ii[1]]
+    rows = ii[0]
+    frac = _ig_fraction(
+        x_start[ii] - level[ii],
+        np.abs(x_end[ii] - level[ii]),
+        sigma[ii[1]] * np.sqrt(tau[rows]),
+        rng.standard_normal(len(rows)),
+        # given u <= keep, u / keep is uniform on (0, 1]: it picks the root
+        u[ii] / keep[ii],
     )
-    return ii, s, stretch[ok] * g
+    # a time that rounds onto an endpoint is kept: weight 1 needs no density
+    s = np.minimum(t0[rows] + tau[rows] * frac, t1[rows])
+    return ii, s, np.ones(len(s))
+
+
+def _ig_fraction(d0, d1, scale, z, w):
+    """Crossing instant of a bridge that crosses, as a fraction of its
+    interval, drawn exactly from a standard normal ``z`` and a uniform ``w``
+    on (0, 1].
+
+    ``d0`` > 0 and ``d1`` >= 0 are the distances of the bridge's start and
+    end from the level and ``scale`` is sigma sqrt(tau).  With u and v the
+    times from the interval's start and to its end, b = u / v is inverse
+    Gaussian with mean 1 / r, r = d1 / d0, and shape (d0 / scale)^2
+    (Metwally & Atiya 2002).  It is drawn by Michael, Schucany & Haas
+    (1976): the chi-square z^2 fixes two roots x1 <= x2 with
+    x1 x2 = mean^2, and x1 is taken with probability mean / (mean + x1).
+    The draw is written with a = 1 / x1, which sums non-negative terms only
+    and stays finite in the Levy limit r = 0; the fraction b / (1 + b) is
+    1 / (1 + a) for x1 and a / (a + r^2) for x2.
+    """
+    # a vanishing d0 overflows q and a to inf, which is the right limit (the
+    # time rounds onto t0); inf or a = r = 0 only make the unused x2 branch NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = d1 / d0
+        q = 0.5 * np.square(z * scale / d0)
+        a = r + q + np.sqrt(q) * np.sqrt(q + 2.0 * r)
+        return np.where(w * (a + r) <= a, 1.0 / (1.0 + a), a / (a + r * r))
 
 
 def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

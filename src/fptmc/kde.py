@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "WeightedSamples",
@@ -162,11 +161,11 @@ def roughness_functional(fit: GammaFit) -> float:
         -4.0 * (b - 1.0) ** 2 * (b - 2.0),
         (b - 1.0) ** 2 * (b - 2.0) ** 2,
     )
-    log_norm = -2.0 * gammaln(b)
+    log_norm = -2.0 * math.lgamma(b)
     total = 0.0
     for i in range(1, 6):
         total += c[i - 1] * math.exp(
-            gammaln(2.0 * b - i) - (2.0 * b - i) * math.log(2.0) + log_norm
+            math.lgamma(2.0 * b - i) - (2.0 * b - i) * math.log(2.0) + log_norm
         )
     return a**5 * total
 

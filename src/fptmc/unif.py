@@ -2,10 +2,12 @@
 
 Each run evaluates the process only at its jump instants.  Between two
 instants the path is a Brownian bridge given its simulated endpoints, so a
-single uniform candidate per component per interval either produces a
-weighted interior crossing time or establishes that no interior crossing
-occurred; crossings caused by a jump itself are read off the post-jump value.
-A component is retired from the run at its first crossing.
+single uniform per component per interval decides whether the bridge
+crosses, with its exact probability.  A bridge that crosses gets its
+crossing time drawn exactly from the bridge's conditional crossing-time
+law, with weight 1.  Crossings caused by a jump itself are read off the
+post-jump value.  A component is retired from the run at its first
+crossing.
 
 Internally the engine simulates whole blocks of runs at once.  It keeps a
 compacted live set of runs, those with an uncrossed component and time left
@@ -101,9 +103,9 @@ def simulate_block(
             grazing += len(ii[0])
             alive &= ~graze
 
-        # condition 1: interior bridge crossing via one uniform candidate
+        # condition 1: interior bridge crossing, decided by one uniform
         u = 1.0 - rng.random((n, m))
-        ii, s, w = bridge.uniform_candidates(state, x_end, level, t0, t1, sig_eff, u, alive)
+        ii, s, w = bridge.draw_crossings(state, x_end, level, t0, t1, sig_eff, u, alive, rng)
         out = (run[ii[0]], ii[1])
         hit_t[out] = s
         hit_w[out] = w

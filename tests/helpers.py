@@ -87,18 +87,51 @@ def simulate_bridge_crossing_times(
     return hit[~np.isnan(hit)]
 
 
-def quad_interjump_density(x_start, x_end, level, t_start, t_end, sigma) -> float:
+def quad_interjump_density(
+    x_start, x_end, level, t_start, t_end, sigma, lo=None, hi=None
+) -> float:
     """Adaptive quadrature of the interior crossing-time density over its
-    open interval."""
+    open interval, or over [lo, hi] inside it."""
     from fptmc.bridge import fpt_density_array
 
     val, _ = quad(
         lambda t: float(fpt_density_array(t, x_start, x_end, level, t_start, t_end, sigma)),
-        t_start,
-        t_end,
+        t_start if lo is None else lo,
+        t_end if hi is None else hi,
         limit=300,
     )
     return val
+
+
+def uniform_candidates(x_start, x_end, level, t0, t1, sigma, u, alive, rng=None):
+    """The paper's uniform-candidate sampler, as a drop-in for
+    ``bridge.draw_crossings`` (same arguments; ``rng`` is not used).
+
+    The crossing decision is the engine's, u <= 1 - P.  A crossing cell's
+    time is the candidate t0 + tau / (1 - P) * u, which given the crossing is
+    uniform on the interval, and it carries the importance weight
+    tau / (1 - P) * g(s), so weighted times are an unbiased sample of the
+    crossing-time density g.  A candidate that rounds onto an endpoint,
+    where g is singular, is not accepted.  The kernels are reached through
+    the ``bridge`` module, so a test that patches them is seen here.
+    """
+    from fptmc import bridge
+
+    tau = t1 - t0
+    keep = 1.0 - bridge.survival_array(x_start, x_end, level, tau[:, None], sigma)
+    hit = alive & (keep > bridge.SURVIVAL_SHORTCUT) & (u <= keep)
+    rows, cols = np.nonzero(hit)
+    stretch = tau[rows] / keep[rows, cols]
+    s = t0[rows] + stretch * u[rows, cols]
+    ok = (s < t1[rows]) & (s > t0[rows])
+    ii = (rows[ok], cols[ok])
+    s = s[ok]
+    if len(s) == 0:
+        return ii, s, np.empty(0)
+    g = bridge.fpt_density_array(
+        s, x_start[ii], x_end[ii], level[ii], t0[ii[0]], t1[ii[0]], sigma[ii[1]]
+    )
+    return ii, s, stretch[ok] * g
 
 
 def ratio_construction_density(

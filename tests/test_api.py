@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -14,3 +17,31 @@ def test_all_names_resolve(name):
     assert hasattr(module, "__all__")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+NO_SCIPY_RUN = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from fptmc import parse_config, run_experiment
+from fptmc.config import apply_overrides
+cfg = apply_overrides(parse_config(sys.argv[1]), runs=2000, dt=0.01,
+                      grid_1d=64, grid_2d=16, out=sys.argv[2])
+report = run_experiment(cfg)
+assert 0.0 < report.crossing_prob["unif"][0] < 1.0
+assert 0.0 < report.crossing_prob["cmc"][0] < 1.0
+"""
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: the package imports and runs without it
+    src = os.path.dirname(os.path.dirname(fptmc.__file__))
+    config = os.path.join(os.path.dirname(src), "configs", "example1.cfg")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_RUN, config, str(tmp_path / "out")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fptmc import LinearBarrier, ModelSpec
-from fptmc.bridge import fpt_density_array, survival_array, uniform_candidates
-from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, KIND_NONE
+from fptmc import LinearBarrier, ModelSpec, bridge
+from fptmc.bridge import draw_crossings, fpt_density_array, survival_array
+from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, KIND_NONE, collect_result
 from fptmc.unif import simulate_block
 from helpers import (
     quad_interjump_density,
     ratio_construction_density,
     simulate_bridge_crossing_times,
     simulate_bridge_survival,
+    uniform_candidates,
 )
 
 # One component's bridge data on one interjump interval; mu is kept because
@@ -49,8 +50,9 @@ def quad_density(s):
     return quad_interjump_density(s.x_start, s.x_end, s.level, s.t_start, s.t_end, s.sigma)
 
 
-def candidates(s, u):
-    """Uniform candidates for the segment, one block row per uniform; returns
+def candidates(s, u, draw=uniform_candidates, rng=None):
+    """Crossing draws for the segment, one block row per uniform (the paper's
+    uniform candidates unless ``draw`` is ``draw_crossings``); returns
     (accepted mask, times, weights) with times and weights of accepted rows."""
     u = np.asarray(u, dtype=float).reshape(-1, 1)
     n = len(u)
@@ -58,7 +60,7 @@ def candidates(s, u):
     def cells(value):
         return np.full((n, 1), float(value))
 
-    ii, times, weights = uniform_candidates(
+    ii, times, weights = draw(
         cells(s.x_start),
         cells(s.x_end),
         cells(s.level),
@@ -67,6 +69,7 @@ def candidates(s, u):
         np.array([float(s.sigma)]),
         u,
         np.ones((n, 1), dtype=bool),
+        rng,
     )
     accepted = np.zeros(n, dtype=bool)
     accepted[ii[0]] = True
@@ -218,22 +221,86 @@ class TestSampleCrossing:
         assert np.all(np.isfinite(weights))
 
 
+# segments for the exact sampler: ending above, below and exactly at the
+# level, a shifted interval, and a near-deterministic bridge whose shape
+# d0^2 / (sigma^2 tau) is 4e4
+IG_SEGMENTS = {
+    "end_above": seg(),
+    "end_below": seg(x_end=-0.5),
+    "end_at_level": seg(x_end=0.0),
+    "shifted": seg(x_start=0.3, x_end=1.7, t_start=0.5, t_end=2.0, sigma=0.6),
+    "narrow": seg(x_end=-0.2, sigma=0.005),
+}
+
+
+class TestExactCrossingTime:
+    @pytest.mark.parametrize("name", sorted(IG_SEGMENTS))
+    def test_times_follow_the_crossing_density(self, name):
+        # KS test of the times against the crossing-time CDF given a
+        # crossing, from quadrature of the density between sorted times
+        s = IG_SEGMENTS[name]
+        rng = np.random.default_rng(sorted(IG_SEGMENTS).index(name) + 500)
+        n = int(3000 / (1.0 - survival(s)))
+        _, times, weights = candidates(s, 1.0 - rng.random(n), draw_crossings, rng)
+        assert np.all(weights == 1.0)
+        edges = np.concatenate([[s.t_start], np.sort(times), [s.t_end]])
+        pieces = [
+            quad_interjump_density(
+                s.x_start, s.x_end, s.level, s.t_start, s.t_end, s.sigma, lo, hi
+            )
+            for lo, hi in zip(edges[:-1], edges[1:])
+        ]
+        cdf = np.cumsum(pieces)
+        assert stats.kstest(cdf[:-1] / cdf[-1], "uniform").pvalue > 1e-3
+
+    def test_crossing_decision_is_shared_with_the_candidate(self, rng):
+        # the exact draw keeps the paper's crossing decision: on the same
+        # uniforms, the same cells cross
+        s = seg()
+        u = 1.0 - rng.random(20_000)
+        exact, _, _ = candidates(s, u, draw_crossings, np.random.default_rng(1))
+        paper, _, _ = candidates(s, u)
+        assert np.array_equal(exact, paper)
+
+    def test_extreme_cells_stay_inside_the_interval(self):
+        # a vanishing start distance, an end far below the level and the
+        # Levy limit with a tiny sigma: every crossing is kept, with a time
+        # on the closed interval and weight 1
+        u = np.array([[1.0, 1.0, 1.0, 0.5]])
+        x_start = np.array([[1e-300, 1.0, 1.0, 1.0]])
+        x_end = np.array([[0.5, -1e300, 0.0, 0.0]])
+        ii, times, weights = draw_crossings(
+            x_start,
+            x_end,
+            np.zeros((1, 4)),
+            np.array([2.0]),
+            np.array([3.0]),
+            np.array([1.0, 1.0, 1e-200, 1.0]),
+            u,
+            np.ones((1, 4), dtype=bool),
+            np.random.default_rng(3),
+        )
+        assert ii[1].tolist() == [0, 1, 2, 3]
+        assert np.all((times >= 2.0) & (times <= 3.0))
+        assert times[0] == 2.0 and times[1] == 2.0
+        assert np.all(weights == 1.0)
+
+
 CLOCKS = 3
 
 
-def clocked_block(*subjects, jump_rate=3.0, n=2000, seed=0):
-    """One deterministic engine block (sigma 1e-9, fixed jump sizes).
+def clocked_spec(*subjects, jump_rate=3.0):
+    """A deterministic model (sigma 1e-9, fixed jump sizes).
 
     The first CLOCKS components step down by 1 at every jump and cross at
     jump k + 1 for k = 0, 1, ..., so their crossing times are each run's
     first jump instants (NaN past the last jump).  ``subjects`` are further
-    components given as (x0, mu, jump size, barrier).  Returns the clock
-    times and the subjects' crossing times and kinds, one row per run.
+    components given as (x0, mu, jump size, barrier).
     """
     comps = [(0.0, 0.0, -1.0, LinearBarrier(-0.5 - k, 0.0)) for k in range(CLOCKS)]
     x0, mu, jump, barriers = zip(*(comps + list(subjects)))
     m = len(x0)
-    spec = ModelSpec(
+    return ModelSpec(
         m=m,
         x0=x0,
         mu=mu,
@@ -244,8 +311,18 @@ def clocked_block(*subjects, jump_rate=3.0, n=2000, seed=0):
         barriers=barriers,
         horizon=1.0,
     )
+
+
+def clocked_block(*subjects, jump_rate=3.0, n=2000, seed=0):
+    """One engine block of ``clocked_spec``.  Returns the clock times and the
+    subjects' crossing times and kinds, one row per run."""
+    spec = clocked_spec(*subjects, jump_rate=jump_rate)
     hit_t, _, hit_k, _ = simulate_block(spec, np.random.default_rng(seed), n)
     return hit_t[:, :CLOCKS], hit_t[:, CLOCKS:], hit_k[:, CLOCKS:]
+
+
+# drifts to its barrier at t = 0.5 unless a jump before that breaches
+DRIFTING_SUBJECT = (0.0, -2.0, -10.0, LinearBarrier(-1.0, 0.0))
 
 
 class TestFirstJumpCrossing:
@@ -273,12 +350,57 @@ class TestFirstJumpCrossing:
     def test_blocked_by_earlier_diffusion_crossing(self):
         # the drift reaches the barrier at t = 0.5; a jump before that
         # breaches, and every later jump finds the component already crossed
-        clock, times, kinds = clocked_block((0.0, -2.0, -10.0, LinearBarrier(-1.0, 0.0)))
+        clock, times, kinds = clocked_block(DRIFTING_SUBJECT)
         early = clock[:, 0] < 0.5
         assert 0 < early.sum() < len(early)
         assert np.all(kinds[early, 0] == KIND_AT_JUMP)
         assert np.array_equal(times[early, 0], clock[early, 0])
         assert np.all(kinds[~early, 0] == KIND_INTERIOR)
+
+    def test_exact_sampler_finds_the_drift_crossing(self):
+        # with sigma 1e-9 the bridge's crossing time is where its straight
+        # line meets the barrier
+        clock, times, kinds = clocked_block(DRIFTING_SUBJECT)
+        late = kinds[:, 0] == KIND_INTERIOR
+        assert late.sum() > 0
+        assert np.allclose(times[late, 0], 0.5, rtol=0.0, atol=1e-6)
+
+    def test_candidate_weights_of_a_near_deterministic_bridge(self, monkeypatch):
+        # the paper's candidate lands where the density of this sigma = 1e-9
+        # bridge underflows; those weights are zero, never NaN, and the zero
+        # weights are exactly the dropped crossings
+        calls = []
+
+        def recording(*args):
+            g = fpt_density_array(*args)
+            calls.append((args, g))
+            return g
+
+        monkeypatch.setattr(bridge, "draw_crossings", uniform_candidates)
+        monkeypatch.setattr(bridge, "fpt_density_array", recording)
+        spec = clocked_spec(DRIFTING_SUBJECT)
+        hit_t, hit_w, hit_k, _ = simulate_block(spec, np.random.default_rng(0), 2000)
+        assert not np.isnan(hit_w).any()
+        interior = hit_k[:, CLOCKS] == KIND_INTERIOR
+        assert interior.sum() > 0
+        dropped = collect_result("unif", 0, [(hit_t, hit_w, hit_k)], 1.0)
+        zero = int(np.count_nonzero(hit_w[interior, CLOCKS] == 0.0))
+        assert dropped.diagnostics["zero_weight_dropped"][CLOCKS] == zero
+        # every zero density is a true underflow: its logarithm, by the
+        # independent ratio construction, is below that of the least
+        # positive double
+        for args, g in calls:
+            t, xs, xe, level, t0, t1, sigma = (np.asarray(a) for a in args)
+            for k in np.flatnonzero(g == 0.0):
+                u, v, tau = t[k] - t0[k], t1[k] - t[k], t1[k] - t0[k]
+                d0 = xs[k] - level[k]
+                log_g = (
+                    math.log(d0 / (sigma[k] * math.sqrt(2.0 * math.pi * u**3)))
+                    - d0**2 / (2.0 * sigma[k] ** 2 * u)
+                    + stats.norm.logpdf(xe[k], loc=level[k], scale=sigma[k] * math.sqrt(v))
+                    - stats.norm.logpdf(xe[k], loc=xs[k], scale=sigma[k] * math.sqrt(tau))
+                )
+                assert log_g < math.log(5e-324)
 
     def test_no_breach(self):
         _, _, kinds = clocked_block((0.0, 0.0, 0.5, LinearBarrier(-0.5, 0.0)))

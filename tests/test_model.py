@@ -65,7 +65,7 @@ def engine_passes(monkeypatch, spec, n, seed=0):
     """Run one engine block of n runs and read its path skeletons off the
     interval step.
 
-    ``unif.simulate_block`` calls ``bridge.uniform_candidates`` once per pass
+    ``unif.simulate_block`` calls ``bridge.draw_crossings`` once per pass
     with every live row's interval (t0, t1), its value just after the jump at
     t0 and its value just before t1.  The spec's barriers must be out of
     reach, so that a run leaves the live set exactly when its clock passes
@@ -73,14 +73,14 @@ def engine_passes(monkeypatch, spec, n, seed=0):
     ``runs`` the block index of each live row.
     """
     recorded = []
-    step = bridge.uniform_candidates
+    step = bridge.draw_crossings
 
     def recording(x_start, x_end, level, t0, t1, *rest):
         recorded.append((t1.copy(), x_start.copy(), x_end.copy()))
         return step(x_start, x_end, level, t0, t1, *rest)
 
     with monkeypatch.context() as patched:
-        patched.setattr(bridge, "uniform_candidates", recording)
+        patched.setattr(bridge, "draw_crossings", recording)
         hit_t, _, _, _ = simulate_block(spec, np.random.default_rng(seed), n)
     assert np.isnan(hit_t).all(), "a barrier was reached"
     runs = np.arange(n)

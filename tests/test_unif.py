@@ -9,7 +9,7 @@ from fptmc import LinearBarrier, ModelSpec, bridge, estimate_densities, run_engi
 from fptmc.bridge import survival_array
 from fptmc.results import AT_JUMP, INTERIOR, collect_result
 from conftest import make_example_spec
-from helpers import bm_crossing_probability
+from helpers import bm_crossing_probability, uniform_candidates
 
 
 def test_determinism_across_worker_counts(example1_spec):
@@ -344,3 +344,66 @@ def test_drift_and_diffusion_row_norm():
         crossed = len(ws) + result.diagnostics["zero_weight_dropped"][i]
         se = math.sqrt(p * (1 - p) / n)
         assert crossed / n == pytest.approx(p, abs=4 * se)
+
+
+def test_exact_and_candidate_samplers_agree(monkeypatch):
+    # same crossing probabilities from the engine's exact draw and from the
+    # paper's uniform candidate; the exact one has unit weights, so its
+    # weight health is perfect
+    spec = make_example_spec(8.0)
+    n = 200_000
+    exact = run_engine(spec, n, seed=41)
+    monkeypatch.setattr(bridge, "draw_crossings", uniform_candidates)
+    paper = run_engine(spec, n, seed=42)
+    for i in range(2):
+        var = [
+            np.bincount(r.marginal_run_indices[i], r.marginals[i].weights, n).var()
+            for r in (exact, paper)
+        ]
+        se = math.sqrt(sum(var) / n)
+        p_exact, p_paper = exact.crossing_probabilities()[i], paper.crossing_probabilities()[i]
+        assert abs(p_exact - p_paper) <= 4.0 * se
+    assert exact.diagnostics["ess_frac"] == [1.0, 1.0]
+    assert exact.diagnostics["zero_weight_dropped"] == [0, 0]
+    assert exact.diagnostics["interior_crossings"] > 0
+    assert all(np.all(ws.weights == 1.0) for ws in exact.marginals)
+
+
+def product_form_density(t, x_start, x_end, level, t_start, t_end, sigma):
+    """The crossing density as the two hitting factors over the endpoint
+    normaliser, three separate exponentials: the form that
+    ``bridge.fpt_density_array`` replaced with a single exponential."""
+    (t, x_start, x_end, level, t_start, t_end, sigma) = np.broadcast_arrays(
+        t, x_start, x_end, level, t_start, t_end, sigma
+    )
+    tau = t_end - t_start
+    u = t - t_start
+    v = t_end - t
+    sig2 = np.square(sigma)
+    y = np.exp(-np.square(x_start - x_end) / (2.0 * tau * sig2)) / (
+        sigma * np.sqrt(2.0 * np.pi * tau)
+    )
+    pref = (x_start - level) / (2.0 * y * np.pi * sig2) * u**-1.5 * v**-0.5
+    down = np.exp(-np.square(x_end - level) / (2.0 * v * sig2))
+    up = np.exp(-np.square(x_start - level) / (2.0 * u * sig2))
+    return pref * down * up
+
+
+@pytest.mark.parametrize("jump_rate", [1.0, 8.0])
+def test_single_exponential_density_moves_candidate_weights_by_rounding(
+    jump_rate, monkeypatch
+):
+    # the paper's candidate in the engine, with the single-exponential
+    # density and with the product form: the same draws, crossing times and
+    # counts, and weights equal to rounding
+    spec = make_example_spec(jump_rate)
+    monkeypatch.setattr(bridge, "draw_crossings", uniform_candidates)
+    current = run_engine(spec, 65_536, seed=424242)
+    monkeypatch.setattr(bridge, "fpt_density_array", product_form_density)
+    earlier = run_engine(spec, 65_536, seed=424242)
+    for key in ("interior_crossings", "at_jump_crossings", "grazing_entries"):
+        assert current.diagnostics[key] == earlier.diagnostics[key]
+    pairs = list(zip(current.marginals, earlier.marginals)) + [(current.joint, earlier.joint)]
+    for now, then in pairs:
+        assert np.array_equal(now.times, then.times)
+        np.testing.assert_allclose(now.weights, then.weights, rtol=1e-12, atol=1e-290)
