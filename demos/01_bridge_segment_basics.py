@@ -49,24 +49,24 @@ dens = fpt_density_array(ts, x_start, x_end, level, t_start, t_end, sigma)
 print(f"quadrature of the crossing density:               {np.trapezoid(dens, ts):.4f}")
 
 # one uniform per run decides whether the bridge crosses; the engine does it
-# for a whole block of (run, component) cells at once and draws the time of
-# each crossing exactly, with weight 1.  The paper's sampler instead places
-# the crossing at the candidate t0 + tau / (1 - P) * u and weights it by
-# tau / (1 - P) * g(candidate).
+# for a whole block of (component, run) cells at once, one row per
+# component, and draws the time of each crossing exactly, with weight 1.
+# The paper's sampler instead places the crossing at the candidate
+# t0 + tau / (1 - P) * u and weights it by tau / (1 - P) * g(candidate).
 def draw(u, seed):
     n = len(u)
     cells, times, weights = draw_crossings(
-        np.full((n, 1), x_start),
-        np.full((n, 1), x_end),
-        np.full((n, 1), level),
+        np.full((1, n), x_start),
+        np.full((1, n), x_end),
+        np.full((1, n), level),
         np.full(n, t_start),
         np.full(n, t_end),
         np.array([sigma]),
-        u.reshape(n, 1),
-        np.ones((n, 1), dtype=bool),
+        u.reshape(1, n),
+        np.ones((1, n), dtype=bool),
         np.random.default_rng(seed),
     )
-    return dict(zip(cells[0].tolist(), zip(times, weights)))
+    return dict(zip(cells[1].tolist(), zip(times, weights)))
 
 
 u = 1.0 - rng.random(5)

@@ -8,7 +8,7 @@ level over the interval, this module provides, elementwise:
   for the whole interval (drift-free by bridge conditioning);
 * ``fpt_density_array``: the conditional first-crossing-time density on the
   open interval, which integrates to one minus that survival probability;
-* ``draw_crossings``: turns one uniform per (run, component) cell into
+* ``draw_crossings``: turns one uniform per (component, run) cell into
   either "no interior crossing" or a crossing time, drawn exactly from the
   bridge's conditional crossing-time law (an inverse-Gaussian transform),
   so every crossing has weight 1.
@@ -33,19 +33,34 @@ __all__ = [
 # never crosses.
 SURVIVAL_SHORTCUT = 1e-12
 
+_LEAST_DOUBLE = np.finfo(float).smallest_subnormal
+
 
 def survival_array(x_start, x_end, level, tau, sigma):
     """Probability the bridge stays above ``level``, elementwise.
 
-    Zero whenever the right endpoint is at or below the level; caller
-    guarantees x_start > level.
+    With d0 and d1 the start and end distances to the level, survival is
+    1 - exp(-2 d0 d1 / (sigma^2 tau)).  Both distances enter clipped at zero,
+    so the exponent is never positive and a cell that starts or ends at or
+    below the level survives with probability 0.  sigma^2 tau enters as at
+    least the least positive double, so no 0 / 0 arises; where it vanishes
+    the exponent of every other cell is -inf, certain survival.
     """
-    x_start, x_end, level, tau, sigma = np.broadcast_arrays(
-        x_start, x_end, level, tau, sigma
-    )
-    expo = -2.0 * (x_start - level) * (x_end - level) / (tau * np.square(sigma))
-    p = -np.expm1(expo)
-    return np.where(x_end > level, np.clip(p, 0.0, 1.0), 0.0)
+    shape = np.broadcast(x_start, x_end, level, tau, sigma).shape
+    # two buffers, updated in place: fresh block-sized temporaries cost more
+    # than the arithmetic
+    expo = np.subtract(x_start, level, out=np.empty(shape))
+    d1 = np.subtract(x_end, level, out=np.empty(shape))
+    np.maximum(expo, 0.0, out=expo)
+    np.maximum(d1, 0.0, out=d1)
+    with np.errstate(over="ignore"):
+        expo *= d1
+        expo *= -2.0
+        var = np.multiply(tau, np.square(sigma), out=d1)
+        np.maximum(var, _LEAST_DOUBLE, out=var)
+        expo /= var
+    np.expm1(expo, out=expo)
+    return np.negative(expo, out=expo)
 
 
 def fpt_density_array(t, x_start, x_end, level, t_start, t_end, sigma):
@@ -73,9 +88,9 @@ def fpt_density_array(t, x_start, x_end, level, t_start, t_end, sigma):
 def draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
     """Interior crossings of a block of bridge intervals, one uniform per cell.
 
-    Row r of the (n, m) arrays ``x_start``, ``x_end`` and ``level`` is run r's
-    interval (t0[r], t1[r]) for each of its m components; ``sigma`` holds
-    the (m,) per-component volatilities, ``u`` holds (n, m) uniforms on
+    Column r of the (m, n) arrays ``x_start``, ``x_end`` and ``level`` is run
+    r's interval (t0[r], t1[r]) and row i is component i; ``sigma`` holds
+    the (m,) per-component volatilities, ``u`` holds (m, n) uniforms on
     (0, 1] and ``alive`` marks the cells that are still uncrossed.
 
     With P the cell's survival probability, a cell crosses exactly when
@@ -85,27 +100,29 @@ def draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
     with one standard normal per crossing cell from ``rng``, so every
     crossing has weight 1.
 
-    Returns ((rows, cols), times, weights) of the crossing cells, in
-    row-major order.
+    Returns ((components, runs), times, weights) of the crossing cells, in
+    component-major order.
     """
     tau = t1 - t0
-    keep = 1.0 - survival_array(x_start, x_end, level, tau[:, None], sigma)
+    keep = survival_array(x_start, x_end, level, tau, sigma[:, None])
+    np.subtract(1.0, keep, out=keep)
     hit = alive & (keep > SURVIVAL_SHORTCUT) & (u <= keep)
     if not hit.any():
         none = np.empty(0, dtype=np.intp)
         return (none, none), np.empty(0), np.empty(0)
     ii = _cells(hit)
-    rows = ii[0]
+    comps, runs = ii
+    lv = level[ii]
     frac = _ig_fraction(
-        x_start[ii] - level[ii],
-        np.abs(x_end[ii] - level[ii]),
-        sigma[ii[1]] * np.sqrt(tau[rows]),
-        rng.standard_normal(len(rows)),
+        x_start[ii] - lv,
+        np.abs(x_end[ii] - lv),
+        sigma[comps] * np.sqrt(tau[runs]),
+        rng.standard_normal(len(runs)),
         # given u <= keep, u / keep is uniform on (0, 1]: it picks the root
         u[ii] / keep[ii],
     )
     # a time that rounds onto an endpoint is kept: weight 1 needs no density
-    s = np.minimum(t0[rows] + tau[rows] * frac, t1[rows])
+    s = np.minimum(t0[runs] + tau[runs] * frac, t1[runs])
     return ii, s, np.ones(len(s))
 
 
@@ -135,6 +152,6 @@ def _ig_fraction(d0, d1, scale, z, w):
 
 
 def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns) of the true cells of an (n, m) mask, like
-    ``np.nonzero`` but several times faster for a handful of columns."""
+    """(components, runs) of the true cells of an (m, n) mask, in
+    component-major order: ``np.nonzero`` but several times faster."""
     return np.divmod(np.flatnonzero(mask), mask.shape[1])

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bridge import _cells
 from .model import ModelSpec
 from .results import (
     KIND_AT_JUMP,
@@ -78,51 +79,67 @@ def simulate_block_cmc(
     spec: ModelSpec, cfg: CmcConfig, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate ``size`` discretised runs; returns (times, weights, kinds)
-    of shape (size, m) plus the total number of jumps that occurred."""
+    of shape (m, size) plus the total number of jumps that occurred.
+
+    The state is component-major: row i of the (m, n) arrays is component i
+    of the n active runs, so per-component constants of shape (m, 1)
+    broadcast along contiguous rows."""
     m = spec.m
-    mu = spec.mu
-    sigma_rows = spec.sigma
+    sigma = spec.sigma
     icpt, slope = spec.barrier_arrays()
+    mu, icpt, slope, jump_mean, jump_sd = (
+        a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
+    )
     grid = _step_grid(spec.horizon, cfg.dt)
 
-    state = np.tile(spec.x0, (size, 1))
-    alive = np.ones((size, m), dtype=bool)
-    hit_t = np.full((size, m), np.nan)
-    hit_w = np.zeros((size, m))
-    hit_k = np.zeros((size, m), dtype=np.int8)
+    state = np.repeat(spec.x0[:, None], size, axis=1)
+    alive = np.ones((m, size), dtype=bool)
+    hit_t = np.full((m, size), np.nan)
+    hit_w = np.zeros((m, size))
+    hit_k = np.zeros((m, size), dtype=np.int8)
     run_ids = np.arange(size)
     n_jumps = 0
 
+    # the step's draws and increment reuse two buffers, reallocated only when
+    # the state is compacted: a fresh block-sized temporary per step costs
+    # more than the arithmetic done in it
+    z = np.empty_like(state)
+    dx = np.empty_like(state)
     t_prev = 0.0
     for k, t in enumerate(grid, start=1):
         dt_k = t - t_prev
         t_prev = t
-        n_active = state.shape[0]
-        z = rng.standard_normal((n_active, m))
-        state += mu * dt_k + math.sqrt(dt_k) * (z @ sigma_rows.T)
+        n_active = state.shape[1]
+        rng.standard_normal(out=z)
+        np.matmul(sigma, z, out=dx)
+        dx *= math.sqrt(dt_k)
+        dx += mu * dt_k
+        state += dx
         if spec.jump_rate > 0:
-            jumped = rng.random(n_active) < spec.jump_rate * dt_k
-            nj = int(jumped.sum())
-            if nj:
-                zj = rng.standard_normal((nj, m))
-                state[jumped] += spec.jump_mean + spec.jump_sd * zj
-                n_jumps += nj
+            jumped = np.flatnonzero(rng.random(n_active) < spec.jump_rate * dt_k)
+            if len(jumped):
+                zj = rng.standard_normal((m, len(jumped)))
+                state[:, jumped] += jump_mean + jump_sd * zj
+                n_jumps += len(jumped)
         level = icpt + slope * t
         newly = alive & (state <= level)
         if newly.any():
-            rows, cols = np.nonzero(newly)
-            hit_t[run_ids[rows], cols] = t
-            hit_w[run_ids[rows], cols] = 1.0
-            hit_k[run_ids[rows], cols] = KIND_INTERIOR
+            comps, cols = _cells(newly)
+            out = (comps, run_ids[cols])
+            hit_t[out] = t
+            hit_w[out] = 1.0
+            hit_k[out] = KIND_INTERIOR
             alive &= ~newly
         if k % _COMPACT_EVERY == 0:
-            keep = alive.any(axis=1)
-            if not keep.all():
-                state = state[keep]
-                alive = alive[keep]
-                run_ids = run_ids[keep]
-                if state.shape[0] == 0:
+            keep = np.flatnonzero(alive.any(axis=0))
+            if len(keep) < n_active:
+                state = state.take(keep, axis=1)
+                alive = alive.take(keep, axis=1)
+                run_ids = run_ids.take(keep)
+                if len(keep) == 0:
                     break
+                z = np.empty_like(state)
+                dx = np.empty_like(state)
     return hit_t, hit_w, hit_k, n_jumps
 
 
@@ -132,7 +149,7 @@ def run_cmc_single(
     """One discretised run; crossing times are grid-aligned, weight 1."""
     cfg.validate_for(spec)
     hit_t, hit_w, hit_k, _ = simulate_block_cmc(spec, cfg, rng, 1)
-    return outcome_from_arrays(hit_t[0], hit_w[0], hit_k[0])
+    return outcome_from_arrays(hit_t[:, 0], hit_w[:, 0], hit_k[:, 0])
 
 
 def run_cmc(spec: ModelSpec, cfg: CmcConfig) -> EngineResult:

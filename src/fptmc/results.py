@@ -153,12 +153,13 @@ def collect_result(
     elapsed: float,
     diagnostics: Optional[dict] = None,
 ) -> EngineResult:
-    """Merge per-block (times, weights, kinds) arrays of shape (B, m) into an
-    EngineResult, preserving block (hence run) order."""
-    hit_t = np.concatenate([b[0] for b in blocks], axis=0)
-    hit_w = np.concatenate([b[1] for b in blocks], axis=0)
-    hit_k = np.concatenate([b[2] for b in blocks], axis=0)
-    n_runs, m = hit_t.shape
+    """Merge per-block (times, weights, kinds) arrays of shape (m, B) into an
+    EngineResult, preserving block (hence run) order.  Row i of the merged
+    arrays is component i over all runs."""
+    hit_t = np.concatenate([b[0] for b in blocks], axis=1)
+    hit_w = np.concatenate([b[1] for b in blocks], axis=1)
+    hit_k = np.concatenate([b[2] for b in blocks], axis=1)
+    m, n_runs = hit_t.shape
     # a weight can underflow to zero when a candidate lands where the crossing
     # density is below float range; such samples carry no estimatable mass
     recorded = (hit_k != KIND_NONE) & (hit_w > 0.0)
@@ -166,24 +167,27 @@ def collect_result(
     run_indices = []
     complete = np.ones(n_runs, dtype=bool)
     for i in range(m):
-        sel = recorded[:, i]
-        # select from the column view: a mixed boolean/integer index is slower
+        sel = recorded[i]
+        # an integer gather is several times faster than a boolean one
+        rows = np.flatnonzero(sel)
         marginals.append(
-            WeightedSamples(times=hit_t[:, i][sel], weights=hit_w[:, i][sel], n_runs=n_runs)
+            WeightedSamples(
+                times=hit_t[i].take(rows), weights=hit_w[i].take(rows), n_runs=n_runs
+            )
         )
-        run_indices.append(np.flatnonzero(sel))
+        run_indices.append(rows)
         complete &= sel
     joint_rows = np.flatnonzero(complete)
-    # one column at a time: numpy reduces a short last axis slowly
     joint_w = np.ones(len(joint_rows))
     for i in range(m):
-        joint_w *= hit_w[joint_rows, i]
+        joint_w *= hit_w[i].take(joint_rows)
     positive = joint_w > 0.0  # the product itself can underflow
-    joint = WeightedSamples(
-        times=hit_t[joint_rows[positive]],
-        weights=joint_w[positive],
-        n_runs=n_runs,
-    )
+    joint_rows = joint_rows[positive]
+    # the joint tuples are (n_joint, m), one row per run
+    joint_t = np.empty((len(joint_rows), m))
+    for i in range(m):
+        joint_t[:, i] = hit_t[i].take(joint_rows)
+    joint = WeightedSamples(times=joint_t, weights=joint_w[positive], n_runs=n_runs)
     diag = dict(diagnostics or {})
     diag.setdefault("interior_crossings", int(np.count_nonzero(hit_k == KIND_INTERIOR)))
     diag.setdefault("at_jump_crossings", int(np.count_nonzero(hit_k == KIND_AT_JUMP)))
@@ -195,7 +199,7 @@ def collect_result(
         marginals=marginals,
         joint=joint,
         marginal_run_indices=run_indices,
-        joint_run_indices=joint_rows[positive],
+        joint_run_indices=joint_rows,
         seconds_per_run=elapsed / n_runs,
         diagnostics=diag,
     )
@@ -204,16 +208,16 @@ def collect_result(
 def weight_health(hit_k: np.ndarray, marginals: list[WeightedSamples]) -> dict[str, list]:
     """Per-component importance-weight health, one list entry per component.
 
-    ``zero_weight_dropped`` counts crossings in ``hit_k`` left out of the
-    marginal because their weight is not positive (it underflowed to zero);
-    ``ess_frac`` is the effective sample size (sum w)^2 / sum w^2 over the
-    number of recorded samples (1 for equal weights); ``max_weight_share`` is
-    the largest weight over the weight total.  Both ratios are NaN for a
-    component without samples.
+    ``zero_weight_dropped`` counts crossings in the (m, n_runs) ``hit_k``
+    left out of the marginal because their weight is not positive (it
+    underflowed to zero); ``ess_frac`` is the effective sample size
+    (sum w)^2 / sum w^2 over the number of recorded samples (1 for equal
+    weights); ``max_weight_share`` is the largest weight over the weight
+    total.  Both ratios are NaN for a component without samples.
     """
     health = {"zero_weight_dropped": [], "ess_frac": [], "max_weight_share": []}
     for i, ws in enumerate(marginals):
-        health["zero_weight_dropped"].append(int(np.count_nonzero(hit_k[:, i])) - len(ws))
+        health["zero_weight_dropped"].append(int(np.count_nonzero(hit_k[i])) - len(ws))
         total = float(ws.weights.sum())
         if total > 0.0:
             ess = total**2 / float(np.square(ws.weights).sum()) / len(ws)
@@ -226,9 +230,9 @@ def weight_health(hit_k: np.ndarray, marginals: list[WeightedSamples]) -> dict[s
 
 
 def outcome_from_arrays(hit_t: np.ndarray, hit_w: np.ndarray, hit_k: np.ndarray) -> RunOutcome:
-    """Build a RunOutcome from one row of the block arrays."""
+    """Build a RunOutcome from one run's column of the block arrays."""
     samples = []
-    for i in range(hit_t.shape[-1]):
+    for i in range(len(hit_t)):
         if hit_k[i] == KIND_NONE:
             samples.append(None)
         else:

@@ -44,15 +44,19 @@ def simulate_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate ``size`` independent runs with one generator.
 
-    The loop state is the live set: ``run`` (each live row's index in the
-    block), ``state`` (the value at the row's last jump instant), ``alive``
-    (its uncrossed components) and ``t0`` (that instant).  Each pass draws
-    one exponential gap per live row, runs the bridge step on the interval
-    up to the next jump (or the horizon), applies the jump, writes crossings
-    straight into the output row ``run``, and keeps only the rows that
-    jumped and still have an uncrossed component.
+    The loop state is the live set: ``run`` (each live column's index in the
+    block), ``state`` (the value at the column's last jump instant),
+    ``alive`` (its uncrossed components) and ``t0`` (that instant).  Each
+    pass draws one exponential gap per live column, runs the bridge step on
+    the interval up to the next jump (or the horizon), applies the jump,
+    writes crossings straight into the output column ``run``, and keeps only
+    the columns that jumped and still have an uncrossed component.
 
-    Returns (times, weights, kinds) arrays of shape (size, m) in run order
+    The state is component-major: row i of the (m, n) arrays is component i
+    of the n live runs, so per-run values of shape (n,) and per-component
+    constants of shape (m, 1) broadcast along contiguous rows.
+
+    Returns (times, weights, kinds) arrays of shape (m, size) in run order
     (kind 0 marks "never crossed") plus the count of grazing events: segments
     entered at or below the frozen barrier level, which are recorded as
     immediate weight-1 crossings and counted separately because correct
@@ -61,88 +65,95 @@ def simulate_block(
     m = spec.m
     T = spec.horizon
     lam = spec.jump_rate
-    mu = spec.mu
-    sigma_rows = spec.sigma
+    sigma = spec.sigma
     sig_eff = spec.effective_sigmas()
     icpt, slope = spec.barrier_arrays()
+    mu, icpt_c, slope_c, jump_mean, jump_sd = (
+        a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
+    )
 
-    hit_t = np.full((size, m), np.nan)
-    hit_w = np.zeros((size, m))
-    hit_k = np.zeros((size, m), dtype=np.int8)
+    hit_t = np.full((m, size), np.nan)
+    hit_w = np.zeros((m, size))
+    hit_k = np.zeros((m, size), dtype=np.int8)
     grazing = 0
 
     run = np.arange(size)
-    state = np.tile(spec.x0, (size, 1))
-    alive = np.ones((size, m), dtype=bool)
+    state = np.repeat(spec.x0[:, None], size, axis=1)
+    alive = np.ones((m, size), dtype=bool)
     t0 = np.zeros(size)
 
     while run.size:
         n = run.size
         # lazy jump clock: the next instant of every live run
         if lam > 0:
-            t_next = t0 + rng.exponential(1.0 / lam, n)
-            jumped = t_next < T
-            t1 = np.where(jumped, t_next, T)
+            t1 = rng.exponential(1.0 / lam, n)
+            t1 += t0
+            jumped = t1 < T
+            np.minimum(t1, T, out=t1)
         else:
             jumped = np.zeros(n, dtype=bool)
             t1 = np.full(n, T)
         tau = t1 - t0
-        z = rng.standard_normal((n, m))
-        x_end = state + mu * tau[:, None] + np.sqrt(tau)[:, None] * (z @ sigma_rows.T)
-        level = icpt + slope * (t0 + 0.5 * tau)[:, None]
+        # block-sized arrays are updated in place where they can be: a
+        # fresh temporary costs more than the arithmetic done in it
+        x_end = sigma @ rng.standard_normal((m, n))
+        x_end *= np.sqrt(tau)
+        x_end += mu * tau
+        x_end += state
+        level = slope_c * (t0 + 0.5 * tau)
+        level += icpt_c
 
         # defensive: a segment entered at or below its frozen level counts as
         # an immediate crossing carried over from the previous jump
         graze = alive & (state <= level)
         if graze.any():
-            ii = _cells(graze)
-            out = (run[ii[0]], ii[1])
-            hit_t[out] = _graze_times(t0[ii[0]], t1[ii[0]], state[ii], icpt[ii[1]], slope[ii[1]])
+            comps, cols = _cells(graze)
+            out = (comps, run[cols])
+            hit_t[out] = _graze_times(
+                t0[cols], t1[cols], state[comps, cols], icpt[comps], slope[comps]
+            )
             hit_w[out] = 1.0
             hit_k[out] = KIND_AT_JUMP
-            grazing += len(ii[0])
+            grazing += len(cols)
             alive &= ~graze
 
         # condition 1: interior bridge crossing, decided by one uniform
-        u = 1.0 - rng.random((n, m))
+        u = rng.random((m, n))
+        np.subtract(1.0, u, out=u)
         ii, s, w = bridge.draw_crossings(state, x_end, level, t0, t1, sig_eff, u, alive, rng)
-        out = (run[ii[0]], ii[1])
+        out = (ii[0], run[ii[1]])
         hit_t[out] = s
         hit_w[out] = w
         hit_k[out] = KIND_INTERIOR
         alive[ii] = False
 
-        # retire rows that reached the horizon or have no component left;
+        # retire runs that reached the horizon or have no component left;
         # the rest move on to their jump at t1
-        cont = np.flatnonzero(jumped & _row_any(alive))
-        run, pre, alive, t0 = (a.take(cont, axis=0) for a in (run, x_end, alive, t1))
+        cont = np.flatnonzero(jumped & alive.any(axis=0))
+        run, t0 = run.take(cont), t1.take(cont)
+        pre, alive = x_end.take(cont, axis=1), alive.take(cont, axis=1)
 
         # condition 3: the jump at t1 lands at or below the barrier while the
         # pre-jump value was still above it
-        zj = rng.standard_normal(pre.shape)
-        state = pre + spec.jump_mean + spec.jump_sd * zj
-        level_right = icpt + slope * t0[:, None]
+        state = rng.standard_normal(pre.shape)
+        state *= jump_sd
+        state += jump_mean
+        state += pre
+        level_right = slope_c * t0
+        level_right += icpt_c
         at_jump = alive & (state <= level_right) & (pre > level_right)
         if at_jump.any():
-            ii = _cells(at_jump)
-            out = (run[ii[0]], ii[1])
-            hit_t[out] = t0[ii[0]]
+            comps, cols = _cells(at_jump)
+            out = (comps, run[cols])
+            hit_t[out] = t0[cols]
             hit_w[out] = 1.0
             hit_k[out] = KIND_AT_JUMP
             alive &= ~at_jump
-            cont = np.flatnonzero(_row_any(alive))
-            run, state, alive, t0 = (a.take(cont, axis=0) for a in (run, state, alive, t0))
+            cont = np.flatnonzero(alive.any(axis=0))
+            run, t0 = run.take(cont), t0.take(cont)
+            state, alive = state.take(cont, axis=1), alive.take(cont, axis=1)
 
     return hit_t, hit_w, hit_k, grazing
-
-
-def _row_any(mask: np.ndarray) -> np.ndarray:
-    """``mask.any(axis=1)`` for an (n, m) mask, one pass per column: numpy's
-    reduction over a short last axis costs about ten times more."""
-    out = mask[:, 0].copy()
-    for i in range(1, mask.shape[1]):
-        out |= mask[:, i]
-    return out
 
 
 def _graze_times(t0, t1, start, icpt, slope):
@@ -159,7 +170,7 @@ def _graze_times(t0, t1, start, icpt, slope):
 def run_single(spec: ModelSpec, rng: np.random.Generator) -> RunOutcome:
     """One Monte Carlo run; at most one crossing sample per component."""
     hit_t, hit_w, hit_k, _ = simulate_block(spec, rng, 1)
-    return outcome_from_arrays(hit_t[0], hit_w[0], hit_k[0])
+    return outcome_from_arrays(hit_t[:, 0], hit_w[:, 0], hit_k[:, 0])
 
 
 def run_engine(

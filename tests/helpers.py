@@ -118,18 +118,18 @@ def uniform_candidates(x_start, x_end, level, t0, t1, sigma, u, alive, rng=None)
     from fptmc import bridge
 
     tau = t1 - t0
-    keep = 1.0 - bridge.survival_array(x_start, x_end, level, tau[:, None], sigma)
+    keep = 1.0 - bridge.survival_array(x_start, x_end, level, tau, sigma[:, None])
     hit = alive & (keep > bridge.SURVIVAL_SHORTCUT) & (u <= keep)
-    rows, cols = np.nonzero(hit)
-    stretch = tau[rows] / keep[rows, cols]
-    s = t0[rows] + stretch * u[rows, cols]
-    ok = (s < t1[rows]) & (s > t0[rows])
-    ii = (rows[ok], cols[ok])
+    comps, runs = np.nonzero(hit)
+    stretch = tau[runs] / keep[comps, runs]
+    s = t0[runs] + stretch * u[comps, runs]
+    ok = (s < t1[runs]) & (s > t0[runs])
+    ii = (comps[ok], runs[ok])
     s = s[ok]
     if len(s) == 0:
         return ii, s, np.empty(0)
     g = bridge.fpt_density_array(
-        s, x_start[ii], x_end[ii], level[ii], t0[ii[0]], t1[ii[0]], sigma[ii[1]]
+        s, x_start[ii], x_end[ii], level[ii], t0[ii[1]], t1[ii[1]], sigma[ii[0]]
     )
     return ii, s, stretch[ok] * g
 

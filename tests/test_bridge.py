@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -51,14 +52,15 @@ def quad_density(s):
 
 
 def candidates(s, u, draw=uniform_candidates, rng=None):
-    """Crossing draws for the segment, one block row per uniform (the paper's
-    uniform candidates unless ``draw`` is ``draw_crossings``); returns
-    (accepted mask, times, weights) with times and weights of accepted rows."""
-    u = np.asarray(u, dtype=float).reshape(-1, 1)
-    n = len(u)
+    """Crossing draws for the segment, one block column per uniform (the
+    paper's uniform candidates unless ``draw`` is ``draw_crossings``);
+    returns (accepted mask, times, weights) with times and weights of
+    accepted columns."""
+    u = np.asarray(u, dtype=float).reshape(1, -1)
+    n = u.shape[1]
 
     def cells(value):
-        return np.full((n, 1), float(value))
+        return np.full((1, n), float(value))
 
     ii, times, weights = draw(
         cells(s.x_start),
@@ -68,11 +70,11 @@ def candidates(s, u, draw=uniform_candidates, rng=None):
         np.full(n, float(s.t_end)),
         np.array([float(s.sigma)]),
         u,
-        np.ones((n, 1), dtype=bool),
+        np.ones((1, n), dtype=bool),
         rng,
     )
     accepted = np.zeros(n, dtype=bool)
-    accepted[ii[0]] = True
+    accepted[ii[1]] = True
     return accepted, times, weights
 
 
@@ -266,21 +268,21 @@ class TestExactCrossingTime:
         # a vanishing start distance, an end far below the level and the
         # Levy limit with a tiny sigma: every crossing is kept, with a time
         # on the closed interval and weight 1
-        u = np.array([[1.0, 1.0, 1.0, 0.5]])
-        x_start = np.array([[1e-300, 1.0, 1.0, 1.0]])
-        x_end = np.array([[0.5, -1e300, 0.0, 0.0]])
+        u = np.array([[1.0], [1.0], [1.0], [0.5]])
+        x_start = np.array([[1e-300], [1.0], [1.0], [1.0]])
+        x_end = np.array([[0.5], [-1e300], [0.0], [0.0]])
         ii, times, weights = draw_crossings(
             x_start,
             x_end,
-            np.zeros((1, 4)),
+            np.zeros((4, 1)),
             np.array([2.0]),
             np.array([3.0]),
             np.array([1.0, 1.0, 1e-200, 1.0]),
             u,
-            np.ones((1, 4), dtype=bool),
+            np.ones((4, 1), dtype=bool),
             np.random.default_rng(3),
         )
-        assert ii[1].tolist() == [0, 1, 2, 3]
+        assert ii[0].tolist() == [0, 1, 2, 3]
         assert np.all((times >= 2.0) & (times <= 3.0))
         assert times[0] == 2.0 and times[1] == 2.0
         assert np.all(weights == 1.0)
@@ -315,10 +317,11 @@ def clocked_spec(*subjects, jump_rate=3.0):
 
 def clocked_block(*subjects, jump_rate=3.0, n=2000, seed=0):
     """One engine block of ``clocked_spec``.  Returns the clock times and the
-    subjects' crossing times and kinds, one row per run."""
+    subjects' crossing times and kinds, one row per run (the transpose of
+    the block's component-major arrays)."""
     spec = clocked_spec(*subjects, jump_rate=jump_rate)
     hit_t, _, hit_k, _ = simulate_block(spec, np.random.default_rng(seed), n)
-    return hit_t[:, :CLOCKS], hit_t[:, CLOCKS:], hit_k[:, CLOCKS:]
+    return hit_t[:CLOCKS].T, hit_t[CLOCKS:].T, hit_k[CLOCKS:].T
 
 
 # drifts to its barrier at t = 0.5 unless a jump before that breaches
@@ -381,10 +384,10 @@ class TestFirstJumpCrossing:
         spec = clocked_spec(DRIFTING_SUBJECT)
         hit_t, hit_w, hit_k, _ = simulate_block(spec, np.random.default_rng(0), 2000)
         assert not np.isnan(hit_w).any()
-        interior = hit_k[:, CLOCKS] == KIND_INTERIOR
+        interior = hit_k[CLOCKS] == KIND_INTERIOR
         assert interior.sum() > 0
         dropped = collect_result("unif", 0, [(hit_t, hit_w, hit_k)], 1.0)
-        zero = int(np.count_nonzero(hit_w[interior, CLOCKS] == 0.0))
+        zero = int(np.count_nonzero(hit_w[CLOCKS, interior] == 0.0))
         assert dropped.diagnostics["zero_weight_dropped"][CLOCKS] == zero
         # every zero density is a true underflow: its logarithm, by the
         # independent ratio construction, is below that of the least
@@ -401,6 +404,24 @@ class TestFirstJumpCrossing:
                     - stats.norm.logpdf(xe[k], loc=xs[k], scale=sigma[k] * math.sqrt(tau))
                 )
                 assert log_g < math.log(5e-324)
+
+    def test_extreme_cells_raise_no_warning(self):
+        # the near-deterministic blocks above, and bridges that end far below
+        # the level, at it with a zero sigma sqrt(tau), above it with a zero
+        # tau, or start a hair above it: no overflow, no 0 / 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p = survival_array(
+                np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-300]),
+                np.array([0.5, -0.5, -1e300, 0.0, 0.5, 0.5]),
+                0.0,
+                np.array([0.3, 0.3, 1.0, 1.0, 0.0, 1.0]),
+                np.array([1e-9, 1e-9, 1.0, 1e-200, 1.0, 1.0]),
+            )
+            assert p.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 1e-300]
+            for subject in (DRIFTING_SUBJECT, (0.0, 0.0, -1.0, LinearBarrier(-0.5, 0.0))):
+                clocked_block(subject)
+            TestExactCrossingTime().test_extreme_cells_stay_inside_the_interval()
 
     def test_no_breach(self):
         _, _, kinds = clocked_block((0.0, 0.0, 0.5, LinearBarrier(-0.5, 0.0)))

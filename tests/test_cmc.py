@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from fptmc import CmcConfig, LinearBarrier, ModelSpec, run_cmc, run_cmc_single
 from helpers import bm_crossing_probability
@@ -136,3 +137,32 @@ def test_uneven_final_step(rng):
     spec = drift_spec([-1.0], -0.95)
     outcome = run_cmc_single(spec, CmcConfig(dt=0.3, n_runs=1), rng)
     assert outcome.samples[0].time == pytest.approx(1.0)
+
+
+def test_terminal_law_of_a_non_symmetric_sigma():
+    # the baseline reports crossings only, so its terminal law is read off
+    # one Euler step against barriers that rise from -1 at t = 0 to the
+    # levels c at T = 1: component i crosses exactly when X_i(1) <= c_i.
+    # X(1) is normal with covariance sigma sigma^T; with this sigma,
+    # sigma^T sigma (0.0625, 0.015, 0.01) moves every probability by > 10 SE
+    sigma = np.array([[0.2, 0.0], [0.15, 0.1]])
+    c = np.array([-0.1, -0.1])
+    spec = ModelSpec(
+        m=2,
+        x0=[0.0, 0.0],
+        mu=[0.0, 0.0],
+        sigma=sigma,
+        jump_rate=0.0,
+        jump_mean=[0.0, 0.0],
+        jump_sd=[0.0, 0.0],
+        barriers=tuple(LinearBarrier(-1.0, 1.0 + ci) for ci in c),
+        horizon=1.0,
+    )
+    n = 100_000
+    result = run_cmc(spec, CmcConfig(dt=1.0, n_runs=n, seed=18))
+    cov = sigma @ sigma.T
+    expected = list(stats.norm.cdf(c / np.sqrt(np.diag(cov))))
+    expected.append(stats.multivariate_normal(mean=np.zeros(2), cov=cov).cdf(c))
+    observed = [len(ws) / n for ws in result.marginals] + [len(result.joint) / n]
+    for p, q in zip(observed, expected):
+        assert p == pytest.approx(q, abs=3.0 * math.sqrt(q * (1.0 - q) / n))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -97,6 +98,16 @@ class TestRoughnessFunctional:
         assert roughness_functional(GammaFit(2.0, 4.0)) == pytest.approx(
             gamma_density_curvature_quad(2.0, 4.0), rel=1e-6
         )
+
+    @pytest.mark.parametrize("beta", [10, 40, 100, 150])
+    def test_exact_at_integer_beta(self, beta):
+        # at integer beta the closed form is the rational
+        # (3/4)(b-1)(b-2) (2b-6)! / (2^(2b-5) ((b-1)!)^2), exact in fractions
+        exact = Fraction(3 * (beta - 1) * (beta - 2), 4) * Fraction(
+            math.factorial(2 * beta - 6), 2 ** (2 * beta - 5) * math.factorial(beta - 1) ** 2
+        )
+        value = roughness_functional(GammaFit(1.0, float(beta)))
+        assert abs(value - float(exact)) <= 1e-12 * float(exact)
 
     def test_large_beta_stays_finite(self):
         val = roughness_functional(GammaFit(20.0, 80.0))
@@ -340,10 +351,10 @@ class TestBinnedKernelSum:
 
     def test_estimate_densities_three_components(self, rng):
         n = 3000
-        hit_t = rng.uniform(0.0, 1.0, (n, 3))
-        hit_w = rng.uniform(0.5, 2.0, (n, 3))
-        hit_k = np.ones((n, 3), dtype=np.int8)
-        hit_k[rng.uniform(size=(n, 3)) < 0.3] = 0
+        hit_t = rng.uniform(0.0, 1.0, (3, n))
+        hit_w = rng.uniform(0.5, 2.0, (3, n))
+        hit_k = np.ones((3, n), dtype=np.int8)
+        hit_k[rng.uniform(size=(3, n)) < 0.3] = 0
         result = collect_result("unif", 0, [(hit_t, hit_w, hit_k)], elapsed=1.0)
         axis = np.linspace(0.0, 1.0, 12)
         marginals, joint = estimate_densities(

@@ -66,11 +66,11 @@ def engine_passes(monkeypatch, spec, n, seed=0):
     interval step.
 
     ``unif.simulate_block`` calls ``bridge.draw_crossings`` once per pass
-    with every live row's interval (t0, t1), its value just after the jump at
-    t0 and its value just before t1.  The spec's barriers must be out of
-    reach, so that a run leaves the live set exactly when its clock passes
-    the horizon.  Returns one (runs, t1, start, end) tuple per pass, with
-    ``runs`` the block index of each live row.
+    with every live run's interval (t0, t1), its value just after the jump at
+    t0 and its value just before t1, one (m, n) column per run.  The spec's
+    barriers must be out of reach, so that a run leaves the live set exactly
+    when its clock passes the horizon.  Returns one (runs, t1, start, end)
+    tuple per pass, with ``runs`` the block index of each live column.
     """
     recorded = []
     step = bridge.draw_crossings
@@ -102,7 +102,7 @@ def skeleton(passes, r):
     just before every jump and at the horizon, shape (m, M+1), and just after
     every jump, shape (m, M)."""
     rows = [
-        (t1[k], start[k], end[k])
+        (t1[k], start[:, k], end[:, k])
         for runs, t1, start, end in passes
         for k in np.flatnonzero(runs == r)
     ]
@@ -187,7 +187,7 @@ def test_propagate_covariance(example1_spec, monkeypatch):
     n = 100_000
     spec = far_barriers(example1_spec, jump_rate=0.0)
     (_, _, _, end), = engine_passes(monkeypatch, spec, n, seed=3)
-    cov = np.cov(end.T)
+    cov = np.cov(end)
     se_var = 0.04 * math.sqrt(2.0 / n)
     se_cov = 0.04 / math.sqrt(n)
     assert cov[0, 0] == pytest.approx(0.04, abs=3 * se_var)
@@ -195,13 +195,26 @@ def test_propagate_covariance(example1_spec, monkeypatch):
     assert cov[0, 1] == pytest.approx(0.0, abs=3 * se_cov)
 
 
+def test_propagate_covariance_of_a_non_symmetric_sigma(example1_spec, monkeypatch):
+    # the endpoint covariance is sigma sigma^T tau; with this sigma,
+    # sigma^T sigma differs in every entry (0.0625, 0.015, 0.01)
+    n = 100_000
+    sigma = np.array([[0.2, 0.0], [0.15, 0.1]])
+    spec = far_barriers(example1_spec, jump_rate=0.0, sigma=sigma, horizon=0.5)
+    (_, _, _, end), = engine_passes(monkeypatch, spec, n, seed=8)
+    expected = sigma @ sigma.T * 0.5
+    var = np.diag(expected)
+    se = np.sqrt((np.outer(var, var) + np.square(expected)) / n)
+    assert np.all(np.abs(np.cov(end) - expected) <= 3 * se)
+
+
 def test_propagate_mean(example1_spec, monkeypatch):
     n = 100_000
     spec = far_barriers(example1_spec, x0=[5.0, 5.0], jump_rate=0.0, horizon=0.5)
     (_, _, _, end), = engine_passes(monkeypatch, spec, n, seed=4)
     se = 0.2 * math.sqrt(0.5) / math.sqrt(n)
-    assert end[:, 0].mean() == pytest.approx(5.0 - 0.001, abs=3 * se)
-    assert end[:, 1].mean() == pytest.approx(5.0 - 0.006, abs=3 * se)
+    assert end[0].mean() == pytest.approx(5.0 - 0.001, abs=3 * se)
+    assert end[1].mean() == pytest.approx(5.0 - 0.006, abs=3 * se)
 
 
 def test_build_timeline_no_jumps(monkeypatch):

@@ -26,9 +26,10 @@ def test_thread_pool_capped_at_block_count(monkeypatch):
 
 def test_weight_health_counts_zero_weight_drops():
     nan = np.nan
-    hit_t = np.array([[0.2, 0.3], [0.4, nan], [0.5, 0.6], [nan, nan]])
-    hit_w = np.array([[1.0, 0.0], [3.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    hit_k = np.array([[1, 1], [2, 0], [1, 1], [0, 0]], dtype=np.int8)
+    # one row per component, one column per run
+    hit_t = np.array([[0.2, 0.4, 0.5, nan], [0.3, nan, 0.6, nan]])
+    hit_w = np.array([[1.0, 3.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]])
+    hit_k = np.array([[1, 2, 1, 0], [1, 0, 1, 0]], dtype=np.int8)
     result = results.collect_result("unif", 0, [(hit_t, hit_w, hit_k)], elapsed=1.0)
     diag = result.diagnostics
     assert diag["zero_weight_dropped"] == [1, 1]
@@ -38,9 +39,9 @@ def test_weight_health_counts_zero_weight_drops():
 
 
 def test_weight_health_without_samples_is_nan():
-    hit_t = np.full((3, 1), np.nan)
+    hit_t = np.full((1, 3), np.nan)
     result = results.collect_result(
-        "unif", 0, [(hit_t, np.zeros((3, 1)), np.zeros((3, 1), dtype=np.int8))], 1.0
+        "unif", 0, [(hit_t, np.zeros((1, 3)), np.zeros((1, 3), dtype=np.int8))], 1.0
     )
     assert result.diagnostics["zero_weight_dropped"] == [0]
     assert np.isnan(result.diagnostics["ess_frac"][0])
