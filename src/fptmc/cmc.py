@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +25,9 @@ from .results import (
     KIND_INTERIOR,
     EngineResult,
     RunOutcome,
+    block_hits,
     collect_result,
+    empty_hits,
     outcome_from_arrays,
     run_blocks,
 )
@@ -76,10 +79,16 @@ def _step_grid(horizon: float, dt: float) -> np.ndarray:
 
 
 def simulate_block_cmc(
-    spec: ModelSpec, cfg: CmcConfig, rng: np.random.Generator, size: int
+    spec: ModelSpec,
+    cfg: CmcConfig,
+    rng: np.random.Generator,
+    size: int,
+    out: Optional[tuple[np.ndarray, ...]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate ``size`` discretised runs; returns (times, weights, kinds)
-    of shape (m, size) plus the total number of jumps that occurred.
+    of shape (m, size), written into ``out`` when it is given (views of the
+    block's columns of a job's result), plus the total number of jumps that
+    occurred.
 
     The state is component-major: row i of the (m, n) arrays is component i
     of the n active runs, so per-component constants of shape (m, 1)
@@ -94,9 +103,7 @@ def simulate_block_cmc(
 
     state = np.repeat(spec.x0[:, None], size, axis=1)
     alive = np.ones((m, size), dtype=bool)
-    hit_t = np.full((m, size), np.nan)
-    hit_w = np.zeros((m, size))
-    hit_k = np.zeros((m, size), dtype=np.int8)
+    hit_t, hit_w, hit_k = block_hits(m, size, out)
     run_ids = np.arange(size)
     n_jumps = 0
 
@@ -125,10 +132,10 @@ def simulate_block_cmc(
         newly = alive & (state <= level)
         if newly.any():
             comps, cols = _cells(newly)
-            out = (comps, run_ids[cols])
-            hit_t[out] = t
-            hit_w[out] = 1.0
-            hit_k[out] = KIND_INTERIOR
+            cells = (comps, run_ids[cols])
+            hit_t[cells] = t
+            hit_w[cells] = 1.0
+            hit_k[cells] = KIND_INTERIOR
             alive &= ~newly
         if k % _COMPACT_EVERY == 0:
             keep = np.flatnonzero(alive.any(axis=0))
@@ -154,19 +161,20 @@ def run_cmc_single(
 
 def run_cmc(spec: ModelSpec, cfg: CmcConfig) -> EngineResult:
     """Run the discretised baseline with the same reproducibility contract as
-    the bridge-sampling engine (fixed blocks, per-block streams, ordered
-    merge)."""
+    the bridge-sampling engine (fixed blocks, per-block streams, each block
+    writing the columns it owns of one result)."""
     cfg.validate_for(spec)
 
-    def simulate(rng: np.random.Generator, size: int):
-        return simulate_block_cmc(spec, cfg, rng, size)
+    def simulate(rng: np.random.Generator, size: int, out: tuple):
+        return simulate_block_cmc(spec, cfg, rng, size, out=out)
 
-    outputs, elapsed = run_blocks(cfg.n_runs, cfg.seed, cfg.workers, simulate)
+    hits = empty_hits(spec.m, cfg.n_runs)
+    outputs, elapsed = run_blocks(cfg.n_runs, cfg.seed, cfg.workers, simulate, out=hits)
     total_jumps = sum(o[3] for o in outputs)
     return collect_result(
         "cmc",
         cfg.seed,
-        [o[:3] for o in outputs],
+        [hits],
         elapsed,
         diagnostics={"total_jumps": total_jumps, "dt": cfg.dt},
     )

@@ -20,6 +20,8 @@ pairs.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from . import bridge
@@ -30,7 +32,9 @@ from .results import (
     KIND_INTERIOR,
     EngineResult,
     RunOutcome,
+    block_hits,
     collect_result,
+    empty_hits,
     estimate_densities,
     outcome_from_arrays,
     run_blocks,
@@ -40,7 +44,10 @@ __all__ = ["run_single", "run_engine", "estimate_densities", "simulate_block"]
 
 
 def simulate_block(
-    spec: ModelSpec, rng: np.random.Generator, size: int
+    spec: ModelSpec,
+    rng: np.random.Generator,
+    size: int,
+    out: Optional[tuple[np.ndarray, ...]] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate ``size`` independent runs with one generator.
 
@@ -57,10 +64,11 @@ def simulate_block(
     constants of shape (m, 1) broadcast along contiguous rows.
 
     Returns (times, weights, kinds) arrays of shape (m, size) in run order
-    (kind 0 marks "never crossed") plus the count of grazing events: segments
-    entered at or below the frozen barrier level, which are recorded as
-    immediate weight-1 crossings and counted separately because correct
-    sequencing makes them rare, rounding-induced cases.
+    (kind 0 marks "never crossed"), written into ``out`` when it is given
+    (views of the block's columns of a job's result), plus the count of
+    grazing events: segments entered at or below the frozen barrier level,
+    which are recorded as immediate weight-1 crossings and counted separately
+    because correct sequencing makes them rare, rounding-induced cases.
     """
     m = spec.m
     T = spec.horizon
@@ -72,9 +80,7 @@ def simulate_block(
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )
 
-    hit_t = np.full((m, size), np.nan)
-    hit_w = np.zeros((m, size))
-    hit_k = np.zeros((m, size), dtype=np.int8)
+    hit_t, hit_w, hit_k = block_hits(m, size, out)
     grazing = 0
 
     run = np.arange(size)
@@ -108,12 +114,12 @@ def simulate_block(
         graze = alive & (state <= level)
         if graze.any():
             comps, cols = _cells(graze)
-            out = (comps, run[cols])
-            hit_t[out] = _graze_times(
+            cells = (comps, run[cols])
+            hit_t[cells] = _graze_times(
                 t0[cols], t1[cols], state[comps, cols], icpt[comps], slope[comps]
             )
-            hit_w[out] = 1.0
-            hit_k[out] = KIND_AT_JUMP
+            hit_w[cells] = 1.0
+            hit_k[cells] = KIND_AT_JUMP
             grazing += len(cols)
             alive &= ~graze
 
@@ -121,10 +127,10 @@ def simulate_block(
         u = rng.random((m, n))
         np.subtract(1.0, u, out=u)
         ii, s, w = bridge.draw_crossings(state, x_end, level, t0, t1, sig_eff, u, alive, rng)
-        out = (ii[0], run[ii[1]])
-        hit_t[out] = s
-        hit_w[out] = w
-        hit_k[out] = KIND_INTERIOR
+        cells = (ii[0], run[ii[1]])
+        hit_t[cells] = s
+        hit_w[cells] = w
+        hit_k[cells] = KIND_INTERIOR
         alive[ii] = False
 
         # retire runs that reached the horizon or have no component left;
@@ -144,10 +150,10 @@ def simulate_block(
         at_jump = alive & (state <= level_right) & (pre > level_right)
         if at_jump.any():
             comps, cols = _cells(at_jump)
-            out = (comps, run[cols])
-            hit_t[out] = t0[cols]
-            hit_w[out] = 1.0
-            hit_k[out] = KIND_AT_JUMP
+            cells = (comps, run[cols])
+            hit_t[cells] = t0[cols]
+            hit_w[cells] = 1.0
+            hit_k[cells] = KIND_AT_JUMP
             alive &= ~at_jump
             cont = np.flatnonzero(alive.any(axis=0))
             run, t0 = run.take(cont), t0.take(cont)
@@ -179,21 +185,19 @@ def run_engine(
     """Run the bridge-sampling engine.
 
     Output is bitwise reproducible for a given seed regardless of ``workers``:
-    runs are partitioned into fixed blocks with per-block random streams and
-    merged in block order.  ``seconds_per_run`` covers the simulation loop
-    only (no density estimation).
+    runs are partitioned into fixed blocks with per-block random streams,
+    each writing the columns it owns of one result.  ``seconds_per_run``
+    covers the simulation loop, including the blocks filling their result
+    columns, and no density estimation.
     """
     spec.effective_sigmas()  # reject degenerate diffusion rows up front
 
-    def simulate(rng: np.random.Generator, size: int):
-        return simulate_block(spec, rng, size)
+    def simulate(rng: np.random.Generator, size: int, out: tuple):
+        return simulate_block(spec, rng, size, out=out)
 
-    outputs, elapsed = run_blocks(n_runs, seed, workers, simulate)
+    hits = empty_hits(spec.m, n_runs)
+    outputs, elapsed = run_blocks(n_runs, seed, workers, simulate, out=hits)
     grazing = sum(o[3] for o in outputs)
     return collect_result(
-        "unif",
-        seed,
-        [o[:3] for o in outputs],
-        elapsed,
-        diagnostics={"grazing_entries": grazing},
+        "unif", seed, [hits], elapsed, diagnostics={"grazing_entries": grazing}
     )

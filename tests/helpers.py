@@ -134,6 +134,21 @@ def uniform_candidates(x_start, x_end, level, t0, t1, sigma, u, alive, rng=None)
     return ii, s, stretch[ok] * g
 
 
+def merge_by_block(engine: str, simulate, n_runs: int, seed: int):
+    """The per-block merge the engines used before blocks wrote into one
+    shared result: simulate each block alone as ``simulate(rng, size)`` with
+    ``block_rng(seed, b)``, concatenate the blocks' (m, size) arrays in block
+    order, then select."""
+    from fptmc import results
+
+    blocks = [
+        simulate(results.block_rng(seed, b), size)
+        for b, size in enumerate(results.block_sizes(n_runs))
+    ]
+    hits = tuple(np.concatenate([blk[j] for blk in blocks], axis=1) for j in range(3))
+    return results.collect_result(engine, seed, [hits], elapsed=1.0)
+
+
 def ratio_construction_density(
     t: float,
     x_start: float,

@@ -24,6 +24,7 @@ from fptmc import (
     optimal_bandwidth_1d,
     optimal_bandwidth_multi,
     parse_config_text,
+    results,
     roughness_functional,
     run_cmc,
     run_engine,
@@ -210,7 +211,10 @@ grid_2d = 32
 """
 
 
-def test_c7_determinism_across_worker_counts(tmp_path):
+def test_c7_determinism_across_worker_counts(monkeypatch, tmp_path):
+    # smaller blocks keep the job cheap while it still spans several blocks
+    monkeypatch.setattr(results, "BLOCK_SIZE", 16384)
+    assert len(results.block_sizes(parse_config_text(CONFIG_TEMPLATE).runs)) >= 3
     digests = {}
     names = [
         "unif_marginal_1.csv",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fptmc import CmcConfig, LinearBarrier, ModelSpec, run_cmc, run_cmc_single
+from fptmc import CmcConfig, LinearBarrier, ModelSpec, results, run_cmc, run_cmc_single
 from helpers import bm_crossing_probability
 
 
@@ -57,13 +57,16 @@ def test_jump_count_matches_rate():
     assert mean_jumps == pytest.approx(3.0, abs=3 * se)
 
 
-def test_determinism_across_worker_counts(single_bm_spec):
-    results = [
+def test_determinism_across_worker_counts(monkeypatch, single_bm_spec):
+    # smaller blocks keep the job cheap while it still spans several blocks
+    monkeypatch.setattr(results, "BLOCK_SIZE", 16384)
+    assert len(results.block_sizes(40_000)) >= 3
+    outputs = [
         run_cmc(single_bm_spec, CmcConfig(dt=0.01, n_runs=40_000, seed=14, workers=w))
         for w in (1, 2, 4)
     ]
-    base = results[0]
-    for other in results[1:]:
+    base = outputs[0]
+    for other in outputs[1:]:
         for a, b in zip(base.marginals, other.marginals):
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.weights, b.weights)

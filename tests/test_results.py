@@ -1,8 +1,11 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
-from fptmc import CmcConfig, results, run_cmc
+from fptmc import CmcConfig, cmc, results, run_cmc, run_engine, unif
+from helpers import merge_by_block
 
 
 def draw_block(rng, size):
@@ -55,3 +58,74 @@ def test_cmc_unit_weights_have_full_ess(single_bm_spec):
     assert result.diagnostics["ess_frac"] == [1.0]
     assert result.diagnostics["max_weight_share"] == [1.0 / n_hits]
     assert result.diagnostics["zero_weight_dropped"] == [0]
+
+
+def assert_same_result(a, b):
+    for i in range(a.m):
+        assert np.array_equal(a.marginals[i].times, b.marginals[i].times)
+        assert np.array_equal(a.marginals[i].weights, b.marginals[i].weights)
+        assert np.array_equal(a.marginal_run_indices[i], b.marginal_run_indices[i])
+    assert np.array_equal(a.joint.times, b.joint.times)
+    assert np.array_equal(a.joint.weights, b.joint.weights)
+    assert np.array_equal(a.joint_run_indices, b.joint_run_indices)
+
+
+def test_unif_in_place_result_matches_per_block_merge(example1_spec):
+    n = results.BLOCK_SIZE * 5 // 2
+    assert len(results.block_sizes(n)) == 3
+    merged = merge_by_block(
+        "unif", lambda rng, size: unif.simulate_block(example1_spec, rng, size), n, seed=21
+    )
+    assert_same_result(run_engine(example1_spec, n, seed=21, workers=2), merged)
+
+
+def test_cmc_in_place_result_matches_per_block_merge(monkeypatch, example1_spec):
+    monkeypatch.setattr(results, "BLOCK_SIZE", 1024)
+    cfg = CmcConfig(dt=0.01, n_runs=2560, seed=22, workers=2)
+    merged = merge_by_block(
+        "cmc",
+        lambda rng, size: cmc.simulate_block_cmc(example1_spec, cfg, rng, size),
+        cfg.n_runs,
+        cfg.seed,
+    )
+    assert len(results.block_sizes(cfg.n_runs)) == 3
+    assert_same_result(run_cmc(example1_spec, cfg), merged)
+
+
+@pytest.mark.parametrize("engine", ["unif", "cmc"])
+def test_shared_result_under_many_threads(monkeypatch, example1_spec, engine):
+    # dozens of small blocks write into the shared result from more workers
+    # than cores, with the interpreter switching threads as often as it can
+    monkeypatch.setattr(results, "BLOCK_SIZE", 512)
+    n = 40 * 512 - 100
+    module = unif if engine == "unif" else cmc
+    recorded = []
+
+    def recording_collect(engine, seed, hits, *args, **kwargs):
+        recorded.append(tuple(a.copy() for a in hits[0]))
+        return results.collect_result(engine, seed, hits, *args, **kwargs)
+
+    monkeypatch.setattr(module, "collect_result", recording_collect)
+
+    def run(workers):
+        if engine == "unif":
+            return run_engine(example1_spec, n, seed=23, workers=workers)
+        return run_cmc(example1_spec, CmcConfig(dt=0.02, n_runs=n, seed=23, workers=workers))
+
+    serial = run(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = run(8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_same_result(serial, pooled)
+    (t1, w1, k1), (t8, w8, k8) = recorded
+    assert np.array_equal(t1, t8, equal_nan=True)
+    assert np.array_equal(w1, w8)
+    assert np.array_equal(k1, k8)
+    # every cell was written: a known kind, and NaN time exactly where no
+    # crossing was recorded
+    assert np.isin(k8, [0, 1, 2]).all()
+    assert np.array_equal(np.isnan(t8), k8 == 0)
+    assert (k8 != 0).any() and (k8 == 0).any()

@@ -7,15 +7,15 @@ from scipy import stats
 import fptmc
 from fptmc import LinearBarrier, ModelSpec, bridge, estimate_densities, run_engine, run_single
 from fptmc.bridge import survival_array
-from fptmc.results import AT_JUMP, INTERIOR, collect_result
+from fptmc.results import AT_JUMP, INTERIOR, block_sizes, collect_result
 from conftest import make_example_spec
 from helpers import bm_crossing_probability, uniform_candidates
 
 
 def test_determinism_across_worker_counts(example1_spec):
-    results = [
-        run_engine(example1_spec, 40_000, seed=11, workers=w) for w in (1, 2, 4)
-    ]
+    n = 150_000  # two full blocks and a partial last one
+    assert len(block_sizes(n)) >= 3
+    results = [run_engine(example1_spec, n, seed=11, workers=w) for w in (1, 2, 4)]
     base = results[0]
     for other in results[1:]:
         for a, b in zip(base.marginals, other.marginals):
