@@ -1,12 +1,16 @@
 """Crossing mathematics on a single interjump interval.
 
 Between two simulated endpoint values the diffusion is a Brownian bridge, so
-the probability of dipping below a level, and the density of the first time
-it happens, have closed forms.  This script evaluates both with the array
-kernels the engine runs and checks them the slow way: by simulating many
-fine-grained bridges.  It then draws crossing times the way the engine
-does, exactly and with weight 1, sets them beside the paper's weighted
-uniform candidate, and histograms the exact draws against the density.
+the probability of dipping below the barrier, and the density of the first
+time it happens, have closed forms.  They depend only on the distances d0
+and d1 of the interval's start and end above the barrier, so given the
+distances to an affine barrier at both ends they are exact for it: the
+distance process is again a Brownian bridge.  This script evaluates both
+with the array kernels the engine runs and checks them the slow way: by
+simulating many fine-grained bridges against a slanted barrier.  It then
+draws crossing times the way the engine does, exactly and with weight 1,
+sets them beside the paper's weighted uniform candidate, and histograms the
+exact draws against the density.
 """
 
 import numpy as np
@@ -19,11 +23,14 @@ x_start = 1.0   # value just after the previous jump
 x_end = 0.4     # value just before the next jump
 t_start, t_end = 0.0, 1.0
 sigma = 0.8
-level = 0.0     # the barrier, held constant over the interval
+icpt, slope = 0.0, 0.3   # the barrier D(t) = icpt + slope t
 tau = t_end - t_start
+d0 = x_start - (icpt + slope * t_start)   # distances above the barrier
+d1 = x_end - (icpt + slope * t_end)
 
-p_survive = float(survival_array(x_start, x_end, level, tau, sigma))
-print(f"segment: start {x_start}, end {x_end}, barrier {level}")
+p_survive = float(survival_array(d0, d1, tau, sigma))
+print(f"segment: start {x_start}, end {x_end}, barrier {icpt} + {slope} t")
+print(f"distances above the barrier: start {d0}, end {d1:.1f}")
 print(f"probability the bridge never touches the barrier: {p_survive:.4f}")
 print(f"interior crossing probability:                    {1 - p_survive:.4f}")
 
@@ -39,13 +46,13 @@ for _ in range(n_steps):
         sigma**2 * dt * (rem - dt) / rem
     ) * rng.standard_normal(n_paths)
     t += dt
-    alive &= x > level
+    alive &= x > icpt + slope * t
 # grid checks can miss brief excursions, so this sits slightly high
 print(f"simulated survival over {n_paths} bridges:         {alive.mean():.4f}")
 
 # the crossing-time density integrates to the crossing probability
-ts = np.linspace(0.02, 0.98, 200)
-dens = fpt_density_array(ts, x_start, x_end, level, t_start, t_end, sigma)
+ts = np.linspace(t_start, t_end, 4001)[1:-1]  # open interval: g is 0 at both ends
+dens = fpt_density_array(ts, d0, d1, t_start, t_end, sigma)
 print(f"quadrature of the crossing density:               {np.trapezoid(dens, ts):.4f}")
 
 # one uniform per run decides whether the bridge crosses; the engine does it
@@ -56,9 +63,8 @@ print(f"quadrature of the crossing density:               {np.trapezoid(dens, ts
 def draw(u, seed):
     n = len(u)
     cells, times, weights = draw_crossings(
-        np.full((1, n), x_start),
-        np.full((1, n), x_end),
-        np.full((1, n), level),
+        np.full((1, n), d0),
+        np.full((1, n), d1),
         np.full(n, t_start),
         np.full(n, t_end),
         np.array([sigma]),
@@ -77,7 +83,7 @@ for run in range(len(u)):
     if run in exact:
         t_ig, w_ig = exact[run]
         t_un = t_start + stretch * u[run]
-        g_un = fpt_density_array(t_un, x_start, x_end, level, t_start, t_end, sigma)
+        g_un = fpt_density_array(t_un, d0, d1, t_start, t_end, sigma)
         w_un = stretch * float(g_un)
         print(f"  crossed: exact t = {t_ig:.3f} (weight {w_ig:.0f}), "
               f"candidate t = {t_un:.3f} (weight {w_un:.3f})")
@@ -93,5 +99,5 @@ print(f"\n{len(times)} exact crossing times against g(t) / (1 - P), bin averages
 print("  bin            histogram  density")
 for lo, c in zip(edges[:-1], counts):
     sub = lo + (np.arange(200) + 0.5) * width / 200  # midpoint rule in the bin
-    g = fpt_density_array(sub, x_start, x_end, level, t_start, t_end, sigma).mean()
+    g = fpt_density_array(sub, d0, d1, t_start, t_end, sigma).mean()
     print(f"  [{lo:.1f}, {lo + width:.1f}]   {c / len(times) / width:8.4f}  {g / (1 - p_survive):8.4f}")

@@ -1,11 +1,16 @@
 """Exact crossing mathematics for one interjump interval, on whole arrays.
 
 Between two consecutive jumps the diffusion, conditioned on its simulated
-endpoint values, is a Brownian bridge.  With the barrier held at a constant
-level over the interval, this module provides, elementwise:
+endpoint values, is a Brownian bridge.  The kernels take the bridge's start
+and end distances d0 and d1 above the barrier: the crossing law depends
+only on them, the interval's length and sigma.  For an affine barrier
+D(t) = intercept + slope t this is exact with d0 = x(t0) - D(t0) and
+d1 = x(t1) - D(t1), since the distance X - D is again a Brownian motion
+(with drift mu - slope) and its bridge is drift-free.  This module
+provides, elementwise:
 
-* ``survival_array``: the probability that the bridge stays above the level
-  for the whole interval (drift-free by bridge conditioning);
+* ``survival_array``: the probability that the bridge stays above the
+  barrier for the whole interval;
 * ``fpt_density_array``: the conditional first-crossing-time density on the
   open interval, which integrates to one minus that survival probability;
 * ``draw_crossings``: turns one uniform per (component, run) cell into
@@ -14,8 +19,9 @@ level over the interval, this module provides, elementwise:
   so every crossing has weight 1.
 
 The bridge-sampling engine calls ``survival_array`` and ``draw_crossings``
-directly; the crossing times it draws follow ``fpt_density_array``.  These
-are the only implementation of the formulas.
+directly, with distances to each barrier held at its interval's midpoint
+(see ``unif``); the crossing times it draws follow ``fpt_density_array``.
+These are the only implementation of the formulas.
 """
 
 from __future__ import annotations
@@ -36,23 +42,21 @@ SURVIVAL_SHORTCUT = 1e-12
 _LEAST_DOUBLE = np.finfo(float).smallest_subnormal
 
 
-def survival_array(x_start, x_end, level, tau, sigma):
-    """Probability the bridge stays above ``level``, elementwise.
+def survival_array(d0, d1, tau, sigma):
+    """Probability the bridge stays above the barrier, elementwise.
 
-    With d0 and d1 the start and end distances to the level, survival is
+    With d0 and d1 the start and end distances to the barrier, survival is
     1 - exp(-2 d0 d1 / (sigma^2 tau)).  Both distances enter clipped at zero,
     so the exponent is never positive and a cell that starts or ends at or
-    below the level survives with probability 0.  sigma^2 tau enters as at
+    below the barrier survives with probability 0.  sigma^2 tau enters as at
     least the least positive double, so no 0 / 0 arises; where it vanishes
     the exponent of every other cell is -inf, certain survival.
     """
-    shape = np.broadcast(x_start, x_end, level, tau, sigma).shape
+    shape = np.broadcast(d0, d1, tau, sigma).shape
     # two buffers, updated in place: fresh block-sized temporaries cost more
     # than the arithmetic
-    expo = np.subtract(x_start, level, out=np.empty(shape))
-    d1 = np.subtract(x_end, level, out=np.empty(shape))
-    np.maximum(expo, 0.0, out=expo)
-    np.maximum(d1, 0.0, out=d1)
+    expo = np.maximum(d0, 0.0, out=np.empty(shape))
+    d1 = np.maximum(d1, 0.0, out=np.empty(shape))
     with np.errstate(over="ignore"):
         expo *= d1
         expo *= -2.0
@@ -63,67 +67,74 @@ def survival_array(x_start, x_end, level, tau, sigma):
     return np.negative(expo, out=expo)
 
 
-def fpt_density_array(t, x_start, x_end, level, t_start, t_end, sigma):
+def fpt_density_array(t, d0, d1, t_start, t_end, sigma):
     """Interior first-crossing-time density g(t), elementwise.
 
     Valid strictly inside (t_start, t_end); the prefactors are singular at
     the endpoints.  The drift does not enter: conditioning on both endpoints
-    cancels it.  With d0 and d1 the start and end distances to the level and
-    u = t - t_start, v = t_end - t, the hitting terms over the endpoint
+    cancels it.  With d0 and d1 the start and end distances to the barrier
+    and u = t - t_start, v = t_end - t, the hitting terms over the endpoint
     normaliser collapse to the single exponent
     -(d0 v + d1 u)^2 / (2 sigma^2 u v tau), which is never positive, so the
     density stays finite where the normaliser alone would underflow.
     """
-    (t, x_start, x_end, level, t_start, t_end, sigma) = np.broadcast_arrays(
-        t, x_start, x_end, level, t_start, t_end, sigma
+    (t, d0, d1, t_start, t_end, sigma) = np.broadcast_arrays(
+        t, d0, d1, t_start, t_end, sigma
     )
     tau = t_end - t_start
     u = t - t_start
     v = t_end - t
-    d0 = x_start - level
-    expo = -np.square(d0 * v + (x_end - level) * u) / (2.0 * np.square(sigma) * u * v * tau)
+    expo = -np.square(d0 * v + d1 * u) / (2.0 * np.square(sigma) * u * v * tau)
     return d0 * np.sqrt(tau / (2.0 * np.pi)) / sigma * u**-1.5 * v**-0.5 * np.exp(expo)
 
 
-def draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
+def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
     """Interior crossings of a block of bridge intervals, one uniform per cell.
 
-    Column r of the (m, n) arrays ``x_start``, ``x_end`` and ``level`` is run
-    r's interval (t0[r], t1[r]) and row i is component i; ``sigma`` holds
-    the (m,) per-component volatilities, ``u`` holds (m, n) uniforms on
-    (0, 1] and ``alive`` marks the cells that are still uncrossed.
+    Column r of the (m, n) arrays ``d0`` and ``d1`` holds run r's start and
+    end distances to the barrier on its interval (t0[r], t1[r]) and row i is
+    component i; ``sigma`` holds the (m,) per-component volatilities, ``u``
+    holds (m, n) uniforms on (0, 1] and ``alive`` marks the cells that are
+    still uncrossed.
 
     With P the cell's survival probability, a cell crosses exactly when
-    u <= 1 - P, which happens with probability 1 - P; cells whose survival
-    rounds to one (within ``SURVIVAL_SHORTCUT``) never cross.  The crossing
-    time is drawn exactly from the bridge's conditional crossing-time law,
-    with one standard normal per crossing cell from ``rng``, so every
-    crossing has weight 1.
+    u <= 1 - P, which happens with probability 1 - P; so every alive cell
+    with d1 <= 0 crosses, and cells whose survival rounds to one (within
+    ``SURVIVAL_SHORTCUT``) never cross.  The crossing time is drawn exactly
+    from the bridge's conditional crossing-time law, with one standard
+    normal per crossing cell from ``rng``, so every crossing has weight 1.
 
     Returns ((components, runs), times, weights) of the crossing cells, in
     component-major order.
     """
     tau = t1 - t0
-    keep = survival_array(x_start, x_end, level, tau, sigma[:, None])
+    keep = survival_array(d0, d1, tau, sigma[:, None])
     np.subtract(1.0, keep, out=keep)
     hit = alive & (keep > SURVIVAL_SHORTCUT) & (u <= keep)
-    if not hit.any():
+    flat = np.flatnonzero(hit)
+    if not flat.size:
         none = np.empty(0, dtype=np.intp)
         return (none, none), np.empty(0), np.empty(0)
-    ii = _cells(hit)
-    comps, runs = ii
-    lv = level[ii]
+    # a flat take gathers several times faster than (rows, cols) indexing
+    comps, runs = np.divmod(flat, hit.shape[1])
+    tau_c = tau.take(runs)
+    scale = np.sqrt(tau_c)
+    scale *= sigma.take(comps)
+    # given u <= keep, u / keep is uniform on (0, 1]: it picks the root
+    w = u.ravel().take(flat)
+    w /= keep.ravel().take(flat)
     frac = _ig_fraction(
-        x_start[ii] - lv,
-        np.abs(x_end[ii] - lv),
-        sigma[comps] * np.sqrt(tau[runs]),
-        rng.standard_normal(len(runs)),
-        # given u <= keep, u / keep is uniform on (0, 1]: it picks the root
-        u[ii] / keep[ii],
+        d0.ravel().take(flat),
+        np.abs(d1.ravel().take(flat)),
+        scale,
+        rng.standard_normal(flat.size),
+        w,
     )
     # a time that rounds onto an endpoint is kept: weight 1 needs no density
-    s = np.minimum(t0[runs] + tau[runs] * frac, t1[runs])
-    return ii, s, np.ones(len(s))
+    frac *= tau_c
+    frac += t0.take(runs)
+    s = np.minimum(frac, t1.take(runs), out=frac)
+    return (comps, runs), s, np.ones(flat.size)
 
 
 def _ig_fraction(d0, d1, scale, z, w):
@@ -131,24 +142,46 @@ def _ig_fraction(d0, d1, scale, z, w):
     interval, drawn exactly from a standard normal ``z`` and a uniform ``w``
     on (0, 1].
 
-    ``d0`` > 0 and ``d1`` >= 0 are the distances of the bridge's start and
-    end from the level and ``scale`` is sigma sqrt(tau).  With u and v the
-    times from the interval's start and to its end, b = u / v is inverse
-    Gaussian with mean 1 / r, r = d1 / d0, and shape (d0 / scale)^2
-    (Metwally & Atiya 2002).  It is drawn by Michael, Schucany & Haas
-    (1976): the chi-square z^2 fixes two roots x1 <= x2 with
-    x1 x2 = mean^2, and x1 is taken with probability mean / (mean + x1).
-    The draw is written with a = 1 / x1, which sums non-negative terms only
-    and stays finite in the Levy limit r = 0; the fraction b / (1 + b) is
-    1 / (1 + a) for x1 and a / (a + r^2) for x2.
+    ``d0`` > 0 and ``d1`` >= 0 are the bridge's start and end distances to
+    the barrier and ``scale`` is sigma sqrt(tau).  With u and v the times
+    from the interval's start and to its end, b = u / v is inverse Gaussian
+    with mean 1 / r, r = d1 / d0, and shape (d0 / scale)^2 (Metwally &
+    Atiya 2002).  It is drawn by Michael, Schucany & Haas (1976): the
+    chi-square z^2 fixes two roots x1 <= x2 with x1 x2 = mean^2, and x1 is
+    taken with probability mean / (mean + x1).  The draw is written with
+    a = 1 / x1, which sums non-negative terms only and stays finite in the
+    Levy limit r = 0; the fraction b / (1 + b) is 1 / (1 + a) for x1 and
+    a / (a + r^2) for x2.
+
+    The five arguments are 1-D arrays of the crossing count that the caller
+    hands over: they are overwritten, and the result is returned in the
+    buffer of ``d1``, so the draw makes no further temporaries of that size
+    but the mask of first roots.
     """
     # a vanishing d0 overflows q and a to inf, which is the right limit (the
     # time rounds onto t0); inf or a = r = 0 only make the unused x2 branch NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        r = d1 / d0
-        q = 0.5 * np.square(z * scale / d0)
-        a = r + q + np.sqrt(q) * np.sqrt(q + 2.0 * r)
-        return np.where(w * (a + r) <= a, 1.0 / (1.0 + a), a / (a + r * r))
+        r = np.divide(d1, d0, out=d1)
+        z *= scale
+        z /= d0
+        q = np.square(z, out=z)
+        q *= 0.5
+        root = np.multiply(r, 2.0, out=d0)
+        root += q
+        np.sqrt(root, out=root)
+        root *= np.sqrt(q, out=scale)
+        a = np.add(r, q, out=scale)
+        a += root
+        # x1 is taken where w (a + r) <= a
+        wa = np.add(a, r, out=z)
+        wa *= w
+        first = wa <= a
+        np.square(r, out=r)
+        r += a
+        frac = np.divide(a, r, out=r)
+        a += 1.0
+        np.copyto(frac, np.reciprocal(a, out=a), where=first)
+        return frac
 
 
 def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

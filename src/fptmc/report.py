@@ -64,10 +64,12 @@ def emit_density_csv(estimate: DensityEstimate, path: str) -> None:
     if isinstance(estimate.grid, tuple):
         if len(estimate.grid) != 2:
             raise ValueError("CSV output supports 1-D and 2-D estimates only")
-        g0, g1 = (_floats(g) for g in estimate.grid)
+        # each axis value is formatted once, not once per row it appears in
+        g0, g1 = ([repr(t) for t in _floats(g)] for g in estimate.grid)
         rows.append("# t1,t2,density")
         for t1, row in zip(g0, _floats(estimate.values)):
-            rows.extend(f"{t1!r},{t2!r},{v!r}" for t2, v in zip(g1, row))
+            prefix = t1 + ","
+            rows.extend([f"{prefix}{t2},{v!r}" for t2, v in zip(g1, row)])
     else:
         rows.append("# t,density")
         grid, values = _floats(estimate.grid), _floats(estimate.values)

@@ -3,7 +3,8 @@
 Each run evaluates the process only at its jump instants.  Between two
 instants the path is a Brownian bridge given its simulated endpoints, so a
 single uniform per component per interval decides whether the bridge
-crosses, with its exact probability.  A bridge that crosses gets its
+crosses the barrier, held at its value at the interval's midpoint, with the
+exact probability for that level.  A bridge that crosses gets its
 crossing time drawn exactly from the bridge's conditional crossing-time
 law, with weight 1.  Crossings caused by a jump itself are read off the
 post-jump value.  A component is retired from the run at its first
@@ -55,7 +56,8 @@ def simulate_block(
     block), ``state`` (the value at the column's last jump instant),
     ``alive`` (its uncrossed components) and ``t0`` (that instant).  Each
     pass draws one exponential gap per live column, runs the bridge step on
-    the interval up to the next jump (or the horizon), applies the jump,
+    the interval up to the next jump (or the horizon) with the start and end
+    distances to each barrier's midpoint level, applies the jump,
     writes crossings straight into the output column ``run``, and keeps only
     the columns that jumped and still have an uncrossed component.
 
@@ -123,10 +125,14 @@ def simulate_block(
             grazing += len(cols)
             alive &= ~graze
 
-        # condition 1: interior bridge crossing, decided by one uniform
+        # condition 1: interior bridge crossing, decided by one uniform on
+        # the distances to the frozen level, formed in the buffers of the
+        # start values and the level, which the pass no longer needs
         u = rng.random((m, n))
         np.subtract(1.0, u, out=u)
-        ii, s, w = bridge.draw_crossings(state, x_end, level, t0, t1, sig_eff, u, alive, rng)
+        np.subtract(state, level, out=state)
+        np.subtract(x_end, level, out=level)
+        ii, s, w = bridge.draw_crossings(state, level, t0, t1, sig_eff, u, alive, rng)
         cells = (ii[0], run[ii[1]])
         hit_t[cells] = s
         hit_w[cells] = w

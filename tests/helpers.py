@@ -87,15 +87,14 @@ def simulate_bridge_crossing_times(
     return hit[~np.isnan(hit)]
 
 
-def quad_interjump_density(
-    x_start, x_end, level, t_start, t_end, sigma, lo=None, hi=None
-) -> float:
-    """Adaptive quadrature of the interior crossing-time density over its
-    open interval, or over [lo, hi] inside it."""
+def quad_interjump_density(d0, d1, t_start, t_end, sigma, lo=None, hi=None) -> float:
+    """Adaptive quadrature of the interior crossing-time density of a bridge
+    with start and end distances d0 and d1 to the barrier, over its open
+    interval, or over [lo, hi] inside it."""
     from fptmc.bridge import fpt_density_array
 
     val, _ = quad(
-        lambda t: float(fpt_density_array(t, x_start, x_end, level, t_start, t_end, sigma)),
+        lambda t: float(fpt_density_array(t, d0, d1, t_start, t_end, sigma)),
         t_start if lo is None else lo,
         t_end if hi is None else hi,
         limit=300,
@@ -103,7 +102,7 @@ def quad_interjump_density(
     return val
 
 
-def uniform_candidates(x_start, x_end, level, t0, t1, sigma, u, alive, rng=None):
+def uniform_candidates(d0, d1, t0, t1, sigma, u, alive, rng=None):
     """The paper's uniform-candidate sampler, as a drop-in for
     ``bridge.draw_crossings`` (same arguments; ``rng`` is not used).
 
@@ -118,7 +117,7 @@ def uniform_candidates(x_start, x_end, level, t0, t1, sigma, u, alive, rng=None)
     from fptmc import bridge
 
     tau = t1 - t0
-    keep = 1.0 - bridge.survival_array(x_start, x_end, level, tau, sigma[:, None])
+    keep = 1.0 - bridge.survival_array(d0, d1, tau, sigma[:, None])
     hit = alive & (keep > bridge.SURVIVAL_SHORTCUT) & (u <= keep)
     comps, runs = np.nonzero(hit)
     stretch = tau[runs] / keep[comps, runs]
@@ -128,10 +127,152 @@ def uniform_candidates(x_start, x_end, level, t0, t1, sigma, u, alive, rng=None)
     s = s[ok]
     if len(s) == 0:
         return ii, s, np.empty(0)
-    g = bridge.fpt_density_array(
-        s, x_start[ii], x_end[ii], level[ii], t0[ii[1]], t1[ii[1]], sigma[ii[0]]
-    )
+    g = bridge.fpt_density_array(s, d0[ii], d1[ii], t0[ii[1]], t1[ii[1]], sigma[ii[0]])
     return ii, s, stretch[ok] * g
+
+
+def midpoint_block(spec, rng: np.random.Generator, size: int):
+    """The bridge-sampling block kernel as it was before the bridge kernels
+    took distances and drew crossing times in place, kept as the reference
+    for that rewrite: it holds each barrier at its interval's midpoint level,
+    enters grazing segments as immediate crossings and calls its own copy of
+    the draw, ``level_draw_crossings``.  Returns (times, weights, kinds,
+    grazing count) on the random stream of ``unif.simulate_block``.
+    """
+    from fptmc.bridge import _cells
+    from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, block_hits
+    from fptmc.unif import _graze_times
+
+    m = spec.m
+    T = spec.horizon
+    lam = spec.jump_rate
+    sigma = spec.sigma
+    sig_eff = spec.effective_sigmas()
+    icpt, slope = spec.barrier_arrays()
+    mu, icpt_c, slope_c, jump_mean, jump_sd = (
+        a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
+    )
+
+    hit_t, hit_w, hit_k = block_hits(m, size, None)
+    grazing = 0
+
+    run = np.arange(size)
+    state = np.repeat(spec.x0[:, None], size, axis=1)
+    alive = np.ones((m, size), dtype=bool)
+    t0 = np.zeros(size)
+
+    while run.size:
+        n = run.size
+        # lazy jump clock: the next instant of every live run
+        if lam > 0:
+            t1 = rng.exponential(1.0 / lam, n)
+            t1 += t0
+            jumped = t1 < T
+            np.minimum(t1, T, out=t1)
+        else:
+            jumped = np.zeros(n, dtype=bool)
+            t1 = np.full(n, T)
+        tau = t1 - t0
+        # block-sized arrays are updated in place where they can be: a
+        # fresh temporary costs more than the arithmetic done in it
+        x_end = sigma @ rng.standard_normal((m, n))
+        x_end *= np.sqrt(tau)
+        x_end += mu * tau
+        x_end += state
+        level = slope_c * (t0 + 0.5 * tau)
+        level += icpt_c
+
+        # defensive: a segment entered at or below its frozen level counts as
+        # an immediate crossing carried over from the previous jump
+        graze = alive & (state <= level)
+        if graze.any():
+            comps, cols = _cells(graze)
+            cells = (comps, run[cols])
+            hit_t[cells] = _graze_times(
+                t0[cols], t1[cols], state[comps, cols], icpt[comps], slope[comps]
+            )
+            hit_w[cells] = 1.0
+            hit_k[cells] = KIND_AT_JUMP
+            grazing += len(cols)
+            alive &= ~graze
+
+        # condition 1: interior bridge crossing, decided by one uniform
+        u = rng.random((m, n))
+        np.subtract(1.0, u, out=u)
+        ii, s, w = level_draw_crossings(state, x_end, level, t0, t1, sig_eff, u, alive, rng)
+        cells = (ii[0], run[ii[1]])
+        hit_t[cells] = s
+        hit_w[cells] = w
+        hit_k[cells] = KIND_INTERIOR
+        alive[ii] = False
+
+        # retire runs that reached the horizon or have no component left;
+        # the rest move on to their jump at t1
+        cont = np.flatnonzero(jumped & alive.any(axis=0))
+        run, t0 = run.take(cont), t1.take(cont)
+        pre, alive = x_end.take(cont, axis=1), alive.take(cont, axis=1)
+
+        # condition 3: the jump at t1 lands at or below the barrier while the
+        # pre-jump value was still above it
+        state = rng.standard_normal(pre.shape)
+        state *= jump_sd
+        state += jump_mean
+        state += pre
+        level_right = slope_c * t0
+        level_right += icpt_c
+        at_jump = alive & (state <= level_right) & (pre > level_right)
+        if at_jump.any():
+            comps, cols = _cells(at_jump)
+            cells = (comps, run[cols])
+            hit_t[cells] = t0[cols]
+            hit_w[cells] = 1.0
+            hit_k[cells] = KIND_AT_JUMP
+            alive &= ~at_jump
+            cont = np.flatnonzero(alive.any(axis=0))
+            run, t0 = run.take(cont), t0.take(cont)
+            state, alive = state.take(cont, axis=1), alive.take(cont, axis=1)
+
+    return hit_t, hit_w, hit_k, grazing
+
+
+def level_draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
+    """``bridge.draw_crossings`` as it was when it took values and a level
+    and drew times out of place, for ``midpoint_block``.  Its survival is
+    ``bridge.survival_array`` of the differences to the level, which that
+    function then formed itself, the same to the last bit."""
+    from fptmc.bridge import SURVIVAL_SHORTCUT, _cells, survival_array
+
+    tau = t1 - t0
+    keep = survival_array(x_start - level, x_end - level, tau, sigma[:, None])
+    np.subtract(1.0, keep, out=keep)
+    hit = alive & (keep > SURVIVAL_SHORTCUT) & (u <= keep)
+    if not hit.any():
+        none = np.empty(0, dtype=np.intp)
+        return (none, none), np.empty(0), np.empty(0)
+    ii = _cells(hit)
+    comps, runs = ii
+    lv = level[ii]
+    frac = reference_ig_fraction(
+        x_start[ii] - lv,
+        np.abs(x_end[ii] - lv),
+        sigma[comps] * np.sqrt(tau[runs]),
+        rng.standard_normal(len(runs)),
+        # given u <= keep, u / keep is uniform on (0, 1]: it picks the root
+        u[ii] / keep[ii],
+    )
+    # a time that rounds onto an endpoint is kept: weight 1 needs no density
+    s = np.minimum(t0[runs] + tau[runs] * frac, t1[runs])
+    return ii, s, np.ones(len(s))
+
+
+def reference_ig_fraction(d0, d1, scale, z, w):
+    """``bridge._ig_fraction`` as it was before it worked in place on its
+    arguments: the same operations, each into a fresh array."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = d1 / d0
+        q = 0.5 * np.square(z * scale / d0)
+        a = r + q + np.sqrt(q) * np.sqrt(q + 2.0 * r)
+        return np.where(w * (a + r) <= a, 1.0 / (1.0 + a), a / (a + r * r))
 
 
 def merge_by_block(engine: str, simulate, n_runs: int, seed: int):
@@ -187,6 +328,22 @@ def bm_crossing_probability(
         norm.cdf((d - mu * horizon) / st)
         + math.exp(2.0 * mu * d / sigma**2) * norm.cdf((d + mu * horizon) / st)
     )
+
+
+def line_crossing_probability(
+    y0: float, drift: float, sigma: float, horizon: float
+) -> float:
+    """P(min over [0, horizon] of y0 + drift t + sigma W_t <= 0), y0 > 0.
+
+    A drifted Brownian motion X hits the line D(t) = intercept + slope t
+    exactly when X - D, which starts at y0 = x0 - intercept with drift
+    mu - slope, hits zero; this is the reflection-principle law of that
+    hit, written with ``math.erfc`` (Phi(x) = erfc(-x / sqrt 2) / 2).
+    """
+    st = sigma * math.sqrt(horizon)
+    lo = 0.5 * math.erfc((y0 + drift * horizon) / (st * math.sqrt(2.0)))
+    hi = 0.5 * math.erfc((y0 - drift * horizon) / (st * math.sqrt(2.0)))
+    return lo + math.exp(-2.0 * drift * y0 / sigma**2) * hi
 
 
 def bm_fpt_density(t, x0: float, level: float, mu: float, sigma: float):

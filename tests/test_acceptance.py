@@ -79,7 +79,7 @@ def test_c1_bridge_survival_brute_force():
         x_end = rng.uniform(0.05, 2.0)
         tau = rng.uniform(0.3, 2.0)
         sigma = rng.uniform(0.3, 1.2)
-        p = float(survival_array(x_start, x_end, 0.0, tau, sigma))
+        p = float(survival_array(x_start, x_end, tau, sigma))  # barrier at 0
         if 0.1 <= p <= 0.9:
             segments.append((x_start, x_end, tau, sigma, p))
     for k, (x_start, x_end, tau, sigma, p) in enumerate(segments):
@@ -107,8 +107,9 @@ def test_c2_density_integrates_to_crossing_probability():
     cases.append((1.0, 1.0, 0.0, 0.0, 1.0, 1.0))
     worst = 0.0
     for x_start, x_end, level, t_start, t_end, sigma in cases:
-        total = quad_interjump_density(x_start, x_end, level, t_start, t_end, sigma)
-        p = float(survival_array(x_start, x_end, level, t_end - t_start, sigma))
+        d0, d1 = x_start - level, x_end - level
+        total = quad_interjump_density(d0, d1, t_start, t_end, sigma)
+        p = float(survival_array(d0, d1, t_end - t_start, sigma))
         worst = max(worst, abs(total - (1.0 - p)))
     _report("C2", f"10 cases, max |quad(g) - (1-P)| = {worst:.2e} (tol 1e-3)", worst < 1e-3)
 

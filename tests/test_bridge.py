@@ -13,13 +13,15 @@ from fptmc.unif import simulate_block
 from helpers import (
     quad_interjump_density,
     ratio_construction_density,
+    reference_ig_fraction,
     simulate_bridge_crossing_times,
     simulate_bridge_survival,
     uniform_candidates,
 )
 
 # One component's bridge data on one interjump interval; mu is kept because
-# the independent oracle takes it, although the bridge formulas do not.
+# the independent oracle takes it, although the bridge formulas do not.  The
+# kernels take the distances x_start - level and x_end - level.
 Seg = namedtuple("Seg", "x_start x_end level t_start t_end mu sigma")
 
 
@@ -39,16 +41,20 @@ def random_segment(rng, level=0.0):
     )
 
 
+def distances(s):
+    return s.x_start - s.level, s.x_end - s.level
+
+
 def survival(s):
-    return float(survival_array(s.x_start, s.x_end, s.level, s.t_end - s.t_start, s.sigma))
+    return float(survival_array(*distances(s), s.t_end - s.t_start, s.sigma))
 
 
 def density(s, t):
-    return float(fpt_density_array(t, s.x_start, s.x_end, s.level, s.t_start, s.t_end, s.sigma))
+    return float(fpt_density_array(t, *distances(s), s.t_start, s.t_end, s.sigma))
 
 
 def quad_density(s):
-    return quad_interjump_density(s.x_start, s.x_end, s.level, s.t_start, s.t_end, s.sigma)
+    return quad_interjump_density(*distances(s), s.t_start, s.t_end, s.sigma)
 
 
 def candidates(s, u, draw=uniform_candidates, rng=None):
@@ -62,10 +68,10 @@ def candidates(s, u, draw=uniform_candidates, rng=None):
     def cells(value):
         return np.full((1, n), float(value))
 
+    d0, d1 = distances(s)
     ii, times, weights = draw(
-        cells(s.x_start),
-        cells(s.x_end),
-        cells(s.level),
+        cells(d0),
+        cells(d1),
         np.full(n, float(s.t_start)),
         np.full(n, float(s.t_end)),
         np.array([float(s.sigma)]),
@@ -247,9 +253,7 @@ class TestExactCrossingTime:
         assert np.all(weights == 1.0)
         edges = np.concatenate([[s.t_start], np.sort(times), [s.t_end]])
         pieces = [
-            quad_interjump_density(
-                s.x_start, s.x_end, s.level, s.t_start, s.t_end, s.sigma, lo, hi
-            )
+            quad_interjump_density(*distances(s), s.t_start, s.t_end, s.sigma, lo, hi)
             for lo, hi in zip(edges[:-1], edges[1:])
         ]
         cdf = np.cumsum(pieces)
@@ -265,16 +269,15 @@ class TestExactCrossingTime:
         assert np.array_equal(exact, paper)
 
     def test_extreme_cells_stay_inside_the_interval(self):
-        # a vanishing start distance, an end far below the level and the
+        # a vanishing start distance, an end far below the barrier and the
         # Levy limit with a tiny sigma: every crossing is kept, with a time
         # on the closed interval and weight 1
         u = np.array([[1.0], [1.0], [1.0], [0.5]])
-        x_start = np.array([[1e-300], [1.0], [1.0], [1.0]])
-        x_end = np.array([[0.5], [-1e300], [0.0], [0.0]])
+        d0 = np.array([[1e-300], [1.0], [1.0], [1.0]])
+        d1 = np.array([[0.5], [-1e300], [0.0], [0.0]])
         ii, times, weights = draw_crossings(
-            x_start,
-            x_end,
-            np.zeros((4, 1)),
+            d0,
+            d1,
             np.array([2.0]),
             np.array([3.0]),
             np.array([1.0, 1.0, 1e-200, 1.0]),
@@ -286,6 +289,45 @@ class TestExactCrossingTime:
         assert np.all((times >= 2.0) & (times <= 3.0))
         assert times[0] == 2.0 and times[1] == 2.0
         assert np.all(weights == 1.0)
+
+    def test_in_place_fraction_equals_the_reference(self, rng):
+        # the in-place draw does the reference's operations in the same order,
+        # also where d0 vanishes, d1 is zero or huge and sigma is tiny
+        n = 50_000
+        d0 = rng.uniform(1e-3, 2.0, n)
+        d1 = rng.uniform(0.0, 2.0, n)
+        scale = rng.uniform(1e-3, 1.5, n)
+        d0[:4], d1[4:8], d1[8:10], scale[10:12] = 1e-300, 0.0, 1e300, 1e-200
+        z = rng.standard_normal(n)
+        w = 1.0 - rng.random(n)
+        expected = reference_ig_fraction(d0, d1, scale, z, w)
+        got = bridge._ig_fraction(d0.copy(), d1.copy(), scale.copy(), z.copy(), w.copy())
+        assert np.array_equal(got, expected)
+        assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_every_alive_cell_ending_at_or_below_the_barrier_crosses(self, rng):
+        # a cell whose interval ends at or below the barrier has crossing
+        # probability 1 and u is at most 1, so it never reaches the jump at
+        # the interval's end uncrossed
+        m, n = 3, 20_000
+        d0 = rng.uniform(1e-6, 2.0, (m, n))
+        d1 = rng.uniform(-1.0, 1.0, (m, n))
+        d1[:, ::7] = 0.0
+        d0[:, ::11] = 50.0  # far above: survival that rounds to one unless d1 <= 0
+        u = 1.0 - rng.random((m, n))
+        u[:, ::5] = 1.0
+        alive = rng.random((m, n)) < 0.8
+        t0 = rng.uniform(0.0, 1.0, n)
+        t1 = t0 + rng.uniform(1e-3, 1.0, n)
+        sigma = rng.uniform(0.1, 1.0, m)
+        ii, times, _ = draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng)
+        crossed = np.zeros((m, n), dtype=bool)
+        crossed[ii] = True
+        below = alive & (d1 <= 0.0)
+        assert below.sum() > 0.4 * m * n
+        assert np.all(crossed[below])
+        assert not np.any(crossed & ~alive)
+        assert np.all((times >= t0[ii[1]]) & (times <= t1[ii[1]]))
 
 
 CLOCKS = 3
@@ -393,28 +435,26 @@ class TestFirstJumpCrossing:
         # independent ratio construction, is below that of the least
         # positive double
         for args, g in calls:
-            t, xs, xe, level, t0, t1, sigma = (np.asarray(a) for a in args)
+            t, d0, d1, t0, t1, sigma = (np.asarray(a) for a in args)
             for k in np.flatnonzero(g == 0.0):
                 u, v, tau = t[k] - t0[k], t1[k] - t[k], t1[k] - t0[k]
-                d0 = xs[k] - level[k]
                 log_g = (
-                    math.log(d0 / (sigma[k] * math.sqrt(2.0 * math.pi * u**3)))
-                    - d0**2 / (2.0 * sigma[k] ** 2 * u)
-                    + stats.norm.logpdf(xe[k], loc=level[k], scale=sigma[k] * math.sqrt(v))
-                    - stats.norm.logpdf(xe[k], loc=xs[k], scale=sigma[k] * math.sqrt(tau))
+                    math.log(d0[k] / (sigma[k] * math.sqrt(2.0 * math.pi * u**3)))
+                    - d0[k] ** 2 / (2.0 * sigma[k] ** 2 * u)
+                    + stats.norm.logpdf(d1[k], loc=0.0, scale=sigma[k] * math.sqrt(v))
+                    - stats.norm.logpdf(d1[k], loc=d0[k], scale=sigma[k] * math.sqrt(tau))
                 )
                 assert log_g < math.log(5e-324)
 
     def test_extreme_cells_raise_no_warning(self):
         # the near-deterministic blocks above, and bridges that end far below
-        # the level, at it with a zero sigma sqrt(tau), above it with a zero
+        # the barrier, at it with a zero sigma sqrt(tau), above it with a zero
         # tau, or start a hair above it: no overflow, no 0 / 0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             p = survival_array(
                 np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-300]),
                 np.array([0.5, -0.5, -1e300, 0.0, 0.5, 0.5]),
-                0.0,
                 np.array([0.3, 0.3, 1.0, 1.0, 0.0, 1.0]),
                 np.array([1e-9, 1e-9, 1.0, 1e-200, 1.0, 1.0]),
             )

@@ -66,18 +66,21 @@ def engine_passes(monkeypatch, spec, n, seed=0):
     interval step.
 
     ``unif.simulate_block`` calls ``bridge.draw_crossings`` once per pass
-    with every live run's interval (t0, t1), its value just after the jump at
-    t0 and its value just before t1, one (m, n) column per run.  The spec's
-    barriers must be out of reach, so that a run leaves the live set exactly
-    when its clock passes the horizon.  Returns one (runs, t1, start, end)
-    tuple per pass, with ``runs`` the block index of each live column.
+    with every live run's interval (t0, t1) and each component's distance
+    above its barrier just after the jump at t0 and just before t1, one
+    (m, n) column per run.  The spec's barriers must be flat, so that a
+    distance is the value less the intercept, and out of reach, so that a
+    run leaves the live set exactly when its clock passes the horizon.
+    Returns one (runs, t1, start, end) tuple per pass, with ``runs`` the
+    block index of each live column and ``start`` and ``end`` distances.
     """
+    assert np.all(spec.barrier_arrays()[1] == 0.0)
     recorded = []
     step = bridge.draw_crossings
 
-    def recording(x_start, x_end, level, t0, t1, *rest):
-        recorded.append((t1.copy(), x_start.copy(), x_end.copy()))
-        return step(x_start, x_end, level, t0, t1, *rest)
+    def recording(d0, d1, t0, t1, *rest):
+        recorded.append((t1.copy(), d0.copy(), d1.copy()))
+        return step(d0, d1, t0, t1, *rest)
 
     with monkeypatch.context() as patched:
         patched.setattr(bridge, "draw_crossings", recording)
@@ -180,7 +183,7 @@ def test_jump_instants_sorted_and_inside_horizon(monkeypatch, rng):
 def test_propagate_drift_only(monkeypatch):
     spec = _drift_only_spec(-0.002, x0=0.0)
     (_, _, _, end), = engine_passes(monkeypatch, spec, 100)
-    assert np.all(end == -0.002)
+    assert np.all(end == 10.0 + -0.002)  # distance above the barrier at -10
 
 
 def test_propagate_covariance(example1_spec, monkeypatch):
@@ -213,8 +216,9 @@ def test_propagate_mean(example1_spec, monkeypatch):
     spec = far_barriers(example1_spec, x0=[5.0, 5.0], jump_rate=0.0, horizon=0.5)
     (_, _, _, end), = engine_passes(monkeypatch, spec, n, seed=4)
     se = 0.2 * math.sqrt(0.5) / math.sqrt(n)
-    assert end[0].mean() == pytest.approx(5.0 - 0.001, abs=3 * se)
-    assert end[1].mean() == pytest.approx(5.0 - 0.006, abs=3 * se)
+    # distances above the barriers at -50
+    assert end[0].mean() == pytest.approx(55.0 - 0.001, abs=3 * se)
+    assert end[1].mean() == pytest.approx(55.0 - 0.006, abs=3 * se)
 
 
 def test_build_timeline_no_jumps(monkeypatch):
@@ -231,7 +235,7 @@ def test_build_timeline_deterministic_polyline(monkeypatch):
     spec = _drift_only_spec(-1.0, x0=1.5)
     passes = engine_passes(monkeypatch, spec, 1)
     _, pre, _ = skeleton(passes, 0)
-    assert pre[0, -1] == pytest.approx(0.5, abs=0.0)  # x0 - 1 exactly
+    assert pre[0, -1] == pytest.approx(10.5, abs=0.0)  # x0 - 1 + 10 exactly
 
 
 def test_build_timeline_brackets_horizon(example1_spec, monkeypatch):
@@ -278,6 +282,6 @@ def test_deterministic_path_with_jumps(monkeypatch):
     for r in range(20):
         t, pre, post = skeleton(passes, r)
         n_jumps = len(t) - 2
-        expected_pre = -t[1:] + 0.25 * np.arange(n_jumps + 1)
+        expected_pre = 10.0 - t[1:] + 0.25 * np.arange(n_jumps + 1)  # barrier at -10
         assert np.allclose(pre[0], expected_pre, atol=1e-12)
         assert np.allclose(post[0] - pre[0, :n_jumps], 0.25, atol=0.0)

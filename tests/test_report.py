@@ -106,40 +106,45 @@ class TestDensityCsv:
 
 
     def test_bytes_match_per_element_repr(self, tmp_path, rng):
-        # the reference writer formats every element with repr(float(...))
-        axis = np.linspace(0.0, 1.0, 24)
-        joint = DensityEstimate(
-            grid=(axis, axis[:17]),
-            values=rng.lognormal(size=(24, 17)) * 1e-7,
-            bandwidth=0.1,
-            n_samples=5,
-            total_mass=1.0,
-        )
-        marginal = DensityEstimate(
-            grid=axis,
-            values=rng.lognormal(size=24),
-            bandwidth=0.1,
-            n_samples=5,
-            total_mass=1.0,
-        )
-        g0, g1 = joint.grid
-        expected = {
-            "joint": ["# t1,t2,density"] + [
-                f"{repr(float(g0[i]))},{repr(float(g1[j]))},"
-                f"{repr(float(joint.values[i, j]))}"
-                for i in range(len(g0))
-                for j in range(len(g1))
-            ],
-            "marginal": ["# t,density"] + [
-                f"{repr(float(t))},{repr(float(v))}"
-                for t, v in zip(marginal.grid, marginal.values)
-            ],
-        }
-        for name, est in (("joint", joint), ("marginal", marginal)):
-            path = tmp_path / f"{name}.csv"
-            emit_density_csv(est, str(path))
-            reference = ("\n".join(expected[name]) + "\n").encode("utf-8")
-            assert path.read_bytes() == reference
+        # the reference writer formats every element with repr(float(...)),
+        # as the writer did before it formatted each axis value once; 128 is
+        # the report's joint grid, here with rows of zero density
+        for n in (24, 128):
+            axis = np.linspace(0.0, 1.0, n)
+            values = rng.lognormal(size=(n, n - 7)) * 1e-7
+            values[:3] = 0.0
+            joint = DensityEstimate(
+                grid=(axis, axis[: n - 7] * 0.7),
+                values=values,
+                bandwidth=0.1,
+                n_samples=5,
+                total_mass=1.0,
+            )
+            marginal = DensityEstimate(
+                grid=axis,
+                values=rng.lognormal(size=n),
+                bandwidth=0.1,
+                n_samples=5,
+                total_mass=1.0,
+            )
+            g0, g1 = joint.grid
+            expected = {
+                "joint": ["# t1,t2,density"] + [
+                    f"{repr(float(g0[i]))},{repr(float(g1[j]))},"
+                    f"{repr(float(joint.values[i, j]))}"
+                    for i in range(len(g0))
+                    for j in range(len(g1))
+                ],
+                "marginal": ["# t,density"] + [
+                    f"{repr(float(t))},{repr(float(v))}"
+                    for t, v in zip(marginal.grid, marginal.values)
+                ],
+            }
+            for name, est in (("joint", joint), ("marginal", marginal)):
+                path = tmp_path / f"{name}.csv"
+                emit_density_csv(est, str(path))
+                reference = ("\n".join(expected[name]) + "\n").encode("utf-8")
+                assert path.read_bytes() == reference
 
 
 class TestRunExperiment:
