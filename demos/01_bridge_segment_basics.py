@@ -57,12 +57,13 @@ print(f"quadrature of the crossing density:               {np.trapezoid(dens, ts
 
 # one uniform per run decides whether the bridge crosses; the engine does it
 # for a whole block of (component, run) cells at once, one row per
-# component, and draws the time of each crossing exactly, with weight 1.
-# The paper's sampler instead places the crossing at the candidate
-# t0 + tau / (1 - P) * u and weights it by tau / (1 - P) * g(candidate).
+# component, and draws the time of each crossing exactly, so every crossing
+# counts once, with weight 1.  The paper's sampler instead places the
+# crossing at the candidate t0 + tau / (1 - P) * u and weights it by
+# tau / (1 - P) * g(candidate).
 def draw(u, seed):
     n = len(u)
-    cells, times, weights = draw_crossings(
+    cells, times = draw_crossings(
         np.full((1, n), d0),
         np.full((1, n), d1),
         np.full(n, t_start),
@@ -72,7 +73,7 @@ def draw(u, seed):
         np.ones((1, n), dtype=bool),
         np.random.default_rng(seed),
     )
-    return dict(zip(cells[1].tolist(), zip(times, weights)))
+    return dict(zip(cells[1].tolist(), times))
 
 
 u = 1.0 - rng.random(5)
@@ -81,17 +82,16 @@ print("\nfive runs, exact draw and the paper's candidate on the same uniforms:")
 exact = draw(u, 1)
 for run in range(len(u)):
     if run in exact:
-        t_ig, w_ig = exact[run]
         t_un = t_start + stretch * u[run]
         g_un = fpt_density_array(t_un, d0, d1, t_start, t_end, sigma)
         w_un = stretch * float(g_un)
-        print(f"  crossed: exact t = {t_ig:.3f} (weight {w_ig:.0f}), "
+        print(f"  crossed: exact t = {exact[run]:.3f}, "
               f"candidate t = {t_un:.3f} (weight {w_un:.3f})")
     else:
         print("  no interior crossing in this run")
 
 # the exact draws, histogrammed, follow the crossing density given a crossing
-times = np.array([t for t, _ in draw(1.0 - rng.random(200_000), 2).values()])
+times = np.array(list(draw(1.0 - rng.random(200_000), 2).values()))
 edges = np.linspace(t_start, t_end, 11)
 width = edges[1] - edges[0]
 counts, _ = np.histogram(times, bins=edges)

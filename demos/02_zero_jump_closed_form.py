@@ -1,6 +1,6 @@
 """Sanity anchor: with the jump clock switched off, the model is plain
 Brownian motion and the first-passage law through a constant barrier is
-classical.  The engine's weighted estimate should land on it.
+classical.  The engine's crossing count over the runs should land on it.
 """
 
 import math
@@ -25,10 +25,9 @@ spec = ModelSpec(
 n_runs = 50_000
 result = run_engine(spec, n_runs, seed=99)
 p_exact = 2.0 * norm.cdf(-1.0)  # reflection principle
-freq = len(result.marginals[0]) / n_runs
 print(f"exact crossing probability 2*Phi(-1):  {p_exact:.5f}")
-print(f"engine crossing frequency:             {freq:.5f}")
-print(f"engine weighted probability estimate:  {result.crossing_probabilities()[0]:.5f}")
+# every recorded crossing has weight 1: the estimate is a count over the runs
+print(f"engine crossing frequency:             {result.crossing_probabilities()[0]:.5f}")
 
 grid = np.linspace(0.0, 1.0, 512)
 marginals, _ = estimate_densities(result, grid)

@@ -4,13 +4,14 @@ Two engines estimate the distribution of the first time each component of a
 constant-coefficient jump-diffusion touches its affine barrier:
 
 * ``run_engine`` - the fast bridge-sampling engine, which only evaluates the
-  process at jump instants and samples interior crossings with importance
-  weights;
+  process at jump instants and draws interior crossing times exactly from
+  the Brownian bridge's crossing-time law;
 * ``run_cmc`` - a conventional fixed-step baseline used for validation and
   speed comparison.
 
-Both feed ``estimate_densities`` for kernel density estimates of the marginal
-and joint first-passage-time densities.
+Both record every crossing with weight 1, so a crossing probability is a
+count over the runs, and both feed ``estimate_densities`` for kernel density
+estimates of the marginal and joint first-passage-time densities.
 """
 
 from .model import LinearBarrier, ModelSpec, effective_sigma
@@ -26,9 +27,9 @@ from .kde import (
     estimate_density_1d,
     estimate_density_multi,
 )
-from .results import FptSample, RunOutcome, EngineResult, estimate_densities
-from .unif import run_single, run_engine
-from .cmc import CmcConfig, run_cmc_single, run_cmc
+from .results import EngineResult, estimate_densities
+from .unif import run_engine
+from .cmc import CmcConfig, run_cmc
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -54,14 +55,10 @@ __all__ = [
     "optimal_bandwidth_multi",
     "estimate_density_1d",
     "estimate_density_multi",
-    "FptSample",
-    "RunOutcome",
     "EngineResult",
     "estimate_densities",
-    "run_single",
     "run_engine",
     "CmcConfig",
-    "run_cmc_single",
     "run_cmc",
     "ConfigError",
     "ExperimentConfig",

@@ -104,7 +104,7 @@ def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
     from the bridge's conditional crossing-time law, with one standard
     normal per crossing cell from ``rng``, so every crossing has weight 1.
 
-    Returns ((components, runs), times, weights) of the crossing cells, in
+    Returns ((components, runs), times) of the crossing cells, in
     component-major order.
     """
     tau = t1 - t0
@@ -114,7 +114,7 @@ def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
     flat = np.flatnonzero(hit)
     if not flat.size:
         none = np.empty(0, dtype=np.intp)
-        return (none, none), np.empty(0), np.empty(0)
+        return (none, none), np.empty(0)
     # a flat take gathers several times faster than (rows, cols) indexing
     comps, runs = np.divmod(flat, hit.shape[1])
     tau_c = tau.take(runs)
@@ -134,7 +134,7 @@ def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
     frac *= tau_c
     frac += t0.take(runs)
     s = np.minimum(frac, t1.take(runs), out=frac)
-    return (comps, runs), s, np.ones(flat.size)
+    return (comps, runs), s
 
 
 def _ig_fraction(d0, d1, scale, z, w):

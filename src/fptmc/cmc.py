@@ -21,18 +21,15 @@ import numpy as np
 from .bridge import _cells
 from .model import ModelSpec
 from .results import (
-    KIND_AT_JUMP,
     KIND_INTERIOR,
     EngineResult,
-    RunOutcome,
     block_hits,
     collect_result,
     empty_hits,
-    outcome_from_arrays,
     run_blocks,
 )
 
-__all__ = ["CmcConfig", "run_cmc_single", "run_cmc", "simulate_block_cmc"]
+__all__ = ["CmcConfig", "run_cmc", "simulate_block_cmc"]
 
 _COMPACT_EVERY = 128
 
@@ -148,15 +145,6 @@ def simulate_block_cmc(
                 z = np.empty_like(state)
                 dx = np.empty_like(state)
     return hit_t, hit_w, hit_k, n_jumps
-
-
-def run_cmc_single(
-    spec: ModelSpec, cfg: CmcConfig, rng: np.random.Generator
-) -> RunOutcome:
-    """One discretised run; crossing times are grid-aligned, weight 1."""
-    cfg.validate_for(spec)
-    hit_t, hit_w, hit_k, _ = simulate_block_cmc(spec, cfg, rng, 1)
-    return outcome_from_arrays(hit_t[:, 0], hit_w[:, 0], hit_k[:, 0])
 
 
 def run_cmc(spec: ModelSpec, cfg: CmcConfig) -> EngineResult:

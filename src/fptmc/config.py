@@ -35,6 +35,7 @@ Command-line flags override file values.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -148,9 +149,7 @@ def _read_pairs(text: str, path: str) -> dict:
 
 def _vector(pairs, lines, key, m, path) -> tuple[float, ...]:
     val = pairs[key]
-    if not isinstance(val, (list, tuple)) or not all(
-        isinstance(v, (int, float)) for v in val
-    ):
+    if not isinstance(val, (list, tuple)) or not all(map(_is_number, val)):
         raise ConfigError(f"{key} must be a list of numbers", path, lines.get(key))
     if len(val) != m:
         raise ConfigError(
@@ -158,7 +157,14 @@ def _vector(pairs, lines, key, m, path) -> tuple[float, ...]:
             path,
             lines.get(key),
         )
+    if not all(map(math.isfinite, val)):
+        raise ConfigError(f"{key} entries must be finite", path, lines.get(key))
     return tuple(float(v) for v in val)
+
+
+def _is_number(value) -> bool:
+    """An int or a float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
@@ -182,6 +188,12 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
             )
         return val
 
+    def _finite(key):
+        val = pairs[key]
+        if not _is_number(val) or not math.isfinite(val):
+            raise ConfigError(f"{key} must be a finite number", path, lines.get(key))
+        return float(val)
+
     m = _positive_int("m")
     x0 = _vector(pairs, lines, "x0", m, path)
     mu = _vector(pairs, lines, "mu", m, path)
@@ -201,14 +213,16 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
             path,
             lines.get("sigma"),
         )
+    if not all(_is_number(v) and math.isfinite(v) for row in sig for v in row):
+        raise ConfigError("sigma entries must be finite numbers", path, lines.get("sigma"))
     sigma = tuple(tuple(float(v) for v in row) for row in sig)
 
-    rate = pairs["lambda"]
-    if not isinstance(rate, (int, float)) or rate < 0:
-        raise ConfigError("lambda must be a number >= 0", path, lines.get("lambda"))
-    horizon = pairs["horizon"]
-    if not isinstance(horizon, (int, float)) or not horizon > 0:
-        raise ConfigError("horizon must be a number > 0", path, lines.get("horizon"))
+    rate = _finite("lambda")
+    if rate < 0:
+        raise ConfigError("lambda must be >= 0", path, lines.get("lambda"))
+    horizon = _finite("horizon")
+    if not horizon > 0:
+        raise ConfigError("horizon must be > 0", path, lines.get("horizon"))
 
     engine = pairs["engine"]
     if engine not in ENGINES:
@@ -224,15 +238,15 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         x0=x0,
         mu=mu,
         sigma=sigma,
-        jump_rate=float(rate),
+        jump_rate=rate,
         jump_mean=jump_mean,
         jump_sd=jump_sd,
         barrier_intercept=icpt,
         barrier_slope=slope,
-        horizon=float(horizon),
+        horizon=horizon,
         engine=engine,
         runs=runs,
-        dt=float(pairs["dt"]) if "dt" in pairs else None,
+        dt=_finite("dt") if "dt" in pairs else None,
         seed=_positive_int("seed", minimum=0) if "seed" in pairs else 0,
         workers=_positive_int("workers") if "workers" in pairs else 1,
         grid_1d=_positive_int("grid_1d", minimum=2) if "grid_1d" in pairs else 512,
@@ -251,7 +265,7 @@ def _validate_config(cfg: ExperimentConfig, path: str, lines: dict) -> None:
                 path,
                 lines.get("sigma"),
             )
-        if not np.isfinite(cfg.jump_sd[i]) or cfg.jump_sd[i] < 0:
+        if cfg.jump_sd[i] < 0:
             raise ConfigError(f"jump_sd[{i}] must be >= 0", path, lines.get("jump_sd"))
         if cfg.x0[i] <= cfg.barrier_intercept[i]:
             raise ConfigError(

@@ -86,6 +86,9 @@ class ModelSpec:
         if sigma.shape != (m, m):
             raise ValueError(f"sigma must have shape ({m}, {m}), got {sigma.shape}")
         object.__setattr__(self, "sigma", sigma)
+        for name in ("x0", "mu", "sigma", "jump_mean", "jump_sd", "jump_rate", "horizon"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
         barriers = tuple(self.barriers)
         if len(barriers) != m:
             raise ValueError(f"expected {m} barriers, got {len(barriers)}")

@@ -28,7 +28,7 @@ import numpy as np
 from .cmc import CmcConfig, run_cmc
 from .config import ExperimentConfig
 from .kde import DensityEstimate
-from .results import EngineResult, estimate_densities
+from .results import estimate_densities
 from .unif import run_engine
 
 __all__ = [
@@ -91,7 +91,6 @@ class ComparisonReport:
     seconds_per_run: dict = field(default_factory=dict)
     crossing_prob: dict = field(default_factory=dict)  # engine -> [p per component]
     joint_mass: dict = field(default_factory=dict)
-    weight_health: dict = field(default_factory=dict)  # engine -> {name: [per component]}
     speedup: Optional[float] = None                    # cmc time / unif time
     l1_distance: Optional[list[float]] = None          # unif vs cmc per component
 
@@ -135,9 +134,6 @@ def format_report(report: ComparisonReport) -> str:
             lines.append(f"{eng}.crossing_prob.{i+1} = {repr(p)}")
         if eng in report.joint_mass:
             lines.append(f"{eng}.joint_mass = {repr(report.joint_mass[eng])}")
-        for name, per_component in report.weight_health.get(eng, {}).items():
-            for i, v in enumerate(per_component):
-                lines.append(f"{eng}.{name}.{i+1} = {repr(v)}")
     if report.speedup is not None:
         lines.append(f"speedup = {repr(report.speedup)}")
     if report.l1_distance is not None:
@@ -183,10 +179,6 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         report.h_opt[eng] = [float(est.bandwidth) for est in marginals]
         report.seconds_per_run[eng] = float(result.seconds_per_run)
         report.crossing_prob[eng] = [float(p) for p in result.crossing_probabilities()]
-        report.weight_health[eng] = {
-            name: result.diagnostics[name]
-            for name in ("zero_weight_dropped", "ess_frac", "max_weight_share")
-        }
         density_values[eng] = [est.values for est in marginals]
         for i, est in enumerate(marginals):
             emit_density_csv(est, os.path.join(cfg.out, f"{eng}_marginal_{i+1}.csv"))

@@ -39,20 +39,13 @@ from .kde import (
 )
 
 __all__ = [
-    "INTERIOR",
-    "AT_JUMP",
     "BLOCK_SIZE",
-    "FptSample",
-    "RunOutcome",
     "EngineResult",
     "block_rng",
     "run_blocks",
     "collect_result",
     "estimate_densities",
 ]
-
-INTERIOR = "interior"
-AT_JUMP = "at_jump"
 
 # Runs per random-stream block.  Fixed: it is part of the reproducibility
 # contract (outputs depend on seed and block index only, never on workers).
@@ -61,35 +54,16 @@ BLOCK_SIZE = 65536
 KIND_NONE = 0
 KIND_INTERIOR = 1
 KIND_AT_JUMP = 2
-KIND_NAMES = {KIND_INTERIOR: INTERIOR, KIND_AT_JUMP: AT_JUMP}
-
-
-@dataclass(frozen=True)
-class FptSample:
-    """One recorded crossing: component index, crossing time, importance
-    weight (1 for crossings located exactly at a jump), and how it was found."""
-
-    process: int
-    time: float
-    weight: float
-    kind: str
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """Per-run record: at most one sample per component; None where the
-    component never crossed within the horizon."""
-
-    samples: tuple[Optional[FptSample], ...]
 
 
 @dataclass(frozen=True)
 class EngineResult:
     """Everything one engine execution produced.
 
-    ``marginals[i]`` holds component i's crossing times and weights over all
-    runs; ``joint`` holds the m-tuples from runs where every component
-    crossed, weighted by the product of the per-component weights.  The
+    ``marginals[i]`` holds component i's crossing times over all runs;
+    ``joint`` holds the m-tuples from runs where every component crossed.
+    Both engines record every crossing with weight 1, so a crossing
+    probability is a count over ``n_runs``.  The
     ``*_run_indices`` arrays map samples back to their run for diagnostics.
     ``seconds_per_run`` is wall time of the run loop only, divided by n_runs;
     the loop includes each block setting its columns of the result to "never
@@ -111,8 +85,8 @@ class EngineResult:
         return len(self.marginals)
 
     def crossing_probabilities(self) -> np.ndarray:
-        """Weighted estimate of each component's probability of crossing
-        within the horizon: sum of weights over runs."""
+        """Estimate of each component's probability of crossing within the
+        horizon: the sum of its weights, each 1, over the number of runs."""
         return np.array([ws.weights.sum() / ws.n_runs for ws in self.marginals])
 
 
@@ -152,13 +126,13 @@ def run_blocks(
     seed: int,
     workers: int,
     simulate: Callable[..., tuple],
-    out: Optional[tuple[np.ndarray, ...]] = None,
+    out: tuple[np.ndarray, ...],
 ) -> tuple[list[tuple], float]:
-    """Run ``simulate(rng, size)`` over every block, in order, timed.
+    """Run ``simulate(rng, size, out=...)`` over every block, in order, timed.
 
-    With ``out``, a tuple of arrays with n_runs columns, block b is also
-    passed ``out=`` views of the columns it owns, ``b * BLOCK_SIZE`` onwards,
-    to write its results into in place.
+    ``out`` is a tuple of arrays with n_runs columns; block b is passed
+    ``out=`` views of the columns it owns, ``b * BLOCK_SIZE`` onwards, to
+    write its results into in place.
 
     Returns the per-block outputs in block order and the elapsed wall time of
     the whole loop.
@@ -173,8 +147,6 @@ def run_blocks(
 
     def task(b: int) -> tuple:
         rng = block_rng(seed, b)
-        if out is None:
-            return simulate(rng, sizes[b])
         cols = slice(b * BLOCK_SIZE, b * BLOCK_SIZE + sizes[b])
         return simulate(rng, sizes[b], out=tuple(a[:, cols] for a in out))
 
@@ -202,14 +174,11 @@ def collect_result(
     of.  Row i is component i over all runs."""
     [(hit_t, hit_w, hit_k)] = hits
     m, n_runs = hit_t.shape
-    # a weight can underflow to zero when a candidate lands where the crossing
-    # density is below float range; such samples carry no estimatable mass
-    recorded = (hit_k != KIND_NONE) & (hit_w > 0.0)
     marginals = []
     run_indices = []
     complete = np.ones(n_runs, dtype=bool)
     for i in range(m):
-        sel = recorded[i]
+        sel = hit_k[i] != KIND_NONE
         # an integer gather is several times faster than a boolean one
         rows = np.flatnonzero(sel)
         marginals.append(
@@ -223,17 +192,14 @@ def collect_result(
     joint_w = np.ones(len(joint_rows))
     for i in range(m):
         joint_w *= hit_w[i].take(joint_rows)
-    positive = joint_w > 0.0  # the product itself can underflow
-    joint_rows = joint_rows[positive]
     # the joint tuples are (n_joint, m), one row per run
     joint_t = np.empty((len(joint_rows), m))
     for i in range(m):
         joint_t[:, i] = hit_t[i].take(joint_rows)
-    joint = WeightedSamples(times=joint_t, weights=joint_w[positive], n_runs=n_runs)
+    joint = WeightedSamples(times=joint_t, weights=joint_w, n_runs=n_runs)
     diag = dict(diagnostics or {})
     diag.setdefault("interior_crossings", int(np.count_nonzero(hit_k == KIND_INTERIOR)))
     diag.setdefault("at_jump_crossings", int(np.count_nonzero(hit_k == KIND_AT_JUMP)))
-    diag.update(weight_health(hit_k, marginals))
     return EngineResult(
         engine=engine,
         n_runs=n_runs,
@@ -245,48 +211,6 @@ def collect_result(
         seconds_per_run=elapsed / n_runs,
         diagnostics=diag,
     )
-
-
-def weight_health(hit_k: np.ndarray, marginals: list[WeightedSamples]) -> dict[str, list]:
-    """Per-component importance-weight health, one list entry per component.
-
-    ``zero_weight_dropped`` counts crossings in the (m, n_runs) ``hit_k``
-    left out of the marginal because their weight is not positive (it
-    underflowed to zero); ``ess_frac`` is the effective sample size
-    (sum w)^2 / sum w^2 over the number of recorded samples (1 for equal
-    weights); ``max_weight_share`` is the largest weight over the weight
-    total.  Both ratios are NaN for a component without samples.
-    """
-    health = {"zero_weight_dropped": [], "ess_frac": [], "max_weight_share": []}
-    for i, ws in enumerate(marginals):
-        health["zero_weight_dropped"].append(int(np.count_nonzero(hit_k[i])) - len(ws))
-        total = float(ws.weights.sum())
-        if total > 0.0:
-            ess = total**2 / float(np.square(ws.weights).sum()) / len(ws)
-            share = float(ws.weights.max()) / total
-        else:
-            ess = share = float("nan")
-        health["ess_frac"].append(ess)
-        health["max_weight_share"].append(share)
-    return health
-
-
-def outcome_from_arrays(hit_t: np.ndarray, hit_w: np.ndarray, hit_k: np.ndarray) -> RunOutcome:
-    """Build a RunOutcome from one run's column of the block arrays."""
-    samples = []
-    for i in range(len(hit_t)):
-        if hit_k[i] == KIND_NONE:
-            samples.append(None)
-        else:
-            samples.append(
-                FptSample(
-                    process=i,
-                    time=float(hit_t[i]),
-                    weight=float(hit_w[i]),
-                    kind=KIND_NAMES[int(hit_k[i])],
-                )
-            )
-    return RunOutcome(samples=tuple(samples))
 
 
 def marginal_bandwidth(times: np.ndarray, horizon: float) -> float:

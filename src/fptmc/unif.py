@@ -32,16 +32,14 @@ from .results import (
     KIND_AT_JUMP,
     KIND_INTERIOR,
     EngineResult,
-    RunOutcome,
     block_hits,
     collect_result,
     empty_hits,
     estimate_densities,
-    outcome_from_arrays,
     run_blocks,
 )
 
-__all__ = ["run_single", "run_engine", "estimate_densities", "simulate_block"]
+__all__ = ["run_engine", "estimate_densities", "simulate_block"]
 
 
 def simulate_block(
@@ -66,8 +64,9 @@ def simulate_block(
     constants of shape (m, 1) broadcast along contiguous rows.
 
     Returns (times, weights, kinds) arrays of shape (m, size) in run order
-    (kind 0 marks "never crossed"), written into ``out`` when it is given
-    (views of the block's columns of a job's result), plus the count of
+    (kind 0 marks "never crossed"; every crossing has weight 1), written
+    into ``out`` when it is given (views of the block's columns of a job's
+    result), plus the count of
     grazing events: segments entered at or below the frozen barrier level,
     which are recorded as immediate weight-1 crossings and counted separately
     because correct sequencing makes them rare, rounding-induced cases.
@@ -132,10 +131,10 @@ def simulate_block(
         np.subtract(1.0, u, out=u)
         np.subtract(state, level, out=state)
         np.subtract(x_end, level, out=level)
-        ii, s, w = bridge.draw_crossings(state, level, t0, t1, sig_eff, u, alive, rng)
+        ii, s = bridge.draw_crossings(state, level, t0, t1, sig_eff, u, alive, rng)
         cells = (ii[0], run[ii[1]])
         hit_t[cells] = s
-        hit_w[cells] = w
+        hit_w[cells] = 1.0
         hit_k[cells] = KIND_INTERIOR
         alive[ii] = False
 
@@ -177,12 +176,6 @@ def _graze_times(t0, t1, start, icpt, slope):
     rising = slope > 0
     t_star = np.where(rising & np.isfinite(t_star), t_star, t0)
     return np.clip(t_star, t0, t1)
-
-
-def run_single(spec: ModelSpec, rng: np.random.Generator) -> RunOutcome:
-    """One Monte Carlo run; at most one crossing sample per component."""
-    hit_t, hit_w, hit_k, _ = simulate_block(spec, rng, 1)
-    return outcome_from_arrays(hit_t[:, 0], hit_w[:, 0], hit_k[:, 0])
 
 
 def run_engine(

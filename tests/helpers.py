@@ -103,16 +103,17 @@ def quad_interjump_density(d0, d1, t_start, t_end, sigma, lo=None, hi=None) -> f
 
 
 def uniform_candidates(d0, d1, t0, t1, sigma, u, alive, rng=None):
-    """The paper's uniform-candidate sampler, as a drop-in for
-    ``bridge.draw_crossings`` (same arguments; ``rng`` is not used).
+    """The paper's uniform-candidate sampler, on the arguments of
+    ``bridge.draw_crossings`` (``rng`` is not used).  It returns the crossing
+    cells, their times and their weights, where the engine's exact draw
+    returns cells and times only: every exact crossing has weight 1.
 
     The crossing decision is the engine's, u <= 1 - P.  A crossing cell's
     time is the candidate t0 + tau / (1 - P) * u, which given the crossing is
     uniform on the interval, and it carries the importance weight
     tau / (1 - P) * g(s), so weighted times are an unbiased sample of the
     crossing-time density g.  A candidate that rounds onto an endpoint,
-    where g is singular, is not accepted.  The kernels are reached through
-    the ``bridge`` module, so a test that patches them is seen here.
+    where g is singular, is not accepted.
     """
     from fptmc import bridge
 

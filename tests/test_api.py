@@ -1,8 +1,10 @@
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,36 @@ def test_all_names_resolve(name):
     assert hasattr(module, "__all__")
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never uses.  A name counts as used where
+    it is read anywhere in the module, annotations included, or listed in
+    ``__all__``."""
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(fptmc.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_unused_imports(path):
+    assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 NO_SCIPY_RUN = """

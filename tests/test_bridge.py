@@ -8,7 +8,7 @@ from scipy import stats
 
 from fptmc import LinearBarrier, ModelSpec, bridge
 from fptmc.bridge import draw_crossings, fpt_density_array, survival_array
-from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, KIND_NONE, collect_result
+from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, KIND_NONE
 from fptmc.unif import simulate_block
 from helpers import (
     quad_interjump_density,
@@ -60,8 +60,8 @@ def quad_density(s):
 def candidates(s, u, draw=uniform_candidates, rng=None):
     """Crossing draws for the segment, one block column per uniform (the
     paper's uniform candidates unless ``draw`` is ``draw_crossings``);
-    returns (accepted mask, times, weights) with times and weights of
-    accepted columns."""
+    returns the accepted mask, then the times of accepted columns and, from
+    the paper's sampler, their weights."""
     u = np.asarray(u, dtype=float).reshape(1, -1)
     n = u.shape[1]
 
@@ -69,7 +69,7 @@ def candidates(s, u, draw=uniform_candidates, rng=None):
         return np.full((1, n), float(value))
 
     d0, d1 = distances(s)
-    ii, times, weights = draw(
+    ii, *drawn = draw(
         cells(d0),
         cells(d1),
         np.full(n, float(s.t_start)),
@@ -81,7 +81,7 @@ def candidates(s, u, draw=uniform_candidates, rng=None):
     )
     accepted = np.zeros(n, dtype=bool)
     accepted[ii[1]] = True
-    return accepted, times, weights
+    return (accepted, *drawn)
 
 
 class TestSurvivalProbability:
@@ -173,6 +173,93 @@ class TestInterjumpDensity:
         expected = expected / expected.sum() * observed.sum()
         assert stats.chisquare(observed, expected).pvalue > 0.01
 
+    def test_equals_the_product_form(self, rng):
+        # the single exponent against the two hitting factors over the
+        # endpoint normaliser, on arrays of interior points, wherever both
+        # are normal doubles: a subnormal value has fewer than 12 digits
+        n = 20_000
+        d0 = rng.uniform(1e-3, 2.0, n)
+        d1 = rng.uniform(-1.0, 2.0, n)
+        t0 = rng.uniform(0.0, 1.0, n)
+        t1 = t0 + rng.uniform(1e-3, 2.0, n)
+        t = t0 + rng.uniform(0.001, 0.999, n) * (t1 - t0)
+        sigma = rng.uniform(0.05, 1.5, n)
+        g = fpt_density_array(t, d0, d1, t0, t1, sigma)
+        product = product_form_density(t, d0, d1, t0, t1, sigma)
+        tiny = np.finfo(float).tiny
+        both = (g >= tiny) & (product >= tiny)
+        assert both.mean() > 0.9
+        np.testing.assert_allclose(g[both], product[both], rtol=1e-12, atol=0.0)
+
+    def test_near_deterministic_bridges_underflow_to_zero(self):
+        # sigma = 1e-9 bridges of the drifting subject's geometry, whose
+        # distance to the barrier is x0 - intercept + (mu - slope) t, on
+        # intervals that end above and below the barrier.  Evaluated as the
+        # product form's three exponentials, such a density is inf * 0 = NaN
+        # wherever the endpoint normaliser underflows
+        x0, mu, _, barrier = DRIFTING_SUBJECT
+        sigma = 1e-9
+        rng = np.random.default_rng(61)
+        n = 20_000
+        t0 = rng.uniform(0.0, 0.49, n)
+        t1 = t0 + rng.uniform(1e-3, 0.5, n)
+
+        def distance(t):
+            return x0 - barrier.intercept + (mu - barrier.slope) * t
+
+        d0 = distance(t0)
+        d1 = distance(t1) + sigma * np.sqrt(t1 - t0) * rng.standard_normal(n)
+        # interior points, and each crossing bridge's straight-line crossing
+        # instant, where its density peaks
+        t = t0 + rng.uniform(0.001, 0.999, n) * (t1 - t0)
+        cross = np.flatnonzero(d1 < 0.0)
+        t[cross] = t0[cross] + (t1 - t0)[cross] * d0[cross] / (d0 - d1)[cross]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            g = fpt_density_array(t, d0, d1, t0, t1, sigma)
+        assert not np.isnan(g).any()
+        assert np.count_nonzero(g > 0.0) >= len(cross) > 1000
+        # every zero is a true underflow: its logarithm, by the independent
+        # ratio construction, is below that of the least positive double
+        zero = g == 0.0
+        assert zero.sum() > 1000
+        u, v = (t - t0)[zero], (t1 - t)[zero]
+        a, b = d0[zero], d1[zero]
+        log_g = (
+            np.log(a / (sigma * np.sqrt(2.0 * math.pi * u**3)))
+            - a**2 / (2.0 * sigma**2 * u)
+            + stats.norm.logpdf(b, loc=0.0, scale=sigma * np.sqrt(v))
+            - stats.norm.logpdf(b, loc=a, scale=sigma * np.sqrt(u + v))
+        )
+        assert np.all(log_g < math.log(5e-324))
+
+
+def product_form_density(t, x_start, x_end, t_start, t_end, sigma):
+    """The crossing density as the two hitting factors over the endpoint
+    normaliser, three separate exponentials: the form that
+    ``bridge.fpt_density_array`` replaced with a single exponential.  It
+    takes distances to the barrier, that is values against a level of 0.
+    It is NaN where any of the three exponentials is not a normal double:
+    there it loses the digits that the single exponential keeps."""
+    level = 0.0
+    (t, x_start, x_end, t_start, t_end, sigma) = np.broadcast_arrays(
+        t, x_start, x_end, t_start, t_end, sigma
+    )
+    tau = t_end - t_start
+    u = t - t_start
+    v = t_end - t
+    sig2 = np.square(sigma)
+    endpoint, down, up = (
+        np.exp(-np.square(d) / (2.0 * span * sig2))
+        for d, span in ((x_start - x_end, tau), (x_end - level, v), (x_start - level, u))
+    )
+    y = endpoint / (sigma * np.sqrt(2.0 * np.pi * tau))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        pref = (x_start - level) / (2.0 * y * np.pi * sig2) * u**-1.5 * v**-0.5
+        g = pref * down * up
+    normal = np.minimum(np.minimum(endpoint, down), up) >= np.finfo(float).tiny
+    return np.where(normal, g, np.nan)
+
 
 class TestSampleCrossing:
     def test_certain_crossing_always_accepts(self, rng):
@@ -249,8 +336,7 @@ class TestExactCrossingTime:
         s = IG_SEGMENTS[name]
         rng = np.random.default_rng(sorted(IG_SEGMENTS).index(name) + 500)
         n = int(3000 / (1.0 - survival(s)))
-        _, times, weights = candidates(s, 1.0 - rng.random(n), draw_crossings, rng)
-        assert np.all(weights == 1.0)
+        _, times = candidates(s, 1.0 - rng.random(n), draw_crossings, rng)
         edges = np.concatenate([[s.t_start], np.sort(times), [s.t_end]])
         pieces = [
             quad_interjump_density(*distances(s), s.t_start, s.t_end, s.sigma, lo, hi)
@@ -264,18 +350,18 @@ class TestExactCrossingTime:
         # uniforms, the same cells cross
         s = seg()
         u = 1.0 - rng.random(20_000)
-        exact, _, _ = candidates(s, u, draw_crossings, np.random.default_rng(1))
+        exact, _ = candidates(s, u, draw_crossings, np.random.default_rng(1))
         paper, _, _ = candidates(s, u)
         assert np.array_equal(exact, paper)
 
     def test_extreme_cells_stay_inside_the_interval(self):
         # a vanishing start distance, an end far below the barrier and the
         # Levy limit with a tiny sigma: every crossing is kept, with a time
-        # on the closed interval and weight 1
+        # on the closed interval
         u = np.array([[1.0], [1.0], [1.0], [0.5]])
         d0 = np.array([[1e-300], [1.0], [1.0], [1.0]])
         d1 = np.array([[0.5], [-1e300], [0.0], [0.0]])
-        ii, times, weights = draw_crossings(
+        ii, times = draw_crossings(
             d0,
             d1,
             np.array([2.0]),
@@ -288,7 +374,6 @@ class TestExactCrossingTime:
         assert ii[0].tolist() == [0, 1, 2, 3]
         assert np.all((times >= 2.0) & (times <= 3.0))
         assert times[0] == 2.0 and times[1] == 2.0
-        assert np.all(weights == 1.0)
 
     def test_in_place_fraction_equals_the_reference(self, rng):
         # the in-place draw does the reference's operations in the same order,
@@ -320,7 +405,7 @@ class TestExactCrossingTime:
         t0 = rng.uniform(0.0, 1.0, n)
         t1 = t0 + rng.uniform(1e-3, 1.0, n)
         sigma = rng.uniform(0.1, 1.0, m)
-        ii, times, _ = draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng)
+        ii, times = draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng)
         crossed = np.zeros((m, n), dtype=bool)
         crossed[ii] = True
         below = alive & (d1 <= 0.0)
@@ -409,42 +494,6 @@ class TestFirstJumpCrossing:
         late = kinds[:, 0] == KIND_INTERIOR
         assert late.sum() > 0
         assert np.allclose(times[late, 0], 0.5, rtol=0.0, atol=1e-6)
-
-    def test_candidate_weights_of_a_near_deterministic_bridge(self, monkeypatch):
-        # the paper's candidate lands where the density of this sigma = 1e-9
-        # bridge underflows; those weights are zero, never NaN, and the zero
-        # weights are exactly the dropped crossings
-        calls = []
-
-        def recording(*args):
-            g = fpt_density_array(*args)
-            calls.append((args, g))
-            return g
-
-        monkeypatch.setattr(bridge, "draw_crossings", uniform_candidates)
-        monkeypatch.setattr(bridge, "fpt_density_array", recording)
-        spec = clocked_spec(DRIFTING_SUBJECT)
-        hit_t, hit_w, hit_k, _ = simulate_block(spec, np.random.default_rng(0), 2000)
-        assert not np.isnan(hit_w).any()
-        interior = hit_k[CLOCKS] == KIND_INTERIOR
-        assert interior.sum() > 0
-        dropped = collect_result("unif", 0, [(hit_t, hit_w, hit_k)], 1.0)
-        zero = int(np.count_nonzero(hit_w[CLOCKS, interior] == 0.0))
-        assert dropped.diagnostics["zero_weight_dropped"][CLOCKS] == zero
-        # every zero density is a true underflow: its logarithm, by the
-        # independent ratio construction, is below that of the least
-        # positive double
-        for args, g in calls:
-            t, d0, d1, t0, t1, sigma = (np.asarray(a) for a in args)
-            for k in np.flatnonzero(g == 0.0):
-                u, v, tau = t[k] - t0[k], t1[k] - t[k], t1[k] - t0[k]
-                log_g = (
-                    math.log(d0[k] / (sigma[k] * math.sqrt(2.0 * math.pi * u**3)))
-                    - d0[k] ** 2 / (2.0 * sigma[k] ** 2 * u)
-                    + stats.norm.logpdf(d1[k], loc=0.0, scale=sigma[k] * math.sqrt(v))
-                    - stats.norm.logpdf(d1[k], loc=d0[k], scale=sigma[k] * math.sqrt(tau))
-                )
-                assert log_g < math.log(5e-324)
 
     def test_extreme_cells_raise_no_warning(self):
         # the near-deterministic blocks above, and bridges that end far below

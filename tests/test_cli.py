@@ -43,6 +43,14 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_validate_non_numeric_dt(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CFG.replace("dt = 0.01", "dt = abc") + "out = x\n")
+    line = bad.read_text().splitlines().index("dt = abc") + 1
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert f"config error: {bad}:{line}: dt" in capsys.readouterr().err
+
+
 def test_missing_config_file(capsys):
     assert main(["validate", "--config", "/nope/missing.cfg"]) == 1
     assert "cannot read config" in capsys.readouterr().err

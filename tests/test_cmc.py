@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fptmc import CmcConfig, LinearBarrier, ModelSpec, results, run_cmc, run_cmc_single
+from fptmc import CmcConfig, LinearBarrier, ModelSpec, results, run_cmc
+from fptmc.cmc import simulate_block_cmc
 from helpers import bm_crossing_probability
 
 
@@ -22,20 +23,26 @@ def drift_spec(mu, barrier, m=1):
     )
 
 
+def single_run(spec, dt, rng):
+    """(times, weights, kinds) of one discretised run, one entry per
+    component: column 0 of a one-run block."""
+    hit_t, hit_w, hit_k, _ = simulate_block_cmc(spec, CmcConfig(dt=dt, n_runs=1), rng, 1)
+    return hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]
+
+
 def test_deterministic_drift_crossing(rng):
     spec = drift_spec([-1.0], -0.5)
-    outcome = run_cmc_single(spec, CmcConfig(dt=0.1, n_runs=1), rng)
-    sample = outcome.samples[0]
-    assert sample is not None
-    assert sample.time == 0.5
-    assert sample.weight == 1.0
+    times, weights, kinds = single_run(spec, 0.1, rng)
+    assert kinds[0] == results.KIND_INTERIOR
+    assert times[0] == 0.5
+    assert weights[0] == 1.0
 
 
 def test_each_process_tracked_to_its_own_crossing(rng):
     spec = drift_spec([-1.0, -0.25], [-0.5, -0.2], m=2)
-    outcome = run_cmc_single(spec, CmcConfig(dt=0.1, n_runs=1), rng)
-    assert outcome.samples[0].time == pytest.approx(0.5)
-    assert outcome.samples[1].time == pytest.approx(0.8)
+    times, _, _ = single_run(spec, 0.1, rng)
+    assert times[0] == pytest.approx(0.5)
+    assert times[1] == pytest.approx(0.8)
 
 
 def test_jump_count_matches_rate():
@@ -131,15 +138,15 @@ def test_sigma_zero_allowed_in_baseline(rng):
     # unlike the bridge engine, the discretised baseline never divides by a
     # per-component volatility
     spec = drift_spec([-1.0], -0.5)
-    outcome = run_cmc_single(spec, CmcConfig(dt=0.25, n_runs=1), rng)
-    assert outcome.samples[0].time == pytest.approx(0.5)
+    times, _, _ = single_run(spec, 0.25, rng)
+    assert times[0] == pytest.approx(0.5)
 
 
 def test_uneven_final_step(rng):
     # horizon not divisible by dt: the last step is shortened to land on T
     spec = drift_spec([-1.0], -0.95)
-    outcome = run_cmc_single(spec, CmcConfig(dt=0.3, n_runs=1), rng)
-    assert outcome.samples[0].time == pytest.approx(1.0)
+    times, _, _ = single_run(spec, 0.3, rng)
+    assert times[0] == pytest.approx(1.0)
 
 
 def test_terminal_law_of_a_non_symmetric_sigma():

@@ -110,6 +110,35 @@ def test_dt_required_for_baseline():
     assert parse_config_text(ok).dt is None
 
 
+@pytest.mark.parametrize("value", ["abc", "[0.1]", "True"])
+def test_non_numeric_dt_names_its_line(value):
+    broken = GOOD.replace("dt = 0.001", f"dt = {value}")
+    line = broken.splitlines().index(f"dt = {value}") + 1
+    with pytest.raises(ConfigError, match=f":{line}: dt must be a finite number"):
+        parse_config_text(broken)
+
+
+@pytest.mark.parametrize(
+    "key, good, bad",
+    [
+        ("horizon", "horizon = 1.0", "horizon = 1e400"),
+        ("lambda", "lambda = 1.0", "lambda = 1e400"),
+        ("dt", "dt = 0.001", "dt = -1e400"),
+        ("x0", "x0 = [0.0, 0.0]", "x0 = [1e400, 0.0]"),
+        ("mu", "mu = [-0.002, -0.012]", "mu = [-0.002, -1e400]"),
+        ("sigma", "sigma = [[0.2, 0.0], [0.0, 0.2]]", "sigma = [[0.2, 0.0], [0.0, 1e400]]"),
+        ("jump_mean", "jump_mean = [0.0, 0.0]", "jump_mean = [-1e400, 0.0]"),
+        ("jump_sd", "jump_sd = [0.2, 0.12]", "jump_sd = [0.2, 1e400]"),
+    ],
+)
+def test_non_finite_value_names_its_line(key, good, bad):
+    # 1e400 reads as inf
+    broken = GOOD.replace(good, bad)
+    line = broken.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError, match=f":{line}: {key} .*finite"):
+        parse_config_text(broken)
+
+
 def test_unknown_engine():
     broken = GOOD.replace("engine = both", "engine = fast")
     with pytest.raises(ConfigError, match="engine must be one of"):

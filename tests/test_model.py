@@ -34,18 +34,21 @@ def test_barrier_requires_finite_fields():
         LinearBarrier(math.inf, 0.0)
 
 
+VALID_SPEC = dict(
+    m=2,
+    x0=[0.0, 0.0],
+    mu=[0.0, 0.0],
+    sigma=np.eye(2),
+    jump_rate=1.0,
+    jump_mean=[0.0, 0.0],
+    jump_sd=[0.1, 0.1],
+    barriers=(LinearBarrier(-1.0, 0.0), LinearBarrier(-1.0, 0.0)),
+    horizon=1.0,
+)
+
+
 def test_model_spec_validation():
-    good = dict(
-        m=2,
-        x0=[0.0, 0.0],
-        mu=[0.0, 0.0],
-        sigma=np.eye(2),
-        jump_rate=1.0,
-        jump_mean=[0.0, 0.0],
-        jump_sd=[0.1, 0.1],
-        barriers=(LinearBarrier(-1.0, 0.0), LinearBarrier(-1.0, 0.0)),
-        horizon=1.0,
-    )
+    good = VALID_SPEC
     ModelSpec(**good)
     with pytest.raises(ValueError, match="above its barrier"):
         ModelSpec(**{**good, "x0": [0.0, -1.0]})
@@ -59,6 +62,25 @@ def test_model_spec_validation():
         ModelSpec(**{**good, "horizon": 0.0})
     with pytest.raises(ValueError, match="jump_rate"):
         ModelSpec(**{**good, "jump_rate": -1.0})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("horizon", math.inf),
+        ("jump_rate", math.inf),
+        ("jump_rate", math.nan),
+        ("x0", [0.0, math.nan]),
+        ("mu", [-math.inf, 0.0]),
+        ("sigma", [[1.0, 0.0], [0.0, math.inf]]),
+        ("jump_mean", [0.0, -math.inf]),
+        ("jump_sd", [math.inf, 0.1]),
+    ],
+)
+def test_model_spec_rejects_non_finite_inputs(key, value):
+    # only the rejection is checked: an engine never runs on such a spec
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        ModelSpec(**{**VALID_SPEC, key: value})
 
 
 def engine_passes(monkeypatch, spec, n, seed=0):

@@ -6,13 +6,11 @@ import pytest
 
 from fptmc import (
     DensityEstimate,
-    bridge,
     emit_density_csv,
     normalized_l1,
     parse_config_text,
     run_experiment,
 )
-from helpers import uniform_candidates
 
 TINY_CFG = """
 m = 2
@@ -189,37 +187,6 @@ class TestRunExperiment:
         assert "unif.h_opt.1" in values and "cmc.h_opt.2" in values
         assert "l1.1" in values and "l1.2" in values
         assert 0.0 < values["unif.crossing_prob.1"] < 1.0
-
-    @staticmethod
-    def values_block(path):
-        block = open(os.path.join(path, "report.txt")).read().split("[values]\n", 1)[1]
-        return {
-            key.strip(): float(raw)
-            for key, raw in (line.split("=", 1) for line in block.splitlines())
-        }
-
-    def test_report_values_carry_weight_health(self, tmp_path, monkeypatch):
-        # the paper's weighted candidate in place of the exact draw: its
-        # weights are unequal
-        monkeypatch.setattr(bridge, "draw_crossings", uniform_candidates)
-        cfg = parse_config_text(TINY_CFG + f"out = {tmp_path}/exp\n")
-        report = run_experiment(cfg)
-        values = self.values_block(os.path.join(tmp_path, "exp"))
-        for eng in ("unif", "cmc"):
-            for name in ("zero_weight_dropped", "ess_frac", "max_weight_share"):
-                for i, v in enumerate(report.weight_health[eng][name]):
-                    assert values[f"{eng}.{name}.{i+1}"] == v
-        assert values["cmc.ess_frac.1"] == 1.0
-        assert 0.0 < values["unif.ess_frac.1"] < 1.0
-        assert 0.0 < values["unif.max_weight_share.2"] < 1.0
-
-    def test_report_values_full_ess_with_exact_sampler(self, tmp_path):
-        cfg = parse_config_text(TINY_CFG + f"out = {tmp_path}/exp\n")
-        run_experiment(cfg)
-        values = self.values_block(os.path.join(tmp_path, "exp"))
-        for i in (1, 2):
-            assert values[f"unif.ess_frac.{i}"] == 1.0
-            assert values[f"unif.zero_weight_dropped.{i}"] == 0.0
 
     def test_density_files_reproducible(self, tmp_path):
         for sub in ("a", "b"):

@@ -8,8 +8,9 @@ from fptmc import CmcConfig, cmc, results, run_cmc, run_engine, unif
 from helpers import merge_by_block
 
 
-def draw_block(rng, size):
-    return (rng.standard_normal(size),)
+def draw_block(rng, size, out):
+    out[0][0] = rng.standard_normal(size)
+    return (size,)
 
 
 def test_thread_pool_capped_at_block_count(monkeypatch):
@@ -20,44 +21,14 @@ def test_thread_pool_capped_at_block_count(monkeypatch):
         return ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(results, "ThreadPoolExecutor", recording_pool)
-    serial, _ = results.run_blocks(1000, seed=5, workers=1, simulate=draw_block)
-    pooled, _ = results.run_blocks(1000, seed=5, workers=8, simulate=draw_block)
-    assert requested == [1]
-    assert len(pooled) == len(serial) == 1
-    assert np.array_equal(pooled[0][0], serial[0][0])
-
-
-def test_weight_health_counts_zero_weight_drops():
-    nan = np.nan
-    # one row per component, one column per run
-    hit_t = np.array([[0.2, 0.4, 0.5, nan], [0.3, nan, 0.6, nan]])
-    hit_w = np.array([[1.0, 3.0, 0.0, 0.0], [0.0, 0.0, 2.0, 0.0]])
-    hit_k = np.array([[1, 2, 1, 0], [1, 0, 1, 0]], dtype=np.int8)
-    result = results.collect_result("unif", 0, [(hit_t, hit_w, hit_k)], elapsed=1.0)
-    diag = result.diagnostics
-    assert diag["zero_weight_dropped"] == [1, 1]
-    assert [len(ws) for ws in result.marginals] == [2, 1]
-    assert diag["ess_frac"] == [16.0 / 10.0 / 2, 1.0]
-    assert diag["max_weight_share"] == [0.75, 1.0]
-
-
-def test_weight_health_without_samples_is_nan():
-    hit_t = np.full((1, 3), np.nan)
-    result = results.collect_result(
-        "unif", 0, [(hit_t, np.zeros((1, 3)), np.zeros((1, 3), dtype=np.int8))], 1.0
+    serial, pooled = np.empty((1, 1000)), np.empty((1, 1000))
+    outputs, _ = results.run_blocks(1000, seed=5, workers=1, simulate=draw_block, out=(serial,))
+    pooled_outputs, _ = results.run_blocks(
+        1000, seed=5, workers=8, simulate=draw_block, out=(pooled,)
     )
-    assert result.diagnostics["zero_weight_dropped"] == [0]
-    assert np.isnan(result.diagnostics["ess_frac"][0])
-    assert np.isnan(result.diagnostics["max_weight_share"][0])
-
-
-def test_cmc_unit_weights_have_full_ess(single_bm_spec):
-    result = run_cmc(single_bm_spec, CmcConfig(dt=0.01, n_runs=2000, seed=3))
-    n_hits = len(result.marginals[0])
-    assert n_hits > 0
-    assert result.diagnostics["ess_frac"] == [1.0]
-    assert result.diagnostics["max_weight_share"] == [1.0 / n_hits]
-    assert result.diagnostics["zero_weight_dropped"] == [0]
+    assert requested == [1]
+    assert outputs == pooled_outputs == [(1000,)]
+    assert np.array_equal(pooled, serial)
 
 
 def assert_same_result(a, b):
@@ -129,3 +100,23 @@ def test_shared_result_under_many_threads(monkeypatch, example1_spec, engine):
     assert np.isin(k8, [0, 1, 2]).all()
     assert np.array_equal(np.isnan(t8), k8 == 0)
     assert (k8 != 0).any() and (k8 == 0).any()
+
+
+@pytest.mark.parametrize("engine", ["unif", "cmc"])
+def test_every_crossing_is_one_unit_weight_sample(example1_spec, engine):
+    # no crossing is dropped without a count: each one is a marginal sample
+    # of weight 1, so a crossing probability is a count over the runs
+    n = 20_000
+    if engine == "unif":
+        result = run_engine(example1_spec, n, seed=31)
+    else:
+        result = run_cmc(example1_spec, CmcConfig(dt=0.01, n_runs=n, seed=31))
+    counts = np.array([len(ws) for ws in result.marginals])
+    assert np.array_equal(result.crossing_probabilities(), counts / n)
+    diag = result.diagnostics
+    assert counts.sum() == diag["interior_crossings"] + diag["at_jump_crossings"]
+    crossed = np.bincount(np.concatenate(result.marginal_run_indices), minlength=n)
+    assert np.array_equal(result.joint_run_indices, np.flatnonzero(crossed == result.m))
+    assert len(result.joint) == np.count_nonzero(crossed == result.m) > 0
+    for ws in result.marginals + [result.joint]:
+        assert np.all(ws.weights == 1.0)

@@ -6,14 +6,13 @@ import pytest
 from scipy import stats
 
 import fptmc
-from fptmc import LinearBarrier, ModelSpec, bridge, estimate_densities, run_engine, run_single
+from fptmc import LinearBarrier, ModelSpec, bridge, estimate_densities, run_engine
 from fptmc.bridge import survival_array
 from fptmc.results import (
-    AT_JUMP,
     BLOCK_SIZE,
-    INTERIOR,
     KIND_AT_JUMP,
     KIND_INTERIOR,
+    KIND_NONE,
     block_rng,
     block_sizes,
     collect_result,
@@ -24,7 +23,6 @@ from helpers import (
     bm_crossing_probability,
     line_crossing_probability,
     midpoint_block,
-    uniform_candidates,
 )
 
 
@@ -173,7 +171,7 @@ def test_run_single_agrees_with_engine(single_bm_spec):
     rng = np.random.default_rng(77)
     n = 2000
     crossings = sum(
-        run_single(single_bm_spec, rng).samples[0] is not None for _ in range(n)
+        simulate_block(single_bm_spec, rng, 1)[2][0, 0] != KIND_NONE for _ in range(n)
     )
     p_exact = bm_crossing_probability(0.0, -1.0, 0.0, 1.0, 1.0)
     se = math.sqrt(p_exact * (1 - p_exact) / n)
@@ -184,16 +182,16 @@ def test_run_single_outcome_structure(example1_spec):
     rng = np.random.default_rng(101)
     seen_kinds = set()
     for _ in range(500):
-        outcome = run_single(example1_spec, rng)
-        assert len(outcome.samples) == 2
-        for sample in outcome.samples:
-            if sample is None:
+        hit_t, hit_w, hit_k, _ = simulate_block(example1_spec, rng, 1)
+        assert hit_t.shape == hit_w.shape == hit_k.shape == (2, 1)
+        for time, weight, kind in zip(hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]):
+            if kind == KIND_NONE:
                 continue
-            assert 0.0 < sample.time <= 1.0
-            assert sample.weight > 0.0
-            assert sample.kind in (INTERIOR, AT_JUMP)
-            seen_kinds.add(sample.kind)
-    assert INTERIOR in seen_kinds  # diffusion crossings dominate here
+            assert 0.0 < time <= 1.0
+            assert weight == 1.0
+            assert kind in (KIND_INTERIOR, KIND_AT_JUMP)
+            seen_kinds.add(kind)
+    assert KIND_INTERIOR in seen_kinds  # diffusion crossings dominate here
 
 
 def test_estimate_densities_single_crossing_fixture():
@@ -419,85 +417,5 @@ def test_drift_and_diffusion_row_norm():
     result = run_engine(spec, n, seed=29)
     for i, ws in enumerate(result.marginals):
         p = bm_crossing_probability(0.0, levels[i], mu[i], math.hypot(*sigma[i]), 1.0)
-        crossed = len(ws) + result.diagnostics["zero_weight_dropped"][i]
         se = math.sqrt(p * (1 - p) / n)
-        assert crossed / n == pytest.approx(p, abs=4 * se)
-
-
-def test_exact_and_candidate_samplers_agree(monkeypatch):
-    # same crossing probabilities from the engine's exact draw and from the
-    # paper's uniform candidate; the exact one has unit weights, so its
-    # weight health is perfect
-    spec = make_example_spec(8.0)
-    n = 200_000
-    exact = run_engine(spec, n, seed=41)
-    monkeypatch.setattr(bridge, "draw_crossings", uniform_candidates)
-    paper = run_engine(spec, n, seed=42)
-    for i in range(2):
-        var = [
-            np.bincount(r.marginal_run_indices[i], r.marginals[i].weights, n).var()
-            for r in (exact, paper)
-        ]
-        se = math.sqrt(sum(var) / n)
-        p_exact, p_paper = exact.crossing_probabilities()[i], paper.crossing_probabilities()[i]
-        assert abs(p_exact - p_paper) <= 4.0 * se
-    assert exact.diagnostics["ess_frac"] == [1.0, 1.0]
-    assert exact.diagnostics["zero_weight_dropped"] == [0, 0]
-    assert exact.diagnostics["interior_crossings"] > 0
-    assert all(np.all(ws.weights == 1.0) for ws in exact.marginals)
-
-
-def product_form_density(t, x_start, x_end, t_start, t_end, sigma):
-    """The crossing density as the two hitting factors over the endpoint
-    normaliser, three separate exponentials: the form that
-    ``bridge.fpt_density_array`` replaced with a single exponential.  It
-    takes distances to the barrier, that is values against a level of 0."""
-    level = 0.0
-    (t, x_start, x_end, t_start, t_end, sigma) = np.broadcast_arrays(
-        t, x_start, x_end, t_start, t_end, sigma
-    )
-    tau = t_end - t_start
-    u = t - t_start
-    v = t_end - t
-    sig2 = np.square(sigma)
-    y = np.exp(-np.square(x_start - x_end) / (2.0 * tau * sig2)) / (
-        sigma * np.sqrt(2.0 * np.pi * tau)
-    )
-    pref = (x_start - level) / (2.0 * y * np.pi * sig2) * u**-1.5 * v**-0.5
-    down = np.exp(-np.square(x_end - level) / (2.0 * v * sig2))
-    up = np.exp(-np.square(x_start - level) / (2.0 * u * sig2))
-    return pref * down * up
-
-
-@pytest.mark.parametrize("jump_rate", [1.0, 8.0])
-def test_single_exponential_density_moves_candidate_weights_by_rounding(
-    jump_rate, monkeypatch
-):
-    # the paper's candidate in the engine, with the single-exponential
-    # density and with the product form: the same draws, crossing times and
-    # counts, and weights equal to rounding.  Compared run by run: a weight
-    # that underflows to zero in one form is dropped from its samples, and
-    # is within atol of the other form's weight
-    spec = make_example_spec(jump_rate)
-    n = 65_536
-    monkeypatch.setattr(bridge, "draw_crossings", uniform_candidates)
-    current = run_engine(spec, n, seed=424242)
-    monkeypatch.setattr(bridge, "fpt_density_array", product_form_density)
-    earlier = run_engine(spec, n, seed=424242)
-    for key in ("interior_crossings", "at_jump_crossings", "grazing_entries"):
-        assert current.diagnostics[key] == earlier.diagnostics[key]
-
-    def per_run(result):
-        samples = list(zip(result.marginals, result.marginal_run_indices))
-        samples.append((result.joint, result.joint_run_indices))
-        for ws, runs in samples:
-            times = np.full((n,) + ws.times.shape[1:], np.nan)
-            weights = np.zeros(n)
-            times[runs] = ws.times
-            weights[runs] = ws.weights
-            yield times, weights
-
-    for (t_now, w_now), (t_then, w_then) in zip(per_run(current), per_run(earlier)):
-        np.testing.assert_allclose(w_now, w_then, rtol=1e-12, atol=1e-290)
-        both = (w_now > 0.0) & (w_then > 0.0)
-        assert np.array_equal(t_now[both], t_then[both])
+        assert len(ws) / n == pytest.approx(p, abs=4 * se)
