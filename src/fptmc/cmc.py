@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -58,8 +57,8 @@ class CmcConfig:
             raise ValueError("dt must not exceed the horizon")
         if spec.jump_rate * self.dt >= 1.0:
             raise ValueError(
-                f"jump_rate * dt = {spec.jump_rate * self.dt} must be < 1 "
-                "for per-step Bernoulli arrivals"
+                f"dt = {self.dt} gives lambda * dt = {spec.jump_rate * self.dt}, "
+                "which must be < 1 for per-step Bernoulli arrivals"
             )
 
 
@@ -80,12 +79,12 @@ def simulate_block_cmc(
     cfg: CmcConfig,
     rng: np.random.Generator,
     size: int,
-    out: Optional[tuple[np.ndarray, ...]] = None,
+    out: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate ``size`` discretised runs; returns (times, weights, kinds)
-    of shape (m, size), written into ``out`` when it is given (views of the
-    block's columns of a job's result), plus the total number of jumps that
-    occurred.
+    of shape (m, size), written into ``out`` (views of the block's columns
+    of a job's result, or ``results.empty_hits(m, size)``), plus the total
+    number of jumps that occurred.
 
     The state is component-major: row i of the (m, n) arrays is component i
     of the n active runs, so per-component constants of shape (m, 1)
@@ -100,7 +99,7 @@ def simulate_block_cmc(
 
     state = np.repeat(spec.x0[:, None], size, axis=1)
     alive = np.ones((m, size), dtype=bool)
-    hit_t, hit_w, hit_k = block_hits(m, size, out)
+    hit_t, hit_w, hit_k = block_hits(out)
     run_ids = np.arange(size)
     n_jumps = 0
 

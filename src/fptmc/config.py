@@ -8,6 +8,9 @@ Grammar (one assignment per line)::
     value    := Python literal (number, [..] list, [[..],..] nested list)
                 | bare word (read as a string)
 
+The value of ``out`` is a path: it is read verbatim, as the stripped text
+before any comment, never as a literal.
+
 Recognised keys, with types and defaults:
 
     m                  int        required    number of processes
@@ -27,7 +30,11 @@ Recognised keys, with types and defaults:
     workers            int        1
     grid_1d            int        512         marginal density grid points
     grid_2d            int        128         joint density grid points/axis
-    out                word       "out"       output directory
+    out                path       "out"       output directory
+
+The parser checks keys, types, dimensions and finiteness; the model and
+baseline rules are ``ModelSpec``'s and ``CmcConfig``'s own, reported at the
+line of the key their message names.
 
 Command-line flags override file values.
 """
@@ -36,11 +43,13 @@ from __future__ import annotations
 
 import ast
 import math
+import re
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .cmc import CmcConfig
 from .model import LinearBarrier, ModelSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text",
@@ -60,6 +69,9 @@ _OPTIONAL_DEFAULTS = {
     "grid_2d": 128,
     "out": "out",
 }
+
+# the one ModelSpec field whose config key has another name
+_KEY_OF_FIELD = {"jump_rate": "lambda"}
 
 
 class ConfigError(ValueError):
@@ -141,7 +153,7 @@ def _read_pairs(text: str, path: str) -> dict:
         key = key.strip()
         if key in pairs:
             raise ConfigError(f"duplicate key {key!r}", path, lineno)
-        pairs[key] = _parse_value(raw)
+        pairs[key] = raw.strip() if key == "out" else _parse_value(raw)
         lines[key] = lineno
     pairs["__lines__"] = lines
     return pairs
@@ -217,13 +229,6 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         raise ConfigError("sigma entries must be finite numbers", path, lines.get("sigma"))
     sigma = tuple(tuple(float(v) for v in row) for row in sig)
 
-    rate = _finite("lambda")
-    if rate < 0:
-        raise ConfigError("lambda must be >= 0", path, lines.get("lambda"))
-    horizon = _finite("horizon")
-    if not horizon > 0:
-        raise ConfigError("horizon must be > 0", path, lines.get("horizon"))
-
     engine = pairs["engine"]
     if engine not in ENGINES:
         raise ConfigError(
@@ -238,12 +243,12 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         x0=x0,
         mu=mu,
         sigma=sigma,
-        jump_rate=rate,
+        jump_rate=_finite("lambda"),
         jump_mean=jump_mean,
         jump_sd=jump_sd,
         barrier_intercept=icpt,
         barrier_slope=slope,
-        horizon=horizon,
+        horizon=_finite("horizon"),
         engine=engine,
         runs=runs,
         dt=_finite("dt") if "dt" in pairs else None,
@@ -251,45 +256,27 @@ def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
         workers=_positive_int("workers") if "workers" in pairs else 1,
         grid_1d=_positive_int("grid_1d", minimum=2) if "grid_1d" in pairs else 512,
         grid_2d=_positive_int("grid_2d", minimum=2) if "grid_2d" in pairs else 128,
-        out=str(pairs.get("out", "out")),
+        out=pairs.get("out", "out"),
     )
-    _validate_config(cfg, path, lines)
+    if cfg.needs_cmc and cfg.dt is None:
+        raise ConfigError(f"missing required key 'dt' (engine = {cfg.engine})", path)
+    try:
+        spec = cfg.to_model_spec()
+        spec.effective_sigmas()
+        if cfg.needs_cmc:
+            CmcConfig(cfg.dt, cfg.runs, cfg.seed, cfg.workers).validate_for(spec)
+    except ValueError as exc:
+        raise _located(exc, path, lines) from exc
     return cfg
 
 
-def _validate_config(cfg: ExperimentConfig, path: str, lines: dict) -> None:
-    for i in range(cfg.m):
-        if all(v == 0.0 for v in cfg.sigma[i]):
-            raise ConfigError(
-                f"degenerate diffusion row {i}: all sigma entries are zero",
-                path,
-                lines.get("sigma"),
-            )
-        if cfg.jump_sd[i] < 0:
-            raise ConfigError(f"jump_sd[{i}] must be >= 0", path, lines.get("jump_sd"))
-        if cfg.x0[i] <= cfg.barrier_intercept[i]:
-            raise ConfigError(
-                f"x0[{i}] = {cfg.x0[i]} is not above its barrier at t = 0 "
-                f"(D = {cfg.barrier_intercept[i]})",
-                path,
-                lines.get("x0"),
-            )
-    if cfg.needs_cmc:
-        if cfg.dt is None:
-            raise ConfigError(
-                f"missing required key 'dt' (engine = {cfg.engine})", path
-            )
-        if not cfg.dt > 0 or cfg.dt > cfg.horizon:
-            raise ConfigError(
-                "dt must satisfy 0 < dt <= horizon", path, lines.get("dt")
-            )
-        if cfg.jump_rate * cfg.dt >= 1.0:
-            raise ConfigError(
-                f"lambda * dt = {cfg.jump_rate * cfg.dt} must be < 1 for "
-                "per-step Bernoulli jump arrivals",
-                path,
-                lines.get("dt"),
-            )
+def _located(exc: ValueError, path: str, lines: dict) -> ConfigError:
+    """A model or baseline rule's error, restated in config keys at the line
+    of the key its message starts with."""
+    message = str(exc)
+    field = re.match(r"\w*", message).group()
+    key = _KEY_OF_FIELD.get(field, field)
+    return ConfigError(key + message[len(field):], path, lines.get(key))
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -339,9 +326,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Apply non-None command-line overrides and re-validate."""
+    """Apply non-None command-line overrides and re-validate.
+
+    ``out`` is kept exact: the file format would cut a path at a '#'."""
     changes = {k: v for k, v in overrides.items() if v is not None}
     if not changes:
         return cfg
     new = replace(cfg, **changes)
-    return parse_config_text(serialize_config(new), "<overrides>")
+    return replace(parse_config_text(serialize_config(new), "<overrides>"), out=str(new.out))

@@ -103,8 +103,8 @@ class ModelSpec:
         if np.any(self.x0 <= d0):
             bad = int(np.argmax(self.x0 <= d0))
             raise ValueError(
-                f"x0[{bad}] = {self.x0[bad]} does not start above its barrier "
-                f"D({bad})(0) = {d0[bad]}"
+                f"x0[{bad}] = {self.x0[bad]} is not above its barrier at t = 0 "
+                f"(D = {d0[bad]})"
             )
 
     def barrier_values(self, t: float) -> np.ndarray:
@@ -134,7 +134,5 @@ def effective_sigma(sigma: np.ndarray, i: int) -> float:
     row = np.asarray(sigma, dtype=float)[i]
     out = float(np.sqrt(np.sum(row * row)))
     if out == 0.0:
-        raise ValueError(
-            f"degenerate diffusion row {i}: all sigma entries are zero"
-        )
+        raise ValueError(f"sigma has a degenerate diffusion row {i}: all entries are zero")
     return out

@@ -151,8 +151,9 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     """
     spec = cfg.to_model_spec()
     grid = np.linspace(0.0, spec.horizon, cfg.grid_1d)
+    # the joint is estimated for two components only: its CSV is 2-D
     joint_axis = np.linspace(0.0, spec.horizon, cfg.grid_2d)
-    joint_grid = tuple(joint_axis for _ in range(spec.m)) if spec.m == 2 else None
+    joint_grid = (joint_axis, joint_axis) if spec.m == 2 else None
 
     engines: list[str] = []
     if cfg.needs_unif:
@@ -173,16 +174,14 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
                 spec,
                 CmcConfig(dt=cfg.dt, n_runs=cfg.runs, seed=cfg.seed, workers=cfg.workers),
             )
-        marginals, joint = estimate_densities(
-            result, grid, joint_grid, include_joint=spec.m == 2
-        )
+        marginals, joint = estimate_densities(result, grid, joint_grid)
         report.h_opt[eng] = [float(est.bandwidth) for est in marginals]
         report.seconds_per_run[eng] = float(result.seconds_per_run)
         report.crossing_prob[eng] = [float(p) for p in result.crossing_probabilities()]
         density_values[eng] = [est.values for est in marginals]
         for i, est in enumerate(marginals):
             emit_density_csv(est, os.path.join(cfg.out, f"{eng}_marginal_{i+1}.csv"))
-        if joint is not None and spec.m == 2:
+        if joint is not None:
             report.joint_mass[eng] = joint.total_mass
             emit_density_csv(joint, os.path.join(cfg.out, f"{eng}_joint.csv"))
 

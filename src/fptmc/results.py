@@ -109,12 +109,12 @@ def empty_hits(m: int, n_runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def block_hits(
-    m: int, size: int, out: Optional[tuple[np.ndarray, ...]] = None
+    out: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (times, weights, kinds) arrays a block writes its crossings into,
-    set to "never crossed" (NaN, 0, KIND_NONE): ``out``, views of the block's
-    columns of a job's result, or new (m, size) arrays without it."""
-    hit_t, hit_w, hit_k = empty_hits(m, size) if out is None else out
+    ``out``, views of the block's columns of a job's result, set to "never
+    crossed" (NaN, 0, KIND_NONE)."""
+    hit_t, hit_w, hit_k = out
     hit_t.fill(np.nan)
     hit_w.fill(0.0)
     hit_k.fill(KIND_NONE)
@@ -227,28 +227,22 @@ def estimate_densities(
     result: EngineResult,
     grid: np.ndarray,
     joint_grid: Optional[tuple[np.ndarray, ...]] = None,
-    include_joint: bool = True,
 ) -> tuple[list[DensityEstimate], Optional[DensityEstimate]]:
-    """Marginal estimates for every component plus the joint estimate.
+    """Marginal estimates for every component, plus the joint estimate on
+    ``joint_grid`` (one axis per component) when it is given, else None.
 
-    ``grid`` is the 1-D evaluation grid spanning [0, T].  ``joint_grid``
-    defaults to a 128-point grid per axis over the same span; pass
-    ``include_joint=False`` to skip the joint estimate entirely.  A component
-    with no crossings gets the zero density; the joint estimate is zero when
-    any component never crossed in any run.
+    ``grid`` is the 1-D evaluation grid spanning [0, T].  A component with no
+    crossings gets the zero density; the joint estimate is zero when any
+    component never crossed in any run.
     """
     grid = np.asarray(grid, dtype=float)
     horizon = float(grid[-1]) if len(grid) else 1.0
     marginals = []
     for ws in result.marginals:
-        h = marginal_bandwidth(ws.times, horizon) if len(ws) else 0.01 * horizon
+        h = marginal_bandwidth(ws.times, horizon)
         marginals.append(estimate_density_1d(ws, grid, h))
     joint = None
-    if include_joint and result.m >= 2:
-        if joint_grid is None:
-            axis = np.linspace(0.0, horizon, 128)
-            joint_grid = tuple(axis for _ in range(result.m))
-        n_joint = len(result.joint)
-        h = optimal_bandwidth_multi(result.m, max(n_joint, 1))
+    if joint_grid is not None:
+        h = optimal_bandwidth_multi(result.m, max(len(result.joint), 1))
         joint = estimate_density_multi(result.joint, joint_grid, h)
     return marginals, joint

@@ -21,8 +21,6 @@ pairs.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import bridge
@@ -46,7 +44,7 @@ def simulate_block(
     spec: ModelSpec,
     rng: np.random.Generator,
     size: int,
-    out: Optional[tuple[np.ndarray, ...]] = None,
+    out: tuple[np.ndarray, ...],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate ``size`` independent runs with one generator.
 
@@ -65,11 +63,16 @@ def simulate_block(
 
     Returns (times, weights, kinds) arrays of shape (m, size) in run order
     (kind 0 marks "never crossed"; every crossing has weight 1), written
-    into ``out`` when it is given (views of the block's columns of a job's
-    result), plus the count of
-    grazing events: segments entered at or below the frozen barrier level,
-    which are recorded as immediate weight-1 crossings and counted separately
-    because correct sequencing makes them rare, rounding-induced cases.
+    into ``out`` (views of the block's columns of a job's result, or
+    ``results.empty_hits(m, size)``), plus the count of grazing events:
+    segments entered at or below the frozen midpoint level.  They are
+    recorded as immediate crossings of kind 2, so ``at_jump_crossings``
+    counts them too.  They are not rare: where a barrier rises, its midpoint
+    level lies above its level at the segment's start, so a run that starts
+    a segment just above the barrier often starts it below that frozen
+    level (x0 0, mu 0, intercept -0.3, slope 0.5, sigma 0.2, lambda 3,
+    jump sd 0.05 and T 1 gave 31,638 grazing events among 86,765 crossings
+    in 100,000 runs at seed 1).
     """
     m = spec.m
     T = spec.horizon
@@ -81,7 +84,7 @@ def simulate_block(
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )
 
-    hit_t, hit_w, hit_k = block_hits(m, size, out)
+    hit_t, hit_w, hit_k = block_hits(out)
     grazing = 0
 
     run = np.arange(size)
@@ -110,8 +113,9 @@ def simulate_block(
         level = slope_c * (t0 + 0.5 * tau)
         level += icpt_c
 
-        # defensive: a segment entered at or below its frozen level counts as
-        # an immediate crossing carried over from the previous jump
+        # a segment entered at or below its frozen level (common where the
+        # barrier rises) counts as an immediate crossing at the segment start,
+        # or where the barrier reaches the entry value
         graze = alive & (state <= level)
         if graze.any():
             comps, cols = _cells(graze)

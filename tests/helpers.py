@@ -141,7 +141,7 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
     grazing count) on the random stream of ``unif.simulate_block``.
     """
     from fptmc.bridge import _cells
-    from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, block_hits
+    from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, block_hits, empty_hits
     from fptmc.unif import _graze_times
 
     m = spec.m
@@ -154,7 +154,7 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )
 
-    hit_t, hit_w, hit_k = block_hits(m, size, None)
+    hit_t, hit_w, hit_k = block_hits(empty_hits(m, size))
     grazing = 0
 
     run = np.arange(size)

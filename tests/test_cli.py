@@ -91,6 +91,14 @@ def test_run_flag_overrides(cfg_file, tmp_path, capsys):
     assert not os.path.exists(tmp_path / "other" / "cmc_marginal_1.csv")
 
 
+@pytest.mark.parametrize("out", ["1e3", "runs#2"])
+def test_run_writes_to_the_out_path_as_given(cfg_file, tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    args = ["run", "--config", cfg_file, "--engine", "unif", "--runs", "200", "--out", out]
+    assert main(args) == 0
+    assert os.path.exists(tmp_path / out / "report.txt")
+
+
 def test_bad_override_is_config_error(cfg_file, capsys):
     assert main(["run", "--config", cfg_file, "--dt", "2.0"]) == 1
     assert "config error" in capsys.readouterr().err

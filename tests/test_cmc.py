@@ -26,7 +26,9 @@ def drift_spec(mu, barrier, m=1):
 def single_run(spec, dt, rng):
     """(times, weights, kinds) of one discretised run, one entry per
     component: column 0 of a one-run block."""
-    hit_t, hit_w, hit_k, _ = simulate_block_cmc(spec, CmcConfig(dt=dt, n_runs=1), rng, 1)
+    hit_t, hit_w, hit_k, _ = simulate_block_cmc(
+        spec, CmcConfig(dt=dt, n_runs=1), rng, 1, out=results.empty_hits(spec.m, 1)
+    )
     return hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]
 
 

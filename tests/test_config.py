@@ -139,6 +139,30 @@ def test_non_finite_value_names_its_line(key, good, bad):
         parse_config_text(broken)
 
 
+@pytest.mark.parametrize(
+    "key, good, bad",
+    [
+        ("x0", "x0 = [0.0, 0.0]", "x0 = [-0.10536051565782628, 0.0]"),
+        ("x0", "x0 = [0.0, 0.0]", "x0 = [0.0, -0.06]"),
+        ("sigma", "sigma = [[0.2, 0.0], [0.0, 0.2]]", "sigma = [[0.2, 0.0], [0.0, 0.0]]"),
+        ("jump_sd", "jump_sd = [0.2, 0.12]", "jump_sd = [0.2, -0.12]"),
+        ("lambda", "lambda = 1.0", "lambda = -1.0"),
+        ("horizon", "horizon = 1.0", "horizon = 0"),
+        ("horizon", "horizon = 1.0", "horizon = -2"),
+        ("dt", "dt = 0.001", "dt = 0"),
+        ("dt", "dt = 0.001", "dt = -0.1"),
+        ("dt", "dt = 0.001", "dt = 2"),
+        # lambda = 1.0, so lambda * dt = 1
+        ("dt", "dt = 0.001", "dt = 1.0"),
+    ],
+)
+def test_model_rule_names_its_line(key, good, bad):
+    broken = GOOD.replace(good, bad)
+    line = broken.splitlines().index(bad) + 1
+    with pytest.raises(ConfigError, match=rf":{line}: .*\b{key}\b"):
+        parse_config_text(broken)
+
+
 def test_unknown_engine():
     broken = GOOD.replace("engine = both", "engine = fast")
     with pytest.raises(ConfigError, match="engine must be one of"):
@@ -181,6 +205,27 @@ def test_overrides_applied_and_revalidated():
     assert bumped.sigma == cfg.sigma
     with pytest.raises(ConfigError, match="must be < 1"):
         apply_overrides(parse_config_text(GOOD.replace("lambda = 1.0", "lambda = 8.0")), dt=0.2)
+
+
+@pytest.mark.parametrize(
+    "line, out",
+    [
+        ("out = 1e3", "1e3"),
+        ("out = 0x10", "0x10"),
+        ("out = 1_000", "1_000"),
+        ("out = results/a  # a comment", "results/a"),
+    ],
+)
+def test_out_is_read_verbatim(line, out):
+    cfg = parse_config_text(GOOD.replace("out = /tmp/fptmc_demo", line))
+    assert cfg.out == out
+
+
+@pytest.mark.parametrize("out", ["1e3", "0x10", "1_000", "runs#2", "#"])
+def test_out_override_is_kept_exact(out):
+    cfg = apply_overrides(parse_config_text(GOOD), out=out, runs=10)
+    assert cfg.out == out
+    assert cfg.runs == 10
 
 
 def test_missing_file():

@@ -6,6 +6,7 @@ import pytest
 from scipy import stats
 
 from fptmc import LinearBarrier, ModelSpec, bridge, effective_sigma
+from fptmc.results import empty_hits
 from fptmc.unif import simulate_block
 from conftest import make_example_spec
 
@@ -106,7 +107,9 @@ def engine_passes(monkeypatch, spec, n, seed=0):
 
     with monkeypatch.context() as patched:
         patched.setattr(bridge, "draw_crossings", recording)
-        hit_t, _, _, _ = simulate_block(spec, np.random.default_rng(seed), n)
+        hit_t, _, _, _ = simulate_block(
+            spec, np.random.default_rng(seed), n, out=empty_hits(spec.m, n)
+        )
     assert np.isnan(hit_t).all(), "a barrier was reached"
     runs = np.arange(n)
     passes = []

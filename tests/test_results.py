@@ -45,7 +45,12 @@ def test_unif_in_place_result_matches_per_block_merge(example1_spec):
     n = results.BLOCK_SIZE * 5 // 2
     assert len(results.block_sizes(n)) == 3
     merged = merge_by_block(
-        "unif", lambda rng, size: unif.simulate_block(example1_spec, rng, size), n, seed=21
+        "unif",
+        lambda rng, size: unif.simulate_block(
+            example1_spec, rng, size, out=results.empty_hits(2, size)
+        ),
+        n,
+        seed=21,
     )
     assert_same_result(run_engine(example1_spec, n, seed=21, workers=2), merged)
 
@@ -55,7 +60,9 @@ def test_cmc_in_place_result_matches_per_block_merge(monkeypatch, example1_spec)
     cfg = CmcConfig(dt=0.01, n_runs=2560, seed=22, workers=2)
     merged = merge_by_block(
         "cmc",
-        lambda rng, size: cmc.simulate_block_cmc(example1_spec, cfg, rng, size),
+        lambda rng, size: cmc.simulate_block_cmc(
+            example1_spec, cfg, rng, size, out=results.empty_hits(2, size)
+        ),
         cfg.n_runs,
         cfg.seed,
     )

@@ -16,6 +16,7 @@ from fptmc.results import (
     block_rng,
     block_sizes,
     collect_result,
+    empty_hits,
 )
 from fptmc.unif import simulate_block
 from conftest import make_example_spec
@@ -171,7 +172,8 @@ def test_run_single_agrees_with_engine(single_bm_spec):
     rng = np.random.default_rng(77)
     n = 2000
     crossings = sum(
-        simulate_block(single_bm_spec, rng, 1)[2][0, 0] != KIND_NONE for _ in range(n)
+        simulate_block(single_bm_spec, rng, 1, out=empty_hits(1, 1))[2][0, 0] != KIND_NONE
+        for _ in range(n)
     )
     p_exact = bm_crossing_probability(0.0, -1.0, 0.0, 1.0, 1.0)
     se = math.sqrt(p_exact * (1 - p_exact) / n)
@@ -182,7 +184,7 @@ def test_run_single_outcome_structure(example1_spec):
     rng = np.random.default_rng(101)
     seen_kinds = set()
     for _ in range(500):
-        hit_t, hit_w, hit_k, _ = simulate_block(example1_spec, rng, 1)
+        hit_t, hit_w, hit_k, _ = simulate_block(example1_spec, rng, 1, out=empty_hits(2, 1))
         assert hit_t.shape == hit_w.shape == hit_k.shape == (2, 1)
         for time, weight, kind in zip(hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]):
             if kind == KIND_NONE:
@@ -205,7 +207,7 @@ def test_estimate_densities_single_crossing_fixture():
     expected = 2.0 * fptmc.gaussian_kernel(h, grid - 0.5)
     assert np.allclose(marginals[0].values, expected, rtol=1e-12)
     assert marginals[0].bandwidth == pytest.approx(h)
-    assert joint is None  # one component only
+    assert joint is None  # no joint grid given
 
 
 def test_zero_crossings_zero_density():
@@ -214,7 +216,7 @@ def test_zero_crossings_zero_density():
     hit_k = np.zeros((2, 4), dtype=np.int8)
     result = collect_result("unif", 0, [(hit_t, hit_w, hit_k)], elapsed=1.0)
     grid = np.linspace(0.0, 1.0, 16)
-    marginals, joint = estimate_densities(result, grid)
+    marginals, joint = estimate_densities(result, grid, joint_grid=(grid, grid))
     for est in marginals:
         assert np.all(est.values == 0.0)
     assert np.all(joint.values == 0.0)
@@ -266,7 +268,9 @@ def test_output_equals_the_reference_kernel(spec):
     # the arithmetic is unchanged, so the output is equal to the last bit
     for b in range(2):
         ref_t, ref_w, ref_k, ref_grazing = midpoint_block(spec, block_rng(5, b), BLOCK_SIZE)
-        hit_t, hit_w, hit_k, grazing = simulate_block(spec, block_rng(5, b), BLOCK_SIZE)
+        hit_t, hit_w, hit_k, grazing = simulate_block(
+            spec, block_rng(5, b), BLOCK_SIZE, out=empty_hits(spec.m, BLOCK_SIZE)
+        )
         assert np.array_equal(hit_t, ref_t, equal_nan=True)
         assert np.array_equal(hit_w, ref_w)
         assert np.array_equal(hit_k, ref_k)
