@@ -35,7 +35,6 @@ from .config import (
     ExperimentConfig,
     parse_config,
     parse_config_text,
-    serialize_config,
 )
 from .report import ComparisonReport, normalized_l1, emit_density_csv, run_experiment
 
@@ -64,7 +63,6 @@ __all__ = [
     "ExperimentConfig",
     "parse_config",
     "parse_config_text",
-    "serialize_config",
     "ComparisonReport",
     "normalized_l1",
     "emit_density_csv",

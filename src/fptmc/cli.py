@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import ConfigError, apply_overrides, parse_config
+from .config import ENGINES, ConfigError, apply_overrides, parse_config
 from .report import format_report, run_experiment
 
 __all__ = ["main"]
@@ -27,7 +27,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the configured experiment")
     run.add_argument("--config", required=True, help="configuration file")
-    run.add_argument("--engine", choices=("unif", "cmc", "both"))
+    run.add_argument("--engine", choices=ENGINES)
     run.add_argument("--runs", type=int)
     run.add_argument("--dt", type=float)
     run.add_argument("--seed", type=int)

@@ -35,7 +35,8 @@ _COMPACT_EVERY = 128
 
 @dataclass(frozen=True)
 class CmcConfig:
-    """Settings of one baseline execution."""
+    """Settings of one baseline execution.  ``n_runs``, ``seed`` and
+    ``workers`` are checked where they are used, by ``results.run_blocks``."""
 
     dt: float
     n_runs: int
@@ -45,12 +46,6 @@ class CmcConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ValueError("dt must be positive")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be a positive integer")
-        if self.workers < 1:
-            raise ValueError("workers must be a positive integer")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
     def validate_for(self, spec: ModelSpec) -> None:
         if self.dt > spec.horizon:

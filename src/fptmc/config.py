@@ -32,11 +32,15 @@ Recognised keys, with types and defaults:
     grid_2d            int        128         joint density grid points/axis
     out                path       "out"       output directory
 
-The parser checks keys, types, dimensions and finiteness; the model and
-baseline rules are ``ModelSpec``'s and ``CmcConfig``'s own, reported at the
-line of the key their message names.
+Each rule lives in one place.  The parser reads only syntax: ``key = value``
+lines and duplicate, unknown and missing keys; the known keys, the required
+ones and the defaults are the fields of ``ExperimentConfig``.  The values are
+checked by ``ExperimentConfig`` itself, which builds the ``ModelSpec`` and,
+for the baseline, the ``CmcConfig``, and so applies their rules too.  An
+error names its key, and the file line of that key when it has one.
 
-Command-line flags override file values.
+Command-line flags override file values through ``apply_overrides``: a
+``dataclasses.replace``, so the same rules check them.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from __future__ import annotations
 import ast
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -53,25 +57,15 @@ from .cmc import CmcConfig
 from .model import LinearBarrier, ModelSpec
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text",
-           "serialize_config", "apply_overrides"]
+           "apply_overrides"]
 
 ENGINES = ("unif", "cmc", "both")
 
-_REQUIRED = (
-    "m", "x0", "mu", "sigma", "lambda", "jump_mean", "jump_sd",
-    "barrier_intercept", "barrier_slope", "horizon", "engine", "runs",
-)
-_OPTIONAL_DEFAULTS = {
-    "dt": None,
-    "seed": 0,
-    "workers": 1,
-    "grid_1d": 512,
-    "grid_2d": 128,
-    "out": "out",
-}
-
-# the one ModelSpec field whose config key has another name
+# the one field whose config key has another name
 _KEY_OF_FIELD = {"jump_rate": "lambda"}
+
+_MINIMUMS = {"m": 1, "runs": 1, "seed": 0, "workers": 1, "grid_1d": 2, "grid_2d": 2}
+_VECTORS = ("x0", "mu", "jump_mean", "jump_sd", "barrier_intercept", "barrier_slope")
 
 
 class ConfigError(ValueError):
@@ -84,9 +78,52 @@ class ConfigError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def _is_number(value) -> bool:
+    """An int or a float; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(name: str, value) -> float:
+    if not _is_number(value) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number")
+    return float(value)
+
+
+def _vector(name: str, value, m: int) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+        raise ValueError(f"{name} must be a list of numbers")
+    if len(value) != m:
+        raise ValueError(
+            f"{name} has {len(value)} entries, expected m = {m} (dimension mismatch)"
+        )
+    if not all(map(math.isfinite, value)):
+        raise ValueError(f"{name} entries must be finite")
+    return tuple(float(v) for v in value)
+
+
+def _matrix(name: str, value, m: int) -> tuple[tuple[float, ...], ...]:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != m
+        or any(not isinstance(row, (list, tuple)) or len(row) != m for row in value)
+    ):
+        raise ValueError(f"{name} must be an {m} x {m} matrix (dimension mismatch)")
+    if not all(_is_number(v) and math.isfinite(v) for row in value for v in row):
+        raise ValueError(f"{name} entries must be finite numbers")
+    return tuple(tuple(float(v) for v in row) for row in value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated experiment description (model + execution settings)."""
+    """Experiment description (model + execution settings) that checks itself.
+
+    Construction checks every value: integer minimums, finite numbers, the
+    vector and ``sigma`` shapes, the ``engine`` word and ``dt`` for the
+    baseline; then it builds the ``ModelSpec``, its effective sigmas and, for
+    ``cmc``/``both``, the ``CmcConfig`` checked against that spec, so the
+    model and baseline rules are theirs.  A ``ValueError`` starts with the
+    field it is about.  Lists are stored as tuples of floats.
+    """
 
     m: int
     x0: tuple[float, ...]
@@ -106,6 +143,28 @@ class ExperimentConfig:
     grid_1d: int = 512
     grid_2d: int = 128
     out: str = "out"
+
+    def __post_init__(self):
+        for name, minimum in _MINIMUMS.items():
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+                raise ValueError(f"{name} must be an integer >= {minimum}")
+        checked = {name: _vector(name, getattr(self, name), self.m) for name in _VECTORS}
+        checked["sigma"] = _matrix("sigma", self.sigma, self.m)
+        for name in ("jump_rate", "horizon") + (("dt",) if self.dt is not None else ()):
+            checked[name] = _finite(name, getattr(self, name))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
+        if self.engine not in ENGINES:
+            raise ValueError(
+                f"engine must be one of {', '.join(ENGINES)}; got {self.engine!r}"
+            )
+        if self.needs_cmc and self.dt is None:
+            raise ValueError(f"missing required key 'dt' (engine = {self.engine})")
+        spec = self.to_model_spec()
+        spec.effective_sigmas()
+        if self.needs_cmc:
+            CmcConfig(self.dt, self.runs, self.seed, self.workers).validate_for(spec)
 
     def to_model_spec(self) -> ModelSpec:
         return ModelSpec(
@@ -132,16 +191,20 @@ class ExperimentConfig:
         return self.engine in ("unif", "both")
 
 
+# config key -> ExperimentConfig field
+_FIELDS = {_KEY_OF_FIELD.get(f.name, f.name): f for f in fields(ExperimentConfig)}
+
+
 def _parse_value(raw: str):
-    raw = raw.strip()
     try:
         return ast.literal_eval(raw)
     except (ValueError, SyntaxError):
         return raw  # bare word
 
 
-def _read_pairs(text: str, path: str) -> dict:
-    pairs: dict = {}
+def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
+    """Parse a configuration from text; ``ExperimentConfig`` checks the values."""
+    values: dict = {}
     lines: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
@@ -149,130 +212,25 @@ def _read_pairs(text: str, path: str) -> dict:
             continue
         if "=" not in body:
             raise ConfigError(f"expected 'key = value', got {body!r}", path, lineno)
-        key, raw = body.split("=", 1)
-        key = key.strip()
-        if key in pairs:
+        key, raw = (part.strip() for part in body.split("=", 1))
+        if key in lines:
             raise ConfigError(f"duplicate key {key!r}", path, lineno)
-        pairs[key] = raw.strip() if key == "out" else _parse_value(raw)
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown key {key!r}", path, lineno)
+        values[_FIELDS[key].name] = raw if key == "out" else _parse_value(raw)
         lines[key] = lineno
-    pairs["__lines__"] = lines
-    return pairs
-
-
-def _vector(pairs, lines, key, m, path) -> tuple[float, ...]:
-    val = pairs[key]
-    if not isinstance(val, (list, tuple)) or not all(map(_is_number, val)):
-        raise ConfigError(f"{key} must be a list of numbers", path, lines.get(key))
-    if len(val) != m:
-        raise ConfigError(
-            f"dimension mismatch: {key} has {len(val)} entries, expected m = {m}",
-            path,
-            lines.get(key),
-        )
-    if not all(map(math.isfinite, val)):
-        raise ConfigError(f"{key} entries must be finite", path, lines.get(key))
-    return tuple(float(v) for v in val)
-
-
-def _is_number(value) -> bool:
-    """An int or a float; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def parse_config_text(text: str, path: str = "<config>") -> ExperimentConfig:
-    """Parse and fully validate a configuration from text."""
-    pairs = _read_pairs(text, path)
-    lines = pairs.pop("__lines__")
-
-    known = set(_REQUIRED) | set(_OPTIONAL_DEFAULTS)
-    for key in pairs:
-        if key not in known:
-            raise ConfigError(f"unknown key {key!r}", path, lines.get(key))
-    for key in _REQUIRED:
-        if key not in pairs:
+    for key, f in _FIELDS.items():
+        if f.default is MISSING and key not in lines:
             raise ConfigError(f"missing required key {key!r}", path)
-
-    def _positive_int(key, minimum=1):
-        val = pairs[key]
-        if not isinstance(val, int) or isinstance(val, bool) or val < minimum:
-            raise ConfigError(
-                f"{key} must be an integer >= {minimum}", path, lines.get(key)
-            )
-        return val
-
-    def _finite(key):
-        val = pairs[key]
-        if not _is_number(val) or not math.isfinite(val):
-            raise ConfigError(f"{key} must be a finite number", path, lines.get(key))
-        return float(val)
-
-    m = _positive_int("m")
-    x0 = _vector(pairs, lines, "x0", m, path)
-    mu = _vector(pairs, lines, "mu", m, path)
-    jump_mean = _vector(pairs, lines, "jump_mean", m, path)
-    jump_sd = _vector(pairs, lines, "jump_sd", m, path)
-    icpt = _vector(pairs, lines, "barrier_intercept", m, path)
-    slope = _vector(pairs, lines, "barrier_slope", m, path)
-
-    sig = pairs["sigma"]
-    if (
-        not isinstance(sig, (list, tuple))
-        or len(sig) != m
-        or any(not isinstance(row, (list, tuple)) or len(row) != m for row in sig)
-    ):
-        raise ConfigError(
-            f"dimension mismatch: sigma must be an {m} x {m} matrix",
-            path,
-            lines.get("sigma"),
-        )
-    if not all(_is_number(v) and math.isfinite(v) for row in sig for v in row):
-        raise ConfigError("sigma entries must be finite numbers", path, lines.get("sigma"))
-    sigma = tuple(tuple(float(v) for v in row) for row in sig)
-
-    engine = pairs["engine"]
-    if engine not in ENGINES:
-        raise ConfigError(
-            f"engine must be one of {', '.join(ENGINES)}; got {engine!r}",
-            path,
-            lines.get("engine"),
-        )
-    runs = _positive_int("runs")
-
-    cfg = ExperimentConfig(
-        m=m,
-        x0=x0,
-        mu=mu,
-        sigma=sigma,
-        jump_rate=_finite("lambda"),
-        jump_mean=jump_mean,
-        jump_sd=jump_sd,
-        barrier_intercept=icpt,
-        barrier_slope=slope,
-        horizon=_finite("horizon"),
-        engine=engine,
-        runs=runs,
-        dt=_finite("dt") if "dt" in pairs else None,
-        seed=_positive_int("seed", minimum=0) if "seed" in pairs else 0,
-        workers=_positive_int("workers") if "workers" in pairs else 1,
-        grid_1d=_positive_int("grid_1d", minimum=2) if "grid_1d" in pairs else 512,
-        grid_2d=_positive_int("grid_2d", minimum=2) if "grid_2d" in pairs else 128,
-        out=pairs.get("out", "out"),
-    )
-    if cfg.needs_cmc and cfg.dt is None:
-        raise ConfigError(f"missing required key 'dt' (engine = {cfg.engine})", path)
     try:
-        spec = cfg.to_model_spec()
-        spec.effective_sigmas()
-        if cfg.needs_cmc:
-            CmcConfig(cfg.dt, cfg.runs, cfg.seed, cfg.workers).validate_for(spec)
+        return ExperimentConfig(**values)
     except ValueError as exc:
         raise _located(exc, path, lines) from exc
-    return cfg
 
 
 def _located(exc: ValueError, path: str, lines: dict) -> ConfigError:
-    """A model or baseline rule's error, restated in config keys at the line
-    of the key its message starts with."""
+    """A value's error, restated in config keys at the line of the key its
+    message starts with, when there is one."""
     message = str(exc)
     field = re.match(r"\w*", message).group()
     key = _KEY_OF_FIELD.get(field, field)
@@ -289,48 +247,10 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_text(text, str(path))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return "[" + ", ".join(_fmt(v) for v in value) + "]"
-    return str(value)
-
-
-def serialize_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to the file format; parse(serialize(c)) == c."""
-    out = [
-        f"m = {cfg.m}",
-        f"x0 = {_fmt(cfg.x0)}",
-        f"mu = {_fmt(cfg.mu)}",
-        f"sigma = {_fmt(cfg.sigma)}",
-        f"lambda = {_fmt(cfg.jump_rate)}",
-        f"jump_mean = {_fmt(cfg.jump_mean)}",
-        f"jump_sd = {_fmt(cfg.jump_sd)}",
-        f"barrier_intercept = {_fmt(cfg.barrier_intercept)}",
-        f"barrier_slope = {_fmt(cfg.barrier_slope)}",
-        f"horizon = {_fmt(cfg.horizon)}",
-        f"engine = {cfg.engine}",
-        f"runs = {cfg.runs}",
-    ]
-    if cfg.dt is not None:
-        out.append(f"dt = {_fmt(cfg.dt)}")
-    out += [
-        f"seed = {cfg.seed}",
-        f"workers = {cfg.workers}",
-        f"grid_1d = {cfg.grid_1d}",
-        f"grid_2d = {cfg.grid_2d}",
-        f"out = {cfg.out}",
-    ]
-    return "\n".join(out) + "\n"
-
-
 def apply_overrides(cfg: ExperimentConfig, **overrides) -> ExperimentConfig:
-    """Apply non-None command-line overrides and re-validate.
-
-    ``out`` is kept exact: the file format would cut a path at a '#'."""
-    changes = {k: v for k, v in overrides.items() if v is not None}
-    if not changes:
-        return cfg
-    new = replace(cfg, **changes)
-    return replace(parse_config_text(serialize_config(new), "<overrides>"), out=str(new.out))
+    """``cfg`` with the non-None overrides, checked by the same rules as the
+    file's keys; ``out`` is taken as given."""
+    try:
+        return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    except ValueError as exc:
+        raise _located(exc, "<overrides>", {}) from exc

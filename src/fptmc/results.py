@@ -189,14 +189,13 @@ def collect_result(
         run_indices.append(rows)
         complete &= sel
     joint_rows = np.flatnonzero(complete)
-    joint_w = np.ones(len(joint_rows))
-    for i in range(m):
-        joint_w *= hit_w[i].take(joint_rows)
     # the joint tuples are (n_joint, m), one row per run
     joint_t = np.empty((len(joint_rows), m))
     for i in range(m):
         joint_t[:, i] = hit_t[i].take(joint_rows)
-    joint = WeightedSamples(times=joint_t, weights=joint_w, n_runs=n_runs)
+    joint = WeightedSamples(
+        times=joint_t, weights=np.ones(len(joint_rows)), n_runs=n_runs
+    )
     diag = dict(diagnostics or {})
     diag.setdefault("interior_crossings", int(np.count_nonzero(hit_k == KIND_INTERIOR)))
     diag.setdefault("at_jump_crossings", int(np.count_nonzero(hit_k == KIND_AT_JUMP)))

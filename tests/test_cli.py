@@ -101,7 +101,8 @@ def test_run_writes_to_the_out_path_as_given(cfg_file, tmp_path, monkeypatch, ca
 
 def test_bad_override_is_config_error(cfg_file, capsys):
     assert main(["run", "--config", cfg_file, "--dt", "2.0"]) == 1
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error: <overrides>: dt must not exceed the horizon" in err
 
 
 def test_runtime_error_exit_code(cfg_file, capsys, tmp_path, monkeypatch):

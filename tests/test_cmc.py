@@ -118,7 +118,7 @@ def test_validation():
     with pytest.raises(ValueError):
         CmcConfig(dt=0.0, n_runs=10)
     with pytest.raises(ValueError):
-        CmcConfig(dt=0.1, n_runs=0)
+        run_cmc(spec, CmcConfig(dt=0.1, n_runs=0))
     with pytest.raises(ValueError):
         run_cmc(spec, CmcConfig(dt=2.0, n_runs=10))  # dt beyond horizon
     jumpy = ModelSpec(

@@ -1,8 +1,9 @@
 import math
+from dataclasses import replace
 
 import pytest
 
-from fptmc import ConfigError, parse_config, parse_config_text, serialize_config
+from fptmc import ConfigError, ExperimentConfig, parse_config, parse_config_text
 from fptmc.config import apply_overrides
 
 GOOD = """
@@ -185,18 +186,6 @@ def test_error_reports_line_number():
         parse_config_text(broken)
 
 
-def test_roundtrip_identity():
-    cfg = parse_config_text(GOOD)
-    again = parse_config_text(serialize_config(cfg))
-    assert again == cfg
-
-
-def test_roundtrip_bundled_configs():
-    for i in (1, 2, 3):
-        cfg = parse_config(f"configs/example{i}.cfg")
-        assert parse_config_text(serialize_config(cfg)) == cfg
-
-
 def test_overrides_applied_and_revalidated():
     cfg = parse_config_text(GOOD)
     bumped = apply_overrides(cfg, runs=5000, engine="unif")
@@ -221,11 +210,28 @@ def test_out_is_read_verbatim(line, out):
     assert cfg.out == out
 
 
-@pytest.mark.parametrize("out", ["1e3", "0x10", "1_000", "runs#2", "#"])
+@pytest.mark.parametrize(
+    "out", ["1e3", "0x10", "1_000", "runs#2", "#", "a\nb", "x\ndt = 0.5"]
+)
 def test_out_override_is_kept_exact(out):
-    cfg = apply_overrides(parse_config_text(GOOD), out=out, runs=10)
-    assert cfg.out == out
-    assert cfg.runs == 10
+    # a unif config without dt: no part of the path may set another key
+    unif = GOOD.replace("engine = both", "engine = unif").replace("dt = 0.001\n", "")
+    base = parse_config_text(unif)
+    cfg = apply_overrides(base, out=out, runs=10)
+    assert cfg == replace(base, out=out, runs=10)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"x0": [0.0, 0.0, 0.0]}, r"x0 has 3 entries, expected m = 2 \(dimension mismatch\)"),
+        ({"runs": 0}, "runs must be an integer >= 1"),
+        ({"jump_rate": -1.0}, "jump_rate must be >= 0"),
+    ],
+)
+def test_direct_construction_is_checked(change, message):
+    with pytest.raises(ValueError, match="^" + message):
+        ExperimentConfig(**dict(vars(parse_config_text(GOOD)), **change))
 
 
 def test_missing_file():
