@@ -8,7 +8,7 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from fptmc import LinearBarrier, ModelSpec, estimate_densities, run_engine
+from fptmc import ModelSpec, estimate_densities, run_engine
 
 spec = ModelSpec(
     m=1,
@@ -18,7 +18,8 @@ spec = ModelSpec(
     jump_rate=0.0,
     jump_mean=[0.0],
     jump_sd=[0.0],
-    barriers=(LinearBarrier(-1.0, 0.0),),
+    barrier_intercept=[-1.0],
+    barrier_slope=[0.0],
     horizon=1.0,
 )
 

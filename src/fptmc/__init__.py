@@ -14,7 +14,7 @@ count over the runs, and both feed ``estimate_densities`` for kernel density
 estimates of the marginal and joint first-passage-time densities.
 """
 
-from .model import LinearBarrier, ModelSpec, effective_sigma
+from .model import ModelSpec
 from .kde import (
     WeightedSamples,
     GammaFit,
@@ -41,9 +41,7 @@ from .report import ComparisonReport, normalized_l1, emit_density_csv, run_exper
 __version__ = "0.1.0"
 
 __all__ = [
-    "LinearBarrier",
     "ModelSpec",
-    "effective_sigma",
     "WeightedSamples",
     "GammaFit",
     "DensityEstimate",

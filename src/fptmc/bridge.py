@@ -18,9 +18,10 @@ provides, elementwise:
   bridge's conditional crossing-time law (an inverse-Gaussian transform),
   so every crossing has weight 1.
 
-The bridge-sampling engine calls ``survival_array`` and ``draw_crossings``
-directly, with distances to each barrier held at its interval's midpoint
-(see ``unif``); the crossing times it draws follow ``fpt_density_array``.
+The bridge-sampling engine calls ``draw_crossings``, which evaluates
+``survival_array``, with distances to each barrier held at its interval's
+midpoint (see ``unif``); the crossing times it draws follow
+``fpt_density_array``.
 These are the only implementation of the formulas.
 """
 
@@ -29,15 +30,10 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "SURVIVAL_SHORTCUT",
     "survival_array",
     "fpt_density_array",
     "draw_crossings",
 ]
-
-# Survival this close to 1 is treated as certain survival: such a cell
-# never crosses.
-SURVIVAL_SHORTCUT = 1e-12
 
 _LEAST_DOUBLE = np.finfo(float).smallest_subnormal
 
@@ -99,10 +95,10 @@ def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
 
     With P the cell's survival probability, a cell crosses exactly when
     u <= 1 - P, which happens with probability 1 - P; so every alive cell
-    with d1 <= 0 crosses, and cells whose survival rounds to one (within
-    ``SURVIVAL_SHORTCUT``) never cross.  The crossing time is drawn exactly
-    from the bridge's conditional crossing-time law, with one standard
-    normal per crossing cell from ``rng``, so every crossing has weight 1.
+    with d1 <= 0 crosses, and since u >= 2^-53 a cell whose 1 - P is below
+    that never crosses.  The crossing time is drawn exactly from the
+    bridge's conditional crossing-time law, with one standard normal per
+    crossing cell from ``rng``, so every crossing has weight 1.
 
     Returns ((components, runs), times) of the crossing cells, in
     component-major order.
@@ -110,7 +106,7 @@ def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
     tau = t1 - t0
     keep = survival_array(d0, d1, tau, sigma[:, None])
     np.subtract(1.0, keep, out=keep)
-    hit = alive & (keep > SURVIVAL_SHORTCUT) & (u <= keep)
+    hit = alive & (u <= keep)
     flat = np.flatnonzero(hit)
     if not flat.size:
         none = np.empty(0, dtype=np.intp)

@@ -86,7 +86,7 @@ def simulate_block_cmc(
     broadcast along contiguous rows."""
     m = spec.m
     sigma = spec.sigma
-    icpt, slope = spec.barrier_arrays()
+    icpt, slope = spec.barrier_intercept, spec.barrier_slope
     mu, icpt, slope, jump_mean, jump_sd = (
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )

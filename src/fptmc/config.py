@@ -34,10 +34,12 @@ Recognised keys, with types and defaults:
 
 Each rule lives in one place.  The parser reads only syntax: ``key = value``
 lines and duplicate, unknown and missing keys; the known keys, the required
-ones and the defaults are the fields of ``ExperimentConfig``.  The values are
-checked by ``ExperimentConfig`` itself, which builds the ``ModelSpec`` and,
-for the baseline, the ``CmcConfig``, and so applies their rules too.  An
-error names its key, and the file line of that key when it has one.
+ones and the defaults are the fields of ``ExperimentConfig``.  Every model
+value (the keys from ``m`` to ``horizon``) is checked by ``ModelSpec``, which
+``ExperimentConfig`` builds; ``ExperimentConfig`` itself checks only the run
+settings, the ``engine`` word and ``dt``, and for the baseline builds the
+``CmcConfig``, which checks ``dt`` against the model.  An error names its
+key, and the file line of that key when it has one.
 
 Command-line flags override file values through ``apply_overrides``: a
 ``dataclasses.replace``, so the same rules check them.
@@ -46,7 +48,6 @@ Command-line flags override file values through ``apply_overrides``: a
 from __future__ import annotations
 
 import ast
-import math
 import re
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
@@ -54,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .cmc import CmcConfig
-from .model import LinearBarrier, ModelSpec
+from .model import ModelSpec, _finite
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text",
            "apply_overrides"]
@@ -64,8 +65,7 @@ ENGINES = ("unif", "cmc", "both")
 # the one field whose config key has another name
 _KEY_OF_FIELD = {"jump_rate": "lambda"}
 
-_MINIMUMS = {"m": 1, "runs": 1, "seed": 0, "workers": 1, "grid_1d": 2, "grid_2d": 2}
-_VECTORS = ("x0", "mu", "jump_mean", "jump_sd", "barrier_intercept", "barrier_slope")
+_MINIMUMS = {"runs": 1, "seed": 0, "workers": 1, "grid_1d": 2, "grid_2d": 2}
 
 
 class ConfigError(ValueError):
@@ -78,51 +78,22 @@ class ConfigError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
-def _is_number(value) -> bool:
-    """An int or a float; a bool is not a number here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _finite(name: str, value) -> float:
-    if not _is_number(value) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number")
-    return float(value)
-
-
-def _vector(name: str, value, m: int) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
-        raise ValueError(f"{name} must be a list of numbers")
-    if len(value) != m:
-        raise ValueError(
-            f"{name} has {len(value)} entries, expected m = {m} (dimension mismatch)"
-        )
-    if not all(map(math.isfinite, value)):
-        raise ValueError(f"{name} entries must be finite")
-    return tuple(float(v) for v in value)
-
-
-def _matrix(name: str, value, m: int) -> tuple[tuple[float, ...], ...]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != m
-        or any(not isinstance(row, (list, tuple)) or len(row) != m for row in value)
-    ):
-        raise ValueError(f"{name} must be an {m} x {m} matrix (dimension mismatch)")
-    if not all(_is_number(v) and math.isfinite(v) for row in value for v in row):
-        raise ValueError(f"{name} entries must be finite numbers")
-    return tuple(tuple(float(v) for v in row) for row in value)
+def _tuples(value):
+    """Nested lists as nested tuples, so a config stays hashable."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Experiment description (model + execution settings) that checks itself.
 
-    Construction checks every value: integer minimums, finite numbers, the
-    vector and ``sigma`` shapes, the ``engine`` word and ``dt`` for the
-    baseline; then it builds the ``ModelSpec``, its effective sigmas and, for
-    ``cmc``/``both``, the ``CmcConfig`` checked against that spec, so the
-    model and baseline rules are theirs.  A ``ValueError`` starts with the
-    field it is about.  Lists are stored as tuples of floats.
+    The model values are the fields of ``ModelSpec``: construction builds
+    that spec, which checks them, and stores its values back as tuples.  The
+    spec's ``effective_sigmas()`` rule (no all-zero diffusion row) holds for
+    every engine here.  Checked here are only the run settings' integer
+    minimums, the ``engine`` word and ``dt``, which ``cmc``/``both`` require
+    and whose ``CmcConfig`` is checked against the spec.  A ``ValueError``
+    starts with the field it is about.
     """
 
     m: int
@@ -149,38 +120,24 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
                 raise ValueError(f"{name} must be an integer >= {minimum}")
-        checked = {name: _vector(name, getattr(self, name), self.m) for name in _VECTORS}
-        checked["sigma"] = _matrix("sigma", self.sigma, self.m)
-        for name in ("jump_rate", "horizon") + (("dt",) if self.dt is not None else ()):
-            checked[name] = _finite(name, getattr(self, name))
-        for name, value in checked.items():
-            object.__setattr__(self, name, value)
+        spec = self.to_model_spec()
+        spec.effective_sigmas()
+        for f in fields(ModelSpec):
+            value = np.asarray(getattr(spec, f.name)).tolist()
+            object.__setattr__(self, f.name, _tuples(value))
         if self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {', '.join(ENGINES)}; got {self.engine!r}"
             )
-        if self.needs_cmc and self.dt is None:
+        if self.dt is not None:
+            object.__setattr__(self, "dt", _finite("dt", self.dt))
+        elif self.needs_cmc:
             raise ValueError(f"missing required key 'dt' (engine = {self.engine})")
-        spec = self.to_model_spec()
-        spec.effective_sigmas()
         if self.needs_cmc:
             CmcConfig(self.dt, self.runs, self.seed, self.workers).validate_for(spec)
 
     def to_model_spec(self) -> ModelSpec:
-        return ModelSpec(
-            m=self.m,
-            x0=np.array(self.x0),
-            mu=np.array(self.mu),
-            sigma=np.array(self.sigma),
-            jump_rate=self.jump_rate,
-            jump_mean=np.array(self.jump_mean),
-            jump_sd=np.array(self.jump_sd),
-            barriers=tuple(
-                LinearBarrier(b, s)
-                for b, s in zip(self.barrier_intercept, self.barrier_slope)
-            ),
-            horizon=self.horizon,
-        )
+        return ModelSpec(**{f.name: getattr(self, f.name) for f in fields(ModelSpec)})
 
     @property
     def needs_cmc(self) -> bool:

@@ -4,48 +4,88 @@ jump-diffusion.
 The process is  dX = mu dt + sigma dW + dZ  with a shared Poisson clock of rate
 ``jump_rate`` driving jumps in every component and per-component normal jump
 sizes.  Each component X_i is watched against its own affine barrier
-D_i(t) = intercept_i + slope_i * t on the horizon [0, T]; a run ends for a
-component the first time it touches or falls below its barrier.
+D_i(t) = barrier_intercept_i + barrier_slope_i * t on the horizon [0, T]; a
+run ends for a component the first time it touches or falls below its
+barrier.
 
-Paths are simulated by the engines (``unif`` and ``cmc``), which read the
-spec's arrays directly.
+``ModelSpec`` is the one representation of a model and the one place its
+values are checked: a configuration builds one and reads its values back
+from it.  Paths are simulated by the engines (``unif`` and ``cmc``), which
+read the spec's arrays directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LinearBarrier", "ModelSpec", "effective_sigma"]
+__all__ = ["ModelSpec"]
+
+_VECTORS = ("x0", "mu", "jump_mean", "jump_sd", "barrier_intercept", "barrier_slope")
 
 
-@dataclass(frozen=True)
-class LinearBarrier:
-    """Affine threshold D(t) = intercept + slope * t."""
-
-    intercept: float
-    slope: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.intercept) and np.isfinite(self.slope)):
-            raise ValueError("barrier intercept and slope must be finite")
+def _is_number(value) -> bool:
+    """An int or a float, Python's or NumPy's; a bool is not a number here."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(
+        value, bool
+    )
 
 
-def _as_readonly(a, dtype=float) -> np.ndarray:
-    out = np.array(a, dtype=dtype)
-    out.setflags(write=False)
-    return out
+def _is_finite(value) -> bool:
+    """A number whose float value is finite."""
+    try:
+        return _is_number(value) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _finite(name: str, value) -> float:
+    if not _is_finite(value):
+        raise ValueError(f"{name} must be a finite number")
+    return float(value)
+
+
+def _vector(name: str, value, m: int) -> np.ndarray:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)) or not all(map(_is_number, value)):
+        raise ValueError(f"{name} must be a list of numbers")
+    if len(value) != m:
+        raise ValueError(
+            f"{name} has {len(value)} entries, expected m = {m} (dimension mismatch)"
+        )
+    if not all(map(_is_finite, value)):
+        raise ValueError(f"{name} entries must be finite")
+    return np.array(value, dtype=float)
+
+
+def _matrix(name: str, value, m: int) -> np.ndarray:
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != m
+        or any(not isinstance(row, (list, tuple)) or len(row) != m for row in value)
+    ):
+        raise ValueError(f"{name} must be an {m} x {m} matrix (dimension mismatch)")
+    if not all(_is_finite(v) for row in value for v in row):
+        raise ValueError(f"{name} entries must be finite numbers")
+    return np.array(value, dtype=float)
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full problem definition for one experiment.
+    """Full problem definition for one experiment, checked on construction.
+
+    A ``ValueError`` starts with the field it is about.  The vectors and
+    ``sigma`` are stored as read-only float arrays.
 
     Parameters
     ----------
     m : int
-        Number of processes.
+        Number of processes, at least 1.
     x0 : array (m,)
         Initial values; each must start strictly above its barrier at t = 0.
     mu : array (m,)
@@ -56,10 +96,14 @@ class ModelSpec:
     jump_rate : float
         Poisson arrival rate of the shared jump clock (>= 0).
     jump_mean, jump_sd : array (m,)
-        Normal jump-size mean and standard deviation per component.
-    barriers : sequence of LinearBarrier, length m.
+        Normal jump-size mean and standard deviation (>= 0) per component.
+    barrier_intercept, barrier_slope : array (m,)
+        Component i's barrier is D_i(t) = barrier_intercept[i] +
+        barrier_slope[i] * t.
     horizon : float
         Terminal time T > 0.
+
+    Every entry must be a finite number.
     """
 
     m: int
@@ -69,70 +113,47 @@ class ModelSpec:
     jump_rate: float
     jump_mean: np.ndarray
     jump_sd: np.ndarray
-    barriers: tuple[LinearBarrier, ...] = field(default=())
+    barrier_intercept: np.ndarray
+    barrier_slope: np.ndarray
     horizon: float = 1.0
 
     def __post_init__(self):
-        m = int(self.m)
-        if m < 1:
-            raise ValueError("m must be a positive integer")
-        object.__setattr__(self, "m", m)
-        for name in ("x0", "mu", "jump_mean", "jump_sd"):
-            arr = _as_readonly(getattr(self, name))
-            if arr.shape != (m,):
-                raise ValueError(f"{name} must have shape ({m},), got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        sigma = _as_readonly(self.sigma)
-        if sigma.shape != (m, m):
-            raise ValueError(f"sigma must have shape ({m}, {m}), got {sigma.shape}")
-        object.__setattr__(self, "sigma", sigma)
-        for name in ("x0", "mu", "sigma", "jump_mean", "jump_sd", "jump_rate", "horizon"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-        barriers = tuple(self.barriers)
-        if len(barriers) != m:
-            raise ValueError(f"expected {m} barriers, got {len(barriers)}")
-        object.__setattr__(self, "barriers", barriers)
+        m = self.m
+        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
+            raise ValueError("m must be an integer >= 1")
+        checked = {"m": int(m)}
+        for name in _VECTORS:
+            checked[name] = _vector(name, getattr(self, name), m)
+        checked["sigma"] = _matrix("sigma", self.sigma, m)
+        for name in ("jump_rate", "horizon"):
+            checked[name] = _finite(name, getattr(self, name))
+        for name, value in checked.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
         if not self.horizon > 0:
             raise ValueError("horizon must be positive")
         if self.jump_rate < 0:
             raise ValueError("jump_rate must be >= 0")
         if np.any(self.jump_sd < 0):
             raise ValueError("jump_sd entries must be >= 0")
-        d0 = self.barrier_values(0.0)
-        if np.any(self.x0 <= d0):
-            bad = int(np.argmax(self.x0 <= d0))
+        below = self.x0 <= self.barrier_intercept
+        if below.any():
+            bad = int(np.argmax(below))
             raise ValueError(
                 f"x0[{bad}] = {self.x0[bad]} is not above its barrier at t = 0 "
-                f"(D = {d0[bad]})"
+                f"(D = {self.barrier_intercept[bad]})"
             )
 
-    def barrier_values(self, t: float) -> np.ndarray:
-        """Vector of barrier levels at scalar time t, shape (m,)."""
-        icpt, slope = self.barrier_arrays()
-        return icpt + slope * float(t)
-
-    def barrier_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(intercepts, slopes) as (m,) arrays, for vectorised evaluation."""
-        return (
-            np.array([b.intercept for b in self.barriers]),
-            np.array([b.slope for b in self.barriers]),
-        )
-
     def effective_sigmas(self) -> np.ndarray:
-        """Per-component volatility of the aggregated Brownian driver.
+        """Per-component volatility of the aggregated Brownian driver: the
+        Euclidean norm of each row of ``sigma``.
 
         Raises for any all-zero row: downstream bridge formulas divide by it.
+        The baseline accepts such a row, so construction does not check it.
         """
-        return np.array([effective_sigma(self.sigma, i) for i in range(self.m)])
-
-
-def effective_sigma(sigma: np.ndarray, i: int) -> float:
-    """Volatility of component i once its Brownian drivers are aggregated:
-    the Euclidean norm of row i of the diffusion matrix.
-    """
-    row = np.asarray(sigma, dtype=float)[i]
-    out = float(np.sqrt(np.sum(row * row)))
-    if out == 0.0:
-        raise ValueError(f"sigma has a degenerate diffusion row {i}: all entries are zero")
-    return out
+        out = np.sqrt(np.sum(self.sigma * self.sigma, axis=1))
+        if not out.all():
+            i = int(np.argmin(out))
+            raise ValueError(f"sigma has a degenerate diffusion row {i}: all entries are zero")
+        return out

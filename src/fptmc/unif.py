@@ -33,11 +33,10 @@ from .results import (
     block_hits,
     collect_result,
     empty_hits,
-    estimate_densities,
     run_blocks,
 )
 
-__all__ = ["run_engine", "estimate_densities", "simulate_block"]
+__all__ = ["run_engine", "simulate_block"]
 
 
 def simulate_block(
@@ -79,7 +78,7 @@ def simulate_block(
     lam = spec.jump_rate
     sigma = spec.sigma
     sig_eff = spec.effective_sigmas()
-    icpt, slope = spec.barrier_arrays()
+    icpt, slope = spec.barrier_intercept, spec.barrier_slope
     mu, icpt_c, slope_c, jump_mean, jump_sd = (
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fptmc import LinearBarrier, ModelSpec
+from fptmc import ModelSpec
 
 
 def make_example_spec(jump_rate: float) -> ModelSpec:
@@ -16,10 +16,8 @@ def make_example_spec(jump_rate: float) -> ModelSpec:
         jump_rate=jump_rate,
         jump_mean=[0.0, 0.0],
         jump_sd=[0.2, 0.12],
-        barriers=(
-            LinearBarrier(math.log(0.9), -0.002),
-            LinearBarrier(math.log(0.95), -0.012),
-        ),
+        barrier_intercept=[math.log(0.9), math.log(0.95)],
+        barrier_slope=[-0.002, -0.012],
         horizon=1.0,
     )
 
@@ -40,7 +38,8 @@ def single_bm_spec() -> ModelSpec:
         jump_rate=0.0,
         jump_mean=[0.0],
         jump_sd=[0.0],
-        barriers=(LinearBarrier(-1.0, 0.0),),
+        barrier_intercept=[-1.0],
+        barrier_slope=[0.0],
         horizon=1.0,
     )
 

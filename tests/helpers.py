@@ -119,7 +119,7 @@ def uniform_candidates(d0, d1, t0, t1, sigma, u, alive, rng=None):
 
     tau = t1 - t0
     keep = 1.0 - bridge.survival_array(d0, d1, tau, sigma[:, None])
-    hit = alive & (keep > bridge.SURVIVAL_SHORTCUT) & (u <= keep)
+    hit = alive & (u <= keep)
     comps, runs = np.nonzero(hit)
     stretch = tau[runs] / keep[comps, runs]
     s = t0[runs] + stretch * u[comps, runs]
@@ -149,7 +149,7 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
     lam = spec.jump_rate
     sigma = spec.sigma
     sig_eff = spec.effective_sigmas()
-    icpt, slope = spec.barrier_arrays()
+    icpt, slope = spec.barrier_intercept, spec.barrier_slope
     mu, icpt_c, slope_c, jump_mean, jump_sd = (
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )
@@ -241,12 +241,12 @@ def level_draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
     and drew times out of place, for ``midpoint_block``.  Its survival is
     ``bridge.survival_array`` of the differences to the level, which that
     function then formed itself, the same to the last bit."""
-    from fptmc.bridge import SURVIVAL_SHORTCUT, _cells, survival_array
+    from fptmc.bridge import _cells, survival_array
 
     tau = t1 - t0
     keep = survival_array(x_start - level, x_end - level, tau, sigma[:, None])
     np.subtract(1.0, keep, out=keep)
-    hit = alive & (keep > SURVIVAL_SHORTCUT) & (u <= keep)
+    hit = alive & (u <= keep)
     if not hit.any():
         none = np.empty(0, dtype=np.intp)
         return (none, none), np.empty(0), np.empty(0)

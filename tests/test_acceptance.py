@@ -231,7 +231,7 @@ def test_c7_determinism_across_worker_counts(monkeypatch, tmp_path):
         )
         run_experiment(cfg)
         digests[workers] = {
-            name: open(os.path.join(tmp_path, f"w{workers}", name), "rb").read()
+            name: (tmp_path / f"w{workers}" / name).read_bytes()
             for name in names
         }
     ok = all(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fptmc import CmcConfig, LinearBarrier, ModelSpec, results, run_cmc
+from fptmc import CmcConfig, ModelSpec, results, run_cmc
 from fptmc.cmc import simulate_block_cmc
 from helpers import bm_crossing_probability
 
@@ -18,7 +18,8 @@ def drift_spec(mu, barrier, m=1):
         jump_rate=0.0,
         jump_mean=np.zeros(m),
         jump_sd=np.zeros(m),
-        barriers=tuple(LinearBarrier(b, 0.0) for b in np.atleast_1d(barrier)),
+        barrier_intercept=np.atleast_1d(barrier),
+        barrier_slope=np.zeros(m),
         horizon=1.0,
     )
 
@@ -56,7 +57,8 @@ def test_jump_count_matches_rate():
         jump_rate=3.0,
         jump_mean=[0.0],
         jump_sd=[0.1],
-        barriers=(LinearBarrier(-50.0, 0.0),),
+        barrier_intercept=[-50.0],
+        barrier_slope=[0.0],
         horizon=1.0,
     )
     n = 10_000
@@ -129,7 +131,8 @@ def test_validation():
         jump_rate=8.0,
         jump_mean=[0.0],
         jump_sd=[0.1],
-        barriers=(LinearBarrier(-1.0, 0.0),),
+        barrier_intercept=[-1.0],
+        barrier_slope=[0.0],
         horizon=1.0,
     )
     with pytest.raises(ValueError, match="must be < 1"):
@@ -167,7 +170,8 @@ def test_terminal_law_of_a_non_symmetric_sigma():
         jump_rate=0.0,
         jump_mean=[0.0, 0.0],
         jump_sd=[0.0, 0.0],
-        barriers=tuple(LinearBarrier(-1.0, 1.0 + ci) for ci in c),
+        barrier_intercept=[-1.0, -1.0],
+        barrier_slope=1.0 + c,
         horizon=1.0,
     )
     n = 100_000

@@ -237,3 +237,14 @@ def test_direct_construction_is_checked(change, message):
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config("/nonexistent/path.cfg")
+
+
+def test_model_spec_carries_the_barrier_vectors():
+    cfg = parse_config_text(GOOD.replace("barrier_slope = [-0.002, -0.012]",
+                                         "barrier_slope = [0.25, -3]"))
+    spec = cfg.to_model_spec()
+    assert spec.barrier_intercept.tolist() == list(cfg.barrier_intercept)
+    assert spec.barrier_intercept.tolist() == [-0.10536051565782628, -0.05129329438755058]
+    assert spec.barrier_slope.tolist() == [0.25, -3.0]
+    assert cfg.barrier_slope == (0.25, -3.0)
+    assert cfg == replace(cfg) and hash(cfg) == hash(replace(cfg))

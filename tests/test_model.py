@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fptmc import LinearBarrier, ModelSpec, bridge, effective_sigma
+from fptmc import ModelSpec, bridge
 from fptmc.results import empty_hits
 from fptmc.unif import simulate_block
 from conftest import make_example_spec
@@ -13,26 +13,6 @@ from conftest import make_example_spec
 # a diffusion row this small moves no value of order 1e-3 or more by one ulp,
 # so the engine's paths are exactly the drift-and-jump polyline
 NO_DIFFUSION = 1e-100
-
-
-def test_effective_sigma_diagonal():
-    sigma = [[0.2, 0.0], [0.0, 0.2]]
-    assert effective_sigma(sigma, 0) == pytest.approx(0.2)
-    assert effective_sigma(sigma, 1) == pytest.approx(0.2)
-
-
-def test_effective_sigma_row_norm():
-    assert effective_sigma([[3.0, 4.0]], 0) == pytest.approx(5.0)
-
-
-def test_effective_sigma_zero_row_rejected():
-    with pytest.raises(ValueError, match="degenerate diffusion row"):
-        effective_sigma([[0.0, 0.0], [0.0, 1.0]], 0)
-
-
-def test_barrier_requires_finite_fields():
-    with pytest.raises(ValueError):
-        LinearBarrier(math.inf, 0.0)
 
 
 VALID_SPEC = dict(
@@ -43,9 +23,32 @@ VALID_SPEC = dict(
     jump_rate=1.0,
     jump_mean=[0.0, 0.0],
     jump_sd=[0.1, 0.1],
-    barriers=(LinearBarrier(-1.0, 0.0), LinearBarrier(-1.0, 0.0)),
+    barrier_intercept=[-1.0, -1.0],
+    barrier_slope=[0.0, 0.0],
     horizon=1.0,
 )
+
+
+def test_effective_sigma_diagonal():
+    spec = ModelSpec(**{**VALID_SPEC, "sigma": [[0.2, 0.0], [0.0, 0.2]]})
+    assert spec.effective_sigmas() == pytest.approx([0.2, 0.2])
+
+
+def test_effective_sigma_row_norm():
+    spec = ModelSpec(**{**VALID_SPEC, "sigma": [[3.0, 4.0], [0.0, -2.0]]})
+    assert spec.effective_sigmas() == pytest.approx([5.0, 2.0])
+
+
+def test_effective_sigma_zero_row_rejected():
+    # the spec itself accepts the row: the baseline runs on it
+    spec = ModelSpec(**{**VALID_SPEC, "sigma": [[1.0, 0.0], [0.0, 0.0]]})
+    with pytest.raises(ValueError, match="^sigma has a degenerate diffusion row 1"):
+        spec.effective_sigmas()
+
+
+def test_barrier_requires_finite_fields():
+    with pytest.raises(ValueError, match="^barrier_intercept entries must be finite"):
+        ModelSpec(**{**VALID_SPEC, "barrier_intercept": [math.inf, -1.0]})
 
 
 def test_model_spec_validation():
@@ -53,10 +56,10 @@ def test_model_spec_validation():
     ModelSpec(**good)
     with pytest.raises(ValueError, match="above its barrier"):
         ModelSpec(**{**good, "x0": [0.0, -1.0]})
-    with pytest.raises(ValueError, match="shape"):
+    with pytest.raises(ValueError, match="^mu has 3 entries, expected m = 2"):
         ModelSpec(**{**good, "mu": [0.0, 0.0, 0.0]})
-    with pytest.raises(ValueError, match="barriers"):
-        ModelSpec(**{**good, "barriers": (LinearBarrier(-1.0, 0.0),)})
+    with pytest.raises(ValueError, match="^barrier_slope .*dimension mismatch"):
+        ModelSpec(**{**good, "barrier_slope": [0.0]})
     with pytest.raises(ValueError, match="jump_sd"):
         ModelSpec(**{**good, "jump_sd": [0.1, -0.1]})
     with pytest.raises(ValueError, match="horizon"):
@@ -76,12 +79,47 @@ def test_model_spec_validation():
         ("sigma", [[1.0, 0.0], [0.0, math.inf]]),
         ("jump_mean", [0.0, -math.inf]),
         ("jump_sd", [math.inf, 0.1]),
+        # an int beyond the float range
+        ("horizon", 10**400),
+        ("barrier_slope", [0.0, -(10**400)]),
+        ("sigma", [[10**400, 0.0], [0.0, 1.0]]),
     ],
 )
 def test_model_spec_rejects_non_finite_inputs(key, value):
     # only the rejection is checked: an engine never runs on such a spec
-    with pytest.raises(ValueError, match=f"{key} must be finite"):
+    with pytest.raises(ValueError, match=f"^{key} .*finite"):
         ModelSpec(**{**VALID_SPEC, key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("x0", [True, 0.0], "x0 must be a list of numbers"),
+        ("x0", ["0.5", 0.0], "x0 must be a list of numbers"),
+        ("barrier_slope", np.array([False, False]), "barrier_slope must be a list of numbers"),
+        ("jump_sd", 0.1, "jump_sd must be a list of numbers"),
+        ("sigma", [[1.0, "0"], [0.0, 1.0]], "sigma entries must be finite numbers"),
+        ("sigma", [1.0, 1.0], r"sigma must be an 2 x 2 matrix \(dimension mismatch\)"),
+        ("m", 2.7, "m must be an integer >= 1"),
+        ("m", True, "m must be an integer >= 1"),
+        ("m", 0, "m must be an integer >= 1"),
+        ("horizon", "abc", "horizon must be a finite number"),
+        ("jump_rate", True, "jump_rate must be a finite number"),
+    ],
+)
+def test_model_spec_rejects_non_numeric_inputs(key, value, message):
+    # a bool or a string is not read as a number, and m is not truncated
+    with pytest.raises(ValueError, match="^" + message):
+        ModelSpec(**{**VALID_SPEC, key: value})
+
+
+def test_model_spec_stores_read_only_float_arrays():
+    spec = ModelSpec(**{**VALID_SPEC, "m": np.int64(2), "x0": np.array([1, 2])})
+    assert spec.m == 2 and type(spec.m) is int
+    assert spec.x0.dtype == float and spec.x0.tolist() == [1.0, 2.0]
+    for name in ("x0", "mu", "sigma", "jump_mean", "jump_sd", "barrier_intercept",
+                 "barrier_slope"):
+        assert not getattr(spec, name).flags.writeable
 
 
 def engine_passes(monkeypatch, spec, n, seed=0):
@@ -97,7 +135,7 @@ def engine_passes(monkeypatch, spec, n, seed=0):
     Returns one (runs, t1, start, end) tuple per pass, with ``runs`` the
     block index of each live column and ``start`` and ``end`` distances.
     """
-    assert np.all(spec.barrier_arrays()[1] == 0.0)
+    assert np.all(spec.barrier_slope == 0.0)
     recorded = []
     step = bridge.draw_crossings
 
@@ -142,8 +180,12 @@ def skeleton(passes, r):
 
 def far_barriers(spec, **changes):
     """The spec with every barrier out of the paths' reach."""
-    barriers = tuple(LinearBarrier(-50.0, 0.0) for _ in range(spec.m))
-    return dataclasses.replace(spec, barriers=barriers, **changes)
+    return dataclasses.replace(
+        spec,
+        barrier_intercept=np.full(spec.m, -50.0),
+        barrier_slope=np.zeros(spec.m),
+        **changes,
+    )
 
 
 def _clock_spec(rate, horizon=1.0):
@@ -155,7 +197,8 @@ def _clock_spec(rate, horizon=1.0):
         jump_rate=rate,
         jump_mean=[0.0],
         jump_sd=[0.0],
-        barriers=(LinearBarrier(-1e3, 0.0),),
+        barrier_intercept=[-1e3],
+        barrier_slope=[0.0],
         horizon=horizon,
     )
 
@@ -169,7 +212,8 @@ def _drift_only_spec(mu, x0=1.0, m=1):
         jump_rate=0.0,
         jump_mean=np.zeros(m),
         jump_sd=np.zeros(m),
-        barriers=tuple(LinearBarrier(-10.0, 0.0) for _ in range(m)),
+        barrier_intercept=np.full(m, -10.0),
+        barrier_slope=np.zeros(m),
         horizon=1.0,
     )
 
@@ -299,7 +343,8 @@ def test_deterministic_path_with_jumps(monkeypatch):
         jump_rate=2.0,
         jump_mean=[0.25],
         jump_sd=[0.0],
-        barriers=(LinearBarrier(-10.0, 0.0),),
+        barrier_intercept=[-10.0],
+        barrier_slope=[0.0],
         horizon=1.0,
     )
     passes = engine_passes(monkeypatch, spec, 20, seed=7)

@@ -172,7 +172,7 @@ class TestRunExperiment:
     def test_report_values_block_consistent(self, tmp_path):
         cfg = parse_config_text(TINY_CFG + f"out = {tmp_path}/exp\n")
         run_experiment(cfg)
-        text = open(os.path.join(tmp_path, "exp", "report.txt")).read()
+        text = (tmp_path / "exp" / "report.txt").read_text()
         values = {}
         in_block = False
         for line in text.splitlines():
@@ -193,9 +193,7 @@ class TestRunExperiment:
             cfg = parse_config_text(TINY_CFG + f"out = {tmp_path}/{sub}\n")
             run_experiment(cfg)
         for name in ("unif_marginal_1.csv", "cmc_marginal_2.csv", "unif_joint.csv"):
-            a = open(os.path.join(tmp_path, "a", name), "rb").read()
-            b = open(os.path.join(tmp_path, "b", name), "rb").read()
-            assert a == b
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     def test_single_engine_report(self, tmp_path):
         cfg = parse_config_text(

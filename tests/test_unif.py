@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 import fptmc
-from fptmc import LinearBarrier, ModelSpec, bridge, estimate_densities, run_engine
+from fptmc import ModelSpec, bridge, estimate_densities, run_engine
 from fptmc.bridge import survival_array
 from fptmc.results import (
     BLOCK_SIZE,
@@ -49,7 +49,8 @@ def test_unreachable_barrier_yields_no_samples():
         jump_rate=1000.0,
         jump_mean=[0.0, 0.0],
         jump_sd=[0.0, 0.0],
-        barriers=(LinearBarrier(-50.0, 0.0), LinearBarrier(-50.0, 0.0)),
+        barrier_intercept=[-50.0, -50.0],
+        barrier_slope=[0.0, 0.0],
         horizon=1.0,
     )
     result = run_engine(spec, 100, seed=3)
@@ -67,7 +68,8 @@ def test_condition3_records_weight_one_at_jump():
         jump_rate=5.0,
         jump_mean=[-100.0],
         jump_sd=[0.0],
-        barriers=(LinearBarrier(0.0, 0.0),),
+        barrier_intercept=[0.0],
+        barrier_slope=[0.0],
         horizon=1.0,
     )
     result = run_engine(spec, 20_000, seed=5)
@@ -108,7 +110,8 @@ def test_condition_ordering_interior_before_at_jump():
         jump_rate=4.0,
         jump_mean=[-10.0],
         jump_sd=[0.0],
-        barriers=(LinearBarrier(0.0, 0.0),),
+        barrier_intercept=[0.0],
+        barrier_slope=[0.0],
         horizon=1.0,
     )
     n = 40_000
@@ -233,7 +236,8 @@ def test_grazing_diagnostic_with_rising_barrier():
         jump_rate=6.0,
         jump_mean=[0.0],
         jump_sd=[0.0],
-        barriers=(LinearBarrier(-0.01, 0.8),),
+        barrier_intercept=[-0.01],
+        barrier_slope=[0.8],
         horizon=1.0,
     )
     result = run_engine(spec, 2000, seed=13)
@@ -252,7 +256,8 @@ RISING = ModelSpec(
     jump_rate=6.0,
     jump_mean=[0.0],
     jump_sd=[0.05],
-    barriers=(LinearBarrier(-0.3, 0.8),),
+    barrier_intercept=[-0.3],
+    barrier_slope=[0.8],
     horizon=1.0,
 )
 
@@ -294,11 +299,12 @@ def test_slanted_barriers_match_the_closed_form_without_jumps():
     # passes (z = +1.0 and +0.1 at this seed)
     spec = dataclasses.replace(
         make_example_spec(0.0),
-        barriers=(LinearBarrier(math.log(0.9), 0.5), LinearBarrier(math.log(0.95), -0.5)),
+        barrier_intercept=[math.log(0.9), math.log(0.95)],
+        barrier_slope=[0.5, -0.5],
     )
     n = 200_000
     result = run_engine(spec, n, seed=53)
-    icpt, slope = spec.barrier_arrays()
+    icpt, slope = spec.barrier_intercept, spec.barrier_slope
     for i, ws in enumerate(result.marginals):
         p = line_crossing_probability(
             spec.x0[i] - icpt[i], spec.mu[i] - slope[i], spec.effective_sigmas()[i], 1.0
@@ -316,7 +322,8 @@ def test_engine_rejects_degenerate_sigma_row(example1_spec):
         jump_rate=1.0,
         jump_mean=[0.0, 0.0],
         jump_sd=[0.1, 0.1],
-        barriers=(LinearBarrier(-1.0, 0.0), LinearBarrier(-1.0, 0.0)),
+        barrier_intercept=[-1.0, -1.0],
+        barrier_slope=[0.0, 0.0],
         horizon=1.0,
     )
     with pytest.raises(ValueError, match="degenerate diffusion row"):
@@ -342,7 +349,8 @@ def step_down_spec(jump_rate, barriers, m=2):
         jump_rate=jump_rate,
         jump_mean=np.full(m, -1.0),
         jump_sd=np.zeros(m),
-        barriers=tuple(LinearBarrier(b, 0.0) for b in barriers),
+        barrier_intercept=barriers,
+        barrier_slope=np.zeros(m),
         horizon=1.0,
     )
 
@@ -414,7 +422,8 @@ def test_drift_and_diffusion_row_norm():
         jump_rate=0.0,
         jump_mean=[0.0, 0.0],
         jump_sd=[0.0, 0.0],
-        barriers=tuple(LinearBarrier(b, 0.0) for b in levels),
+        barrier_intercept=levels,
+        barrier_slope=[0.0, 0.0],
         horizon=1.0,
     )
     n = 100_000
