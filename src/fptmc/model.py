@@ -145,14 +145,18 @@ class ModelSpec:
                 f"(D = {self.barrier_intercept[bad]})"
             )
 
-    def effective_sigmas(self) -> np.ndarray:
+    def sigma_row_norms(self) -> np.ndarray:
         """Per-component volatility of the aggregated Brownian driver: the
-        Euclidean norm of each row of ``sigma``.
+        Euclidean norm of each row of ``sigma``, 0 for an all-zero row."""
+        return np.sqrt(np.sum(self.sigma * self.sigma, axis=1))
 
-        Raises for any all-zero row: downstream bridge formulas divide by it.
-        The baseline accepts such a row, so construction does not check it.
+    def effective_sigmas(self) -> np.ndarray:
+        """``sigma_row_norms()`` for the bridge engine, which divides by them.
+
+        Raises for any all-zero row.  The baseline accepts such a row, so
+        construction does not check it.
         """
-        out = np.sqrt(np.sum(self.sigma * self.sigma, axis=1))
+        out = self.sigma_row_norms()
         if not out.all():
             i = int(np.argmin(out))
             raise ValueError(f"sigma has a degenerate diffusion row {i}: all entries are zero")

@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+# the counts an engine's diagnostics carry that the report prints: crossings
+# by kind, and the baseline's jumps
+_COUNTS = ("interior_crossings", "at_jump_crossings", "total_jumps")
+
+
 def normalized_l1(values_a, values_b, grid) -> float:
     """L1 distance between two densities on a common grid, normalised by the
     average of their masses (0 for two identically-zero densities)."""
@@ -90,6 +95,7 @@ class ComparisonReport:
     h_opt: dict = field(default_factory=dict)          # engine -> [h per component]
     seconds_per_run: dict = field(default_factory=dict)
     crossing_prob: dict = field(default_factory=dict)  # engine -> [p per component]
+    counts: dict = field(default_factory=dict)         # engine -> {diagnostic: count}
     joint_mass: dict = field(default_factory=dict)
     speedup: Optional[float] = None                    # cmc time / unif time
     l1_distance: Optional[list[float]] = None          # unif vs cmc per component
@@ -134,6 +140,8 @@ def format_report(report: ComparisonReport) -> str:
             lines.append(f"{eng}.crossing_prob.{i+1} = {repr(p)}")
         if eng in report.joint_mass:
             lines.append(f"{eng}.joint_mass = {repr(report.joint_mass[eng])}")
+        for name, count in report.counts[eng].items():
+            lines.append(f"{eng}.{name} = {count!r}")
     if report.speedup is not None:
         lines.append(f"speedup = {repr(report.speedup)}")
     if report.l1_distance is not None:
@@ -178,6 +186,9 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         report.h_opt[eng] = [float(est.bandwidth) for est in marginals]
         report.seconds_per_run[eng] = float(result.seconds_per_run)
         report.crossing_prob[eng] = [float(p) for p in result.crossing_probabilities()]
+        report.counts[eng] = {
+            k: int(result.diagnostics[k]) for k in _COUNTS if k in result.diagnostics
+        }
         density_values[eng] = [est.values for est in marginals]
         for i, est in enumerate(marginals):
             emit_density_csv(est, os.path.join(cfg.out, f"{eng}_marginal_{i+1}.csv"))

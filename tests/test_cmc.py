@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fptmc import CmcConfig, ModelSpec, results, run_cmc
+from fptmc import CmcConfig, ModelSpec, cmc, results, run_cmc
 from fptmc.cmc import simulate_block_cmc
 from helpers import bm_crossing_probability
 
@@ -48,7 +48,10 @@ def test_each_process_tracked_to_its_own_crossing(rng):
     assert times[1] == pytest.approx(0.8)
 
 
-def test_jump_count_matches_rate():
+@pytest.mark.parametrize("dt", [0.001, 0.3])
+def test_jump_count_matches_rate(dt):
+    # dt = 0.3 ends on a shortened step of 0.1: the arrival probabilities
+    # 3 x 0.9 + 0.3 still add up to lambda T
     spec = ModelSpec(
         m=1,
         x0=[0.0],
@@ -62,25 +65,123 @@ def test_jump_count_matches_rate():
         horizon=1.0,
     )
     n = 10_000
-    result = run_cmc(spec, CmcConfig(dt=0.001, n_runs=n, seed=8))
+    result = run_cmc(spec, CmcConfig(dt=dt, n_runs=n, seed=8))
     mean_jumps = result.diagnostics["total_jumps"] / n
     se = math.sqrt(3.0 / n)
     assert mean_jumps == pytest.approx(3.0, abs=3 * se)
 
 
-def test_determinism_across_worker_counts(monkeypatch, single_bm_spec):
-    # smaller blocks keep the job cheap while it still spans several blocks
+def test_determinism_across_worker_counts(monkeypatch, example1_spec):
+    # smaller blocks keep the job cheap while it still spans several blocks;
+    # 400 steps take the runs through three regroupings
     monkeypatch.setattr(results, "BLOCK_SIZE", 16384)
     assert len(results.block_sizes(40_000)) >= 3
     outputs = [
-        run_cmc(single_bm_spec, CmcConfig(dt=0.01, n_runs=40_000, seed=14, workers=w))
+        run_cmc(example1_spec, CmcConfig(dt=0.0025, n_runs=40_000, seed=14, workers=w))
         for w in (1, 2, 4)
     ]
     base = outputs[0]
+    assert base.diagnostics["total_jumps"] > 0 and len(base.joint) > 0
     for other in outputs[1:]:
-        for a, b in zip(base.marginals, other.marginals):
+        assert other.diagnostics["total_jumps"] == base.diagnostics["total_jumps"]
+        for a, b in zip(base.marginals + [base.joint], other.marginals + [other.joint]):
             assert np.array_equal(a.times, b.times)
             assert np.array_equal(a.weights, b.weights)
+        assert np.array_equal(base.joint_run_indices, other.joint_run_indices)
+
+
+def test_regrouped_runs_keep_their_columns():
+    # two identical sigma rows and equal jumps make the components one path
+    # while both are uncrossed, so component 2 (barrier -0.2) cannot cross
+    # before component 1 (barrier -0.1); after component 1 crosses, a run
+    # moves to component 2's own group at the next regrouping.  A crossing
+    # written to the wrong run breaks t2 >= t1 somewhere
+    spec = ModelSpec(
+        m=2,
+        x0=[0.0, 0.0],
+        mu=[0.0, 0.0],
+        sigma=[[0.2, 0.1], [0.2, 0.1]],
+        jump_rate=2.0,
+        jump_mean=[-0.02, -0.02],
+        jump_sd=[0.0, 0.0],
+        barrier_intercept=[-0.1, -0.2],
+        barrier_slope=[0.0, 0.0],
+        horizon=1.0,
+    )
+    dt, n = 0.001, 4000
+    hit_t, _, _, _ = simulate_block_cmc(
+        spec, CmcConfig(dt=dt, n_runs=n), np.random.default_rng(19), n,
+        out=results.empty_hits(2, n),
+    )
+    t1, t2 = hit_t
+    crossed2 = ~np.isnan(t2)
+    assert np.all(~np.isnan(t1[crossed2]))
+    assert np.all(t2[crossed2] >= t1[crossed2])
+    # the runs passed several regroupings between their two crossings
+    gap = t2[crossed2] - t1[crossed2]
+    assert np.count_nonzero(gap > 3 * cmc._COMPACT_EVERY * dt) > 50
+
+
+def test_regroup_moves_each_run_with_its_state():
+    # every state value encodes its run and component, 10 run + component,
+    # so a run moved without its own state shows in any group
+    spec = drift_spec([0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], m=3)
+    full = cmc._Group(spec, np.arange(3), spec.sigma)
+    full.hold(
+        10.0 * np.arange(6) + np.arange(3)[:, None],
+        np.arange(6),
+        np.array([[1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]], dtype=bool),
+    )
+    singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1))) for i in range(3)]
+    # component 1's group already holds runs 7 and 9, and run 7 has crossed
+    singles[0].hold(np.array([[70.0, 90.0]]), np.array([7, 9]))
+    singles[0].alive[0, 0] = False
+    cmc._regroup(full, singles)
+    assert full.run_ids.tolist() == [0, 1, 5]
+    assert singles[0].run_ids.tolist() == [9, 2]
+    assert singles[1].run_ids.tolist() == []
+    assert singles[2].run_ids.tolist() == [3]
+    for group in (full, *singles):
+        assert np.array_equal(group.state, 10.0 * group.run_ids + group.comps[:, None])
+    assert full.alive.tolist() == [[1, 0, 1], [1, 1, 1], [0, 1, 1]]
+    assert all(group.alive.all() for group in singles)
+
+
+def test_regrouped_component_keeps_its_row_norm():
+    # component 1 crosses surely in step 1, and from the first regrouping on
+    # component 2 runs alone with the factor ||sigma_2|| = sqrt(0.0325):
+    # its crossing frequency is that of the one-component model
+    sigma = [[0.2, 0.0], [0.15, 0.1]]
+    pair = ModelSpec(
+        m=2,
+        x0=[0.0, 0.0],
+        mu=[-1000.0, 0.0],
+        sigma=sigma,
+        jump_rate=1.0,
+        jump_mean=[0.0, 0.0],
+        jump_sd=[0.1, 0.1],
+        barrier_intercept=[-0.1, -0.3],
+        barrier_slope=[0.0, 0.0],
+        horizon=1.0,
+    )
+    alone = ModelSpec(
+        m=1,
+        x0=[0.0],
+        mu=[0.0],
+        sigma=[[math.hypot(0.15, 0.1)]],
+        jump_rate=1.0,
+        jump_mean=[0.0],
+        jump_sd=[0.1],
+        barrier_intercept=[-0.3],
+        barrier_slope=[0.0],
+        horizon=1.0,
+    )
+    dt, n = 0.002, 40_000
+    p_pair = run_cmc(pair, CmcConfig(dt=dt, n_runs=n, seed=20)).crossing_probabilities()
+    p_alone = run_cmc(alone, CmcConfig(dt=dt, n_runs=n, seed=21)).crossing_probabilities()
+    assert p_pair[0] == 1.0
+    se = math.sqrt(p_pair[1] * (1 - p_pair[1]) / n + p_alone[0] * (1 - p_alone[0]) / n)
+    assert p_pair[1] == pytest.approx(p_alone[0], abs=3.0 * se)
 
 
 def test_crossing_probability_bias_shrinks_with_dt(single_bm_spec):

@@ -187,6 +187,19 @@ class TestRunExperiment:
         assert "unif.h_opt.1" in values and "cmc.h_opt.2" in values
         assert "l1.1" in values and "l1.2" in values
         assert 0.0 < values["unif.crossing_prob.1"] < 1.0
+        # the crossing counts add up to the crossing probabilities times the
+        # runs; the baseline checks the barrier only on its grid, so none of
+        # its crossings is at a jump
+        runs = 3000
+        for eng in ("unif", "cmc"):
+            crossings = values[f"{eng}.interior_crossings"] + values[f"{eng}.at_jump_crossings"]
+            assert crossings == round(runs * sum(values[f"{eng}.crossing_prob.{i}"] for i in (1, 2)))
+        assert values["unif.at_jump_crossings"] > 0
+        assert values["cmc.at_jump_crossings"] == 0
+        assert "unif.total_jumps" not in values
+        # lambda = 1 over the unit horizon: about one jump per run, fewer
+        # where a run retires before the horizon
+        assert 0 < values["cmc.total_jumps"] < runs + 5 * math.sqrt(runs)
 
     def test_density_files_reproducible(self, tmp_path):
         for sub in ("a", "b"):
