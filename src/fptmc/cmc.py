@@ -28,10 +28,9 @@ from .bridge import _cells
 from .model import ModelSpec
 from .results import (
     KIND_INTERIOR,
+    Crossings,
     EngineResult,
-    block_hits,
     collect_result,
-    empty_hits,
     run_blocks,
 )
 
@@ -43,7 +42,7 @@ _COMPACT_EVERY = 128
 @dataclass(frozen=True)
 class CmcConfig:
     """Settings of one baseline execution.  ``n_runs``, ``seed`` and
-    ``workers`` are checked where they are used, by ``results.run_blocks``."""
+    ``workers`` are checked where they are used, in ``results``."""
 
     dt: float
     n_runs: int
@@ -111,10 +110,10 @@ class _Group:
         self.z = np.empty_like(state)
         self.dx = np.empty_like(state)
 
-    def step(self, rng, t: float, dt_k: float, rate: float, hits: tuple) -> int:
+    def step(self, rng, t: float, dt_k: float, rate: float, out: Crossings) -> int:
         """Advance every run through one Euler step ending at grid time
-        ``t``, record the crossings at ``t`` into ``hits``; returns the
-        number of jumps."""
+        ``t``, record the crossings at ``t`` in ``out``; returns the number
+        of jumps."""
         n = len(self.run_ids)
         rng.standard_normal(out=self.z)
         np.matmul(self.factor, self.z, out=self.dx)
@@ -133,11 +132,7 @@ class _Group:
         newly = self.alive & (self.state <= self.icpt + self.slope * t)
         if newly.any():
             rows, cols = _cells(newly)
-            cells = (self.comps[rows], self.run_ids[cols])
-            hit_t, hit_w, hit_k = hits
-            hit_t[cells] = t
-            hit_w[cells] = 1.0
-            hit_k[cells] = KIND_INTERIOR
+            out.record(self.comps[rows], self.run_ids[cols], t, KIND_INTERIOR)
             self.alive &= ~newly
         return n_jumps
 
@@ -173,19 +168,19 @@ def simulate_block_cmc(
     cfg: CmcConfig,
     rng: np.random.Generator,
     size: int,
-    out: tuple[np.ndarray, ...],
+    out: Crossings,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Simulate ``size`` discretised runs; returns (times, weights, kinds)
-    of shape (m, size), written into ``out`` (views of the block's columns
-    of a job's result, or ``results.empty_hits(m, size)``), plus the total
-    number of jumps that occurred.
+    """Simulate ``size`` discretised runs, recording their crossings in
+    ``out``, the block's ``results.Crossings`` record of ``size`` runs set to
+    "never crossed" (``Crossings.columns`` of a job's record).  Returns its
+    (times, weights, kinds) arrays of shape (m, size), plus the total number
+    of jumps that occurred.
 
     Live runs are held in at most m + 1 groups: the runs with two or more
     uncrossed components keep all m components and sigma, and the runs with
     only component i left hold that component alone, with the factor
     ||sigma_i||.  Runs move between groups every ``_COMPACT_EVERY`` steps."""
     m = spec.m
-    hits = block_hits(out)
     full = _Group(spec, np.arange(m), spec.sigma)
     full.hold(np.repeat(spec.x0[:, None], size, axis=1), np.arange(size))
     # with m = 1 the full group is the group of its one component
@@ -203,30 +198,26 @@ def simulate_block_cmc(
         t_prev = t
         for group in groups:
             if len(group.run_ids):
-                n_jumps += group.step(rng, t, dt_k, spec.jump_rate, hits)
+                n_jumps += group.step(rng, t, dt_k, spec.jump_rate, out)
         if k % _COMPACT_EVERY == 0:
             _regroup(full, singles)
             if not any(len(g.run_ids) for g in groups):
                 break
-    return (*hits, n_jumps)
+    return (*out, n_jumps)
 
 
 def run_cmc(spec: ModelSpec, cfg: CmcConfig) -> EngineResult:
     """Run the discretised baseline with the same reproducibility contract as
     the bridge-sampling engine (fixed blocks, per-block streams, each block
-    writing the columns it owns of one result)."""
+    recording its crossings in the columns it owns of one record)."""
     cfg.validate_for(spec)
 
-    def simulate(rng: np.random.Generator, size: int, out: tuple):
+    def simulate(rng: np.random.Generator, size: int, out: Crossings):
         return simulate_block_cmc(spec, cfg, rng, size, out=out)
 
-    hits = empty_hits(spec.m, cfg.n_runs)
+    hits = Crossings.empty(spec.m, cfg.n_runs)
     outputs, elapsed = run_blocks(cfg.n_runs, cfg.seed, cfg.workers, simulate, out=hits)
     total_jumps = sum(o[3] for o in outputs)
     return collect_result(
-        "cmc",
-        cfg.seed,
-        [hits],
-        elapsed,
-        diagnostics={"total_jumps": total_jumps, "dt": cfg.dt},
+        "cmc", cfg.seed, [hits], elapsed, diagnostics={"total_jumps": total_jumps}
     )

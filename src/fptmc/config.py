@@ -55,7 +55,7 @@ from typing import Optional
 import numpy as np
 
 from .cmc import CmcConfig
-from .model import ModelSpec, _finite
+from .model import ModelSpec, _finite, _integer
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text",
            "apply_overrides"]
@@ -117,9 +117,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, minimum in _MINIMUMS.items():
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise ValueError(f"{name} must be an integer >= {minimum}")
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         spec = self.to_model_spec()
         spec.effective_sigmas()
         for f in fields(ModelSpec):

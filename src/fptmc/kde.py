@@ -49,11 +49,12 @@ _LOG_TAIL = math.log(_TAIL)
 
 @dataclass(frozen=True)
 class WeightedSamples:
-    """Crossing times with importance weights from N Monte Carlo runs.
+    """Crossing times with positive weights from N Monte Carlo runs.
 
     ``times`` is (n,) for one component or (n, m) for joint tuples where every
     component crossed in the same run.  ``n_runs`` is the total number of runs
-    (the estimator denominator), so n_runs >= n.
+    (the estimator denominator), so n_runs >= n.  The engines give every
+    crossing weight 1; the kernel sums take any positive weights.
     """
 
     times: np.ndarray

@@ -47,6 +47,13 @@ def _finite(name: str, value) -> float:
     return float(value)
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """An int, Python's or NumPy's but not a bool, of at least ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}")
+    return int(value)
+
+
 def _vector(name: str, value, m: int) -> np.ndarray:
     if isinstance(value, np.ndarray):
         value = value.tolist()
@@ -118,10 +125,8 @@ class ModelSpec:
     horizon: float = 1.0
 
     def __post_init__(self):
-        m = self.m
-        if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 1:
-            raise ValueError("m must be an integer >= 1")
-        checked = {"m": int(m)}
+        m = _integer("m", self.m, 1)
+        checked = {"m": m}
         for name in _VECTORS:
             checked[name] = _vector(name, getattr(self, name), m)
         checked["sigma"] = _matrix("sigma", self.sigma, m)

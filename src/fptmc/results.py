@@ -1,8 +1,12 @@
 """Shared result types and run-loop machinery for the Monte Carlo engines.
 
+A job's result is its crossing record, ``Crossings``, whose format only this
+module knows: the engines write it through ``Crossings.record``, and
+``EngineResult`` derives its samples, run indices and probabilities from it.
+
 Runs are partitioned into fixed-size blocks.  Block b of a job seeded with s
-always draws from the generator seeded by SeedSequence([s, b]) and writes its
-crossings into the columns it owns of one preallocated (m, n_runs) result, so
+always draws from the generator seeded by SeedSequence([s, b]) and records its
+crossings in the columns it owns of one preallocated (m, n_runs) record, so
 results are bitwise identical for any worker count and any scheduling.
 Workers are threads: each block task is dominated by numpy work on its own
 arrays, and blocks own disjoint columns of the result, so no element is
@@ -24,7 +28,8 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from functools import cached_property
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,9 +42,11 @@ from .kde import (
     optimal_bandwidth_1d,
     optimal_bandwidth_multi,
 )
+from .model import _integer
 
 __all__ = [
     "BLOCK_SIZE",
+    "Crossings",
     "EngineResult",
     "block_rng",
     "run_blocks",
@@ -56,38 +63,101 @@ KIND_INTERIOR = 1
 KIND_AT_JUMP = 2
 
 
+class Crossings(NamedTuple):
+    """A crossing record: (m, n) ``times``, ``weights`` and ``kinds`` of the
+    first crossing of component i in run j, one cell per (i, j).
+
+    A crossing is recorded as its time, weight 1 and its kind, KIND_INTERIOR
+    or KIND_AT_JUMP; a cell that never crossed holds (NaN, 0, KIND_NONE).
+    ``record`` is the only code that writes a crossing."""
+
+    times: np.ndarray
+    weights: np.ndarray
+    kinds: np.ndarray
+
+    @classmethod
+    def empty(cls, m: int, n_runs: int) -> Crossings:
+        """An uninitialised record of a job's n_runs runs, whose columns each
+        block sets with ``columns``."""
+        shape = (m, _integer("n_runs", n_runs, 1))
+        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int8))
+
+    def columns(self, cols: slice) -> Crossings:
+        """The record of the runs ``cols``, views of these columns, set to
+        "never crossed": what one block records its crossings in."""
+        out = Crossings(*(a[:, cols] for a in self))
+        out.times.fill(np.nan)
+        out.weights.fill(0.0)
+        out.kinds.fill(KIND_NONE)
+        return out
+
+    def record(self, comps: np.ndarray, runs: np.ndarray, times, kind: int) -> None:
+        """Record that component ``comps[k]`` of run ``runs[k]`` crossed at
+        ``times[k]`` (or at ``times`` when it is a scalar), of ``kind``."""
+        cells = (comps, runs)
+        self.times[cells] = times
+        self.weights[cells] = 1.0
+        self.kinds[cells] = kind
+
+
 @dataclass(frozen=True)
 class EngineResult:
-    """Everything one engine execution produced.
+    """Everything one engine execution produced: the (m, n_runs) ``times``
+    and ``kinds`` of the job's ``Crossings`` record, and what they give.
 
     ``marginals[i]`` holds component i's crossing times over all runs;
     ``joint`` holds the m-tuples from runs where every component crossed.
-    Both engines record every crossing with weight 1, so a crossing
-    probability is a count over ``n_runs``.  The
-    ``*_run_indices`` arrays map samples back to their run for diagnostics.
+    Every crossing has weight 1, so a crossing probability is a count over
+    ``n_runs``.  The ``*_run_indices`` arrays map samples back to their run.
     ``seconds_per_run`` is wall time of the run loop only, divided by n_runs;
-    the loop includes each block setting its columns of the result to "never
-    crossed" before it writes its crossings there.
+    the loop includes each block setting its columns of the record to "never
+    crossed" before it records its crossings there.
     """
 
     engine: str
-    n_runs: int
     seed: int
-    marginals: list[WeightedSamples]
-    joint: WeightedSamples
-    marginal_run_indices: list[np.ndarray]
-    joint_run_indices: np.ndarray
+    times: np.ndarray
+    kinds: np.ndarray
     seconds_per_run: float
     diagnostics: dict = field(default_factory=dict)
 
     @property
     def m(self) -> int:
-        return len(self.marginals)
+        return self.kinds.shape[0]
+
+    @property
+    def n_runs(self) -> int:
+        return self.kinds.shape[1]
+
+    @cached_property
+    def marginal_run_indices(self) -> list[np.ndarray]:
+        """The runs where each component crossed, in increasing order."""
+        return [np.flatnonzero(k) for k in self.kinds]
+
+    @cached_property
+    def marginals(self) -> list[WeightedSamples]:
+        # an integer gather is several times faster than a boolean one
+        return [
+            WeightedSamples(times=t.take(rows), weights=np.ones(len(rows)), n_runs=self.n_runs)
+            for t, rows in zip(self.times, self.marginal_run_indices)
+        ]
+
+    @cached_property
+    def joint_run_indices(self) -> np.ndarray:
+        """The runs where every component crossed, in increasing order."""
+        return np.flatnonzero(self.kinds.all(axis=0))
+
+    @cached_property
+    def joint(self) -> WeightedSamples:
+        rows = self.joint_run_indices
+        # the joint tuples are (n_joint, m), one row per run
+        times = self.times.take(rows, axis=1).T.copy()
+        return WeightedSamples(times=times, weights=np.ones(len(rows)), n_runs=self.n_runs)
 
     def crossing_probabilities(self) -> np.ndarray:
         """Estimate of each component's probability of crossing within the
-        horizon: the sum of its weights, each 1, over the number of runs."""
-        return np.array([ws.weights.sum() / ws.n_runs for ws in self.marginals])
+        horizon: its number of crossings over the number of runs."""
+        return np.count_nonzero(self.kinds, axis=1) / self.n_runs
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -102,53 +172,31 @@ def block_sizes(n_runs: int) -> list[int]:
     return sizes
 
 
-def empty_hits(m: int, n_runs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uninitialised (m, n_runs) crossing times, weights and kinds: a job's
-    result, whose columns each block sets with ``block_hits``."""
-    return np.empty((m, n_runs)), np.empty((m, n_runs)), np.empty((m, n_runs), dtype=np.int8)
-
-
-def block_hits(
-    out: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (times, weights, kinds) arrays a block writes its crossings into,
-    ``out``, views of the block's columns of a job's result, set to "never
-    crossed" (NaN, 0, KIND_NONE)."""
-    hit_t, hit_w, hit_k = out
-    hit_t.fill(np.nan)
-    hit_w.fill(0.0)
-    hit_k.fill(KIND_NONE)
-    return hit_t, hit_w, hit_k
-
-
 def run_blocks(
     n_runs: int,
     seed: int,
     workers: int,
     simulate: Callable[..., tuple],
-    out: tuple[np.ndarray, ...],
+    out: Crossings,
 ) -> tuple[list[tuple], float]:
     """Run ``simulate(rng, size, out=...)`` over every block, in order, timed.
 
-    ``out`` is a tuple of arrays with n_runs columns; block b is passed
-    ``out=`` views of the columns it owns, ``b * BLOCK_SIZE`` onwards, to
-    write its results into in place.
+    ``out`` is the job's record, of n_runs columns (``Crossings.empty``
+    checks that count); block b is passed ``out=`` the record of the columns
+    it owns, ``b * BLOCK_SIZE`` onwards, set to "never crossed", to record
+    its crossings in.
 
     Returns the per-block outputs in block order and the elapsed wall time of
     the whole loop.
     """
-    if n_runs < 1:
-        raise ValueError("n_runs must be a positive integer")
-    if workers < 1:
-        raise ValueError("workers must be a positive integer")
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    workers = _integer("workers", workers, 1)
+    seed = _integer("seed", seed, 0)
     sizes = block_sizes(n_runs)
 
     def task(b: int) -> tuple:
         rng = block_rng(seed, b)
         cols = slice(b * BLOCK_SIZE, b * BLOCK_SIZE + sizes[b])
-        return simulate(rng, sizes[b], out=tuple(a[:, cols] for a in out))
+        return simulate(rng, sizes[b], out=out.columns(cols))
 
     start = time.perf_counter()
     if workers == 1:
@@ -163,53 +211,19 @@ def run_blocks(
 def collect_result(
     engine: str,
     seed: int,
-    hits: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    hits: list[Crossings],
     elapsed: float,
     diagnostics: Optional[dict] = None,
 ) -> EngineResult:
-    """Build an EngineResult from a job's crossings.
+    """Build an EngineResult from a job's crossing record.
 
-    ``hits`` is a list holding one (times, weights, kinds) triple of
-    (m, n_runs) arrays in run order: the result every block wrote its columns
-    of.  Row i is component i over all runs."""
-    [(hit_t, hit_w, hit_k)] = hits
-    m, n_runs = hit_t.shape
-    marginals = []
-    run_indices = []
-    complete = np.ones(n_runs, dtype=bool)
-    for i in range(m):
-        sel = hit_k[i] != KIND_NONE
-        # an integer gather is several times faster than a boolean one
-        rows = np.flatnonzero(sel)
-        marginals.append(
-            WeightedSamples(
-                times=hit_t[i].take(rows), weights=hit_w[i].take(rows), n_runs=n_runs
-            )
-        )
-        run_indices.append(rows)
-        complete &= sel
-    joint_rows = np.flatnonzero(complete)
-    # the joint tuples are (n_joint, m), one row per run
-    joint_t = np.empty((len(joint_rows), m))
-    for i in range(m):
-        joint_t[:, i] = hit_t[i].take(joint_rows)
-    joint = WeightedSamples(
-        times=joint_t, weights=np.ones(len(joint_rows)), n_runs=n_runs
-    )
+    ``hits`` is a list holding one ``Crossings``: the record every block
+    recorded its columns of."""
+    [(times, _, kinds)] = hits
     diag = dict(diagnostics or {})
-    diag.setdefault("interior_crossings", int(np.count_nonzero(hit_k == KIND_INTERIOR)))
-    diag.setdefault("at_jump_crossings", int(np.count_nonzero(hit_k == KIND_AT_JUMP)))
-    return EngineResult(
-        engine=engine,
-        n_runs=n_runs,
-        seed=seed,
-        marginals=marginals,
-        joint=joint,
-        marginal_run_indices=run_indices,
-        joint_run_indices=joint_rows,
-        seconds_per_run=elapsed / n_runs,
-        diagnostics=diag,
-    )
+    diag.setdefault("interior_crossings", int(np.count_nonzero(kinds == KIND_INTERIOR)))
+    diag.setdefault("at_jump_crossings", int(np.count_nonzero(kinds == KIND_AT_JUMP)))
+    return EngineResult(engine, seed, times, kinds, elapsed / kinds.shape[1], diag)
 
 
 def marginal_bandwidth(times: np.ndarray, horizon: float) -> float:

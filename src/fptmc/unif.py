@@ -29,10 +29,9 @@ from .model import ModelSpec
 from .results import (
     KIND_AT_JUMP,
     KIND_INTERIOR,
+    Crossings,
     EngineResult,
-    block_hits,
     collect_result,
-    empty_hits,
     run_blocks,
 )
 
@@ -43,7 +42,7 @@ def simulate_block(
     spec: ModelSpec,
     rng: np.random.Generator,
     size: int,
-    out: tuple[np.ndarray, ...],
+    out: Crossings,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Simulate ``size`` independent runs with one generator.
 
@@ -53,17 +52,17 @@ def simulate_block(
     pass draws one exponential gap per live column, runs the bridge step on
     the interval up to the next jump (or the horizon) with the start and end
     distances to each barrier's midpoint level, applies the jump,
-    writes crossings straight into the output column ``run``, and keeps only
+    records crossings straight in ``out``'s column ``run``, and keeps only
     the columns that jumped and still have an uncrossed component.
 
     The state is component-major: row i of the (m, n) arrays is component i
     of the n live runs, so per-run values of shape (n,) and per-component
     constants of shape (m, 1) broadcast along contiguous rows.
 
-    Returns (times, weights, kinds) arrays of shape (m, size) in run order
-    (kind 0 marks "never crossed"; every crossing has weight 1), written
-    into ``out`` (views of the block's columns of a job's result, or
-    ``results.empty_hits(m, size)``), plus the count of grazing events:
+    ``out`` is the block's ``results.Crossings`` record of ``size`` runs,
+    set to "never crossed": ``Crossings.columns`` of a job's record.  Returns
+    its (times, weights, kinds) arrays, of shape (m, size) in run order,
+    plus the count of grazing events:
     segments entered at or below the frozen midpoint level.  They are
     recorded as immediate crossings of kind 2, so ``at_jump_crossings``
     counts them too.  They are not rare: where a barrier rises, its midpoint
@@ -83,7 +82,6 @@ def simulate_block(
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )
 
-    hit_t, hit_w, hit_k = block_hits(out)
     grazing = 0
 
     run = np.arange(size)
@@ -118,12 +116,10 @@ def simulate_block(
         graze = alive & (state <= level)
         if graze.any():
             comps, cols = _cells(graze)
-            cells = (comps, run[cols])
-            hit_t[cells] = _graze_times(
+            times = _graze_times(
                 t0[cols], t1[cols], state[comps, cols], icpt[comps], slope[comps]
             )
-            hit_w[cells] = 1.0
-            hit_k[cells] = KIND_AT_JUMP
+            out.record(comps, run[cols], times, KIND_AT_JUMP)
             grazing += len(cols)
             alive &= ~graze
 
@@ -135,10 +131,7 @@ def simulate_block(
         np.subtract(state, level, out=state)
         np.subtract(x_end, level, out=level)
         ii, s = bridge.draw_crossings(state, level, t0, t1, sig_eff, u, alive, rng)
-        cells = (ii[0], run[ii[1]])
-        hit_t[cells] = s
-        hit_w[cells] = 1.0
-        hit_k[cells] = KIND_INTERIOR
+        out.record(ii[0], run[ii[1]], s, KIND_INTERIOR)
         alive[ii] = False
 
         # retire runs that reached the horizon or have no component left;
@@ -158,16 +151,13 @@ def simulate_block(
         at_jump = alive & (state <= level_right) & (pre > level_right)
         if at_jump.any():
             comps, cols = _cells(at_jump)
-            cells = (comps, run[cols])
-            hit_t[cells] = t0[cols]
-            hit_w[cells] = 1.0
-            hit_k[cells] = KIND_AT_JUMP
+            out.record(comps, run[cols], t0[cols], KIND_AT_JUMP)
             alive &= ~at_jump
             cont = np.flatnonzero(alive.any(axis=0))
             run, t0 = run.take(cont), t0.take(cont)
             state, alive = state.take(cont, axis=1), alive.take(cont, axis=1)
 
-    return hit_t, hit_w, hit_k, grazing
+    return (*out, grazing)
 
 
 def _graze_times(t0, t1, start, icpt, slope):
@@ -188,16 +178,16 @@ def run_engine(
 
     Output is bitwise reproducible for a given seed regardless of ``workers``:
     runs are partitioned into fixed blocks with per-block random streams,
-    each writing the columns it owns of one result.  ``seconds_per_run``
-    covers the simulation loop, including the blocks filling their result
-    columns, and no density estimation.
+    each recording its crossings in the columns it owns of one record.
+    ``seconds_per_run`` covers the simulation loop, including the blocks
+    filling their record columns, and no density estimation.
     """
     spec.effective_sigmas()  # reject degenerate diffusion rows up front
 
-    def simulate(rng: np.random.Generator, size: int, out: tuple):
+    def simulate(rng: np.random.Generator, size: int, out: Crossings):
         return simulate_block(spec, rng, size, out=out)
 
-    hits = empty_hits(spec.m, n_runs)
+    hits = Crossings.empty(spec.m, n_runs)
     outputs, elapsed = run_blocks(n_runs, seed, workers, simulate, out=hits)
     grazing = sum(o[3] for o in outputs)
     return collect_result(

@@ -141,7 +141,7 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
     grazing count) on the random stream of ``unif.simulate_block``.
     """
     from fptmc.bridge import _cells
-    from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, block_hits, empty_hits
+    from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, Crossings
     from fptmc.unif import _graze_times
 
     m = spec.m
@@ -154,7 +154,7 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )
 
-    hit_t, hit_w, hit_k = block_hits(empty_hits(m, size))
+    out = Crossings.empty(m, size).columns(slice(None))
     grazing = 0
 
     run = np.arange(size)
@@ -188,23 +188,19 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
         graze = alive & (state <= level)
         if graze.any():
             comps, cols = _cells(graze)
-            cells = (comps, run[cols])
-            hit_t[cells] = _graze_times(
+            times = _graze_times(
                 t0[cols], t1[cols], state[comps, cols], icpt[comps], slope[comps]
             )
-            hit_w[cells] = 1.0
-            hit_k[cells] = KIND_AT_JUMP
+            out.record(comps, run[cols], times, KIND_AT_JUMP)
             grazing += len(cols)
             alive &= ~graze
 
         # condition 1: interior bridge crossing, decided by one uniform
         u = rng.random((m, n))
         np.subtract(1.0, u, out=u)
-        ii, s, w = level_draw_crossings(state, x_end, level, t0, t1, sig_eff, u, alive, rng)
-        cells = (ii[0], run[ii[1]])
-        hit_t[cells] = s
-        hit_w[cells] = w
-        hit_k[cells] = KIND_INTERIOR
+        # its weights are all 1, the weight every crossing is recorded with
+        ii, s, _ = level_draw_crossings(state, x_end, level, t0, t1, sig_eff, u, alive, rng)
+        out.record(ii[0], run[ii[1]], s, KIND_INTERIOR)
         alive[ii] = False
 
         # retire runs that reached the horizon or have no component left;
@@ -224,16 +220,13 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
         at_jump = alive & (state <= level_right) & (pre > level_right)
         if at_jump.any():
             comps, cols = _cells(at_jump)
-            cells = (comps, run[cols])
-            hit_t[cells] = t0[cols]
-            hit_w[cells] = 1.0
-            hit_k[cells] = KIND_AT_JUMP
+            out.record(comps, run[cols], t0[cols], KIND_AT_JUMP)
             alive &= ~at_jump
             cont = np.flatnonzero(alive.any(axis=0))
             run, t0 = run.take(cont), t0.take(cont)
             state, alive = state.take(cont, axis=1), alive.take(cont, axis=1)
 
-    return hit_t, hit_w, hit_k, grazing
+    return (*out, grazing)
 
 
 def level_draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
@@ -287,7 +280,9 @@ def merge_by_block(engine: str, simulate, n_runs: int, seed: int):
         simulate(results.block_rng(seed, b), size)
         for b, size in enumerate(results.block_sizes(n_runs))
     ]
-    hits = tuple(np.concatenate([blk[j] for blk in blocks], axis=1) for j in range(3))
+    hits = results.Crossings(
+        *(np.concatenate([blk[j] for blk in blocks], axis=1) for j in range(3))
+    )
     return results.collect_result(engine, seed, [hits], elapsed=1.0)
 
 

@@ -8,7 +8,7 @@ from scipy import stats
 
 from fptmc import ModelSpec, bridge
 from fptmc.bridge import draw_crossings, fpt_density_array, survival_array
-from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, KIND_NONE, empty_hits
+from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, KIND_NONE, Crossings
 from fptmc.unif import simulate_block
 from helpers import (
     quad_interjump_density,
@@ -450,9 +450,8 @@ def clocked_block(*subjects, jump_rate=3.0, n=2000, seed=0):
     subjects' crossing times and kinds, one row per run (the transpose of
     the block's component-major arrays)."""
     spec = clocked_spec(*subjects, jump_rate=jump_rate)
-    hit_t, _, hit_k, _ = simulate_block(
-        spec, np.random.default_rng(seed), n, out=empty_hits(spec.m, n)
-    )
+    out = Crossings.empty(spec.m, n).columns(slice(None))
+    hit_t, _, hit_k, _ = simulate_block(spec, np.random.default_rng(seed), n, out=out)
     return hit_t[:CLOCKS].T, hit_t[CLOCKS:].T, hit_k[CLOCKS:].T
 
 

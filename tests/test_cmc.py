@@ -27,9 +27,8 @@ def drift_spec(mu, barrier, m=1):
 def single_run(spec, dt, rng):
     """(times, weights, kinds) of one discretised run, one entry per
     component: column 0 of a one-run block."""
-    hit_t, hit_w, hit_k, _ = simulate_block_cmc(
-        spec, CmcConfig(dt=dt, n_runs=1), rng, 1, out=results.empty_hits(spec.m, 1)
-    )
+    out = results.Crossings.empty(spec.m, 1).columns(slice(None))
+    hit_t, hit_w, hit_k, _ = simulate_block_cmc(spec, CmcConfig(dt=dt, n_runs=1), rng, 1, out=out)
     return hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]
 
 
@@ -111,7 +110,7 @@ def test_regrouped_runs_keep_their_columns():
     dt, n = 0.001, 4000
     hit_t, _, _, _ = simulate_block_cmc(
         spec, CmcConfig(dt=dt, n_runs=n), np.random.default_rng(19), n,
-        out=results.empty_hits(2, n),
+        out=results.Crossings.empty(2, n).columns(slice(None)),
     )
     t1, t2 = hit_t
     crossed2 = ~np.isnan(t2)

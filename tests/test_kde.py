@@ -352,7 +352,7 @@ class TestBinnedKernelSum:
     def test_estimate_densities_three_components(self, rng):
         n = 3000
         hit_t = rng.uniform(0.0, 1.0, (3, n))
-        hit_w = rng.uniform(0.5, 2.0, (3, n))
+        hit_w = np.ones((3, n))
         hit_k = np.ones((3, n), dtype=np.int8)
         hit_k[rng.uniform(size=(3, n)) < 0.3] = 0
         result = collect_result("unif", 0, [(hit_t, hit_w, hit_k)], elapsed=1.0)

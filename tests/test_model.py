@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from fptmc import ModelSpec, bridge
-from fptmc.results import empty_hits
+from fptmc.results import Crossings
 from fptmc.unif import simulate_block
 from conftest import make_example_spec
 
@@ -145,9 +145,8 @@ def engine_passes(monkeypatch, spec, n, seed=0):
 
     with monkeypatch.context() as patched:
         patched.setattr(bridge, "draw_crossings", recording)
-        hit_t, _, _, _ = simulate_block(
-            spec, np.random.default_rng(seed), n, out=empty_hits(spec.m, n)
-        )
+        out = Crossings.empty(spec.m, n).columns(slice(None))
+        hit_t, _, _, _ = simulate_block(spec, np.random.default_rng(seed), n, out=out)
     assert np.isnan(hit_t).all(), "a barrier was reached"
     runs = np.arange(n)
     passes = []

@@ -9,7 +9,7 @@ from helpers import merge_by_block
 
 
 def draw_block(rng, size, out):
-    out[0][0] = rng.standard_normal(size)
+    out.times[0] = rng.standard_normal(size)
     return (size,)
 
 
@@ -21,14 +21,14 @@ def test_thread_pool_capped_at_block_count(monkeypatch):
         return ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(results, "ThreadPoolExecutor", recording_pool)
-    serial, pooled = np.empty((1, 1000)), np.empty((1, 1000))
-    outputs, _ = results.run_blocks(1000, seed=5, workers=1, simulate=draw_block, out=(serial,))
+    serial, pooled = results.Crossings.empty(1, 1000), results.Crossings.empty(1, 1000)
+    outputs, _ = results.run_blocks(1000, seed=5, workers=1, simulate=draw_block, out=serial)
     pooled_outputs, _ = results.run_blocks(
-        1000, seed=5, workers=8, simulate=draw_block, out=(pooled,)
+        1000, seed=5, workers=8, simulate=draw_block, out=pooled
     )
     assert requested == [1]
     assert outputs == pooled_outputs == [(1000,)]
-    assert np.array_equal(pooled, serial)
+    assert np.array_equal(pooled.times, serial.times)
 
 
 def assert_same_result(a, b):
@@ -47,7 +47,7 @@ def test_unif_in_place_result_matches_per_block_merge(example1_spec):
     merged = merge_by_block(
         "unif",
         lambda rng, size: unif.simulate_block(
-            example1_spec, rng, size, out=results.empty_hits(2, size)
+            example1_spec, rng, size, out=results.Crossings.empty(2, size).columns(slice(None))
         ),
         n,
         seed=21,
@@ -61,7 +61,7 @@ def test_cmc_in_place_result_matches_per_block_merge(monkeypatch, example1_spec)
     merged = merge_by_block(
         "cmc",
         lambda rng, size: cmc.simulate_block_cmc(
-            example1_spec, cfg, rng, size, out=results.empty_hits(2, size)
+            example1_spec, cfg, rng, size, out=results.Crossings.empty(2, size).columns(slice(None))
         ),
         cfg.n_runs,
         cfg.seed,
@@ -120,6 +120,9 @@ def test_every_crossing_is_one_unit_weight_sample(example1_spec, engine):
         result = run_cmc(example1_spec, CmcConfig(dt=0.01, n_runs=n, seed=31))
     counts = np.array([len(ws) for ws in result.marginals])
     assert np.array_equal(result.crossing_probabilities(), counts / n)
+    for i in range(result.m):
+        assert np.array_equal(result.marginal_run_indices[i], np.flatnonzero(result.kinds[i]))
+        assert result.crossing_probabilities()[i] == len(result.marginals[i]) / result.n_runs
     diag = result.diagnostics
     assert counts.sum() == diag["interior_crossings"] + diag["at_jump_crossings"]
     crossed = np.bincount(np.concatenate(result.marginal_run_indices), minlength=n)

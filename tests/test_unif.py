@@ -13,10 +13,10 @@ from fptmc.results import (
     KIND_AT_JUMP,
     KIND_INTERIOR,
     KIND_NONE,
+    Crossings,
     block_rng,
     block_sizes,
     collect_result,
-    empty_hits,
 )
 from fptmc.unif import simulate_block
 from conftest import make_example_spec
@@ -174,10 +174,10 @@ def test_crossing_probability_monotone_in_jump_rate():
 def test_run_single_agrees_with_engine(single_bm_spec):
     rng = np.random.default_rng(77)
     n = 2000
-    crossings = sum(
-        simulate_block(single_bm_spec, rng, 1, out=empty_hits(1, 1))[2][0, 0] != KIND_NONE
-        for _ in range(n)
-    )
+    crossings = 0
+    for _ in range(n):
+        out = Crossings.empty(1, 1).columns(slice(None))
+        crossings += simulate_block(single_bm_spec, rng, 1, out=out)[2][0, 0] != KIND_NONE
     p_exact = bm_crossing_probability(0.0, -1.0, 0.0, 1.0, 1.0)
     se = math.sqrt(p_exact * (1 - p_exact) / n)
     assert crossings / n == pytest.approx(p_exact, abs=4 * se)
@@ -187,7 +187,8 @@ def test_run_single_outcome_structure(example1_spec):
     rng = np.random.default_rng(101)
     seen_kinds = set()
     for _ in range(500):
-        hit_t, hit_w, hit_k, _ = simulate_block(example1_spec, rng, 1, out=empty_hits(2, 1))
+        out = Crossings.empty(2, 1).columns(slice(None))
+        hit_t, hit_w, hit_k, _ = simulate_block(example1_spec, rng, 1, out=out)
         assert hit_t.shape == hit_w.shape == hit_k.shape == (2, 1)
         for time, weight, kind in zip(hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]):
             if kind == KIND_NONE:
@@ -201,13 +202,13 @@ def test_run_single_outcome_structure(example1_spec):
 
 def test_estimate_densities_single_crossing_fixture():
     hit_t = np.array([[0.5]])
-    hit_w = np.array([[2.0]])
+    hit_w = np.array([[1.0]])
     hit_k = np.array([[1]], dtype=np.int8)
     result = collect_result("unif", 0, [(hit_t, hit_w, hit_k)], elapsed=1.0)
     grid = np.linspace(0.0, 1.0, 101)
     marginals, joint = estimate_densities(result, grid)
     h = 0.01  # single-sample fallback: 1% of the horizon
-    expected = 2.0 * fptmc.gaussian_kernel(h, grid - 0.5)
+    expected = fptmc.gaussian_kernel(h, grid - 0.5)
     assert np.allclose(marginals[0].values, expected, rtol=1e-12)
     assert marginals[0].bandwidth == pytest.approx(h)
     assert joint is None  # no joint grid given
@@ -273,9 +274,8 @@ def test_output_equals_the_reference_kernel(spec):
     # the arithmetic is unchanged, so the output is equal to the last bit
     for b in range(2):
         ref_t, ref_w, ref_k, ref_grazing = midpoint_block(spec, block_rng(5, b), BLOCK_SIZE)
-        hit_t, hit_w, hit_k, grazing = simulate_block(
-            spec, block_rng(5, b), BLOCK_SIZE, out=empty_hits(spec.m, BLOCK_SIZE)
-        )
+        out = Crossings.empty(spec.m, BLOCK_SIZE).columns(slice(None))
+        hit_t, hit_w, hit_k, grazing = simulate_block(spec, block_rng(5, b), BLOCK_SIZE, out=out)
         assert np.array_equal(hit_t, ref_t, equal_nan=True)
         assert np.array_equal(hit_w, ref_w)
         assert np.array_equal(hit_k, ref_k)
@@ -337,6 +337,15 @@ def test_engine_rejects_bad_run_args(example1_spec):
         run_engine(example1_spec, 10, seed=-1)
     with pytest.raises(ValueError):
         run_engine(example1_spec, 10, seed=0, workers=0)
+
+
+@pytest.mark.parametrize("name", ["n_runs", "seed", "workers"])
+@pytest.mark.parametrize("value", [1.5, 1000.0, True])
+def test_engine_rejects_non_integer_run_args(example1_spec, name, value):
+    # the block generators would truncate a float seed, and a bool is no count
+    args = {"n_runs": 1000, "seed": 1, "workers": 1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        run_engine(example1_spec, **args)
 
 
 def step_down_spec(jump_rate, barriers, m=2):
