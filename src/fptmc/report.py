@@ -41,8 +41,8 @@ __all__ = [
 
 
 # the counts an engine's diagnostics carry that the report prints: crossings
-# by kind, and the baseline's jumps
-_COUNTS = ("interior_crossings", "at_jump_crossings", "total_jumps")
+# by kind, and the baseline's jumps, stepped cells and live cells
+_COUNTS = ("interior_crossings", "at_jump_crossings", "total_jumps", "stepped_cells", "live_cells")
 
 
 def normalized_l1(values_a, values_b, grid) -> float:

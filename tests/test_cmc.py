@@ -9,7 +9,7 @@ from fptmc.cmc import simulate_block_cmc
 from helpers import bm_crossing_probability
 
 
-def drift_spec(mu, barrier, m=1):
+def drift_spec(mu, barrier, m=1, slope=0.0):
     return ModelSpec(
         m=m,
         x0=np.zeros(m),
@@ -19,7 +19,7 @@ def drift_spec(mu, barrier, m=1):
         jump_mean=np.zeros(m),
         jump_sd=np.zeros(m),
         barrier_intercept=np.atleast_1d(barrier),
-        barrier_slope=np.zeros(m),
+        barrier_slope=np.broadcast_to(slope, m),
         horizon=1.0,
     )
 
@@ -28,7 +28,7 @@ def single_run(spec, dt, rng):
     """(times, weights, kinds) of one discretised run, one entry per
     component: column 0 of a one-run block."""
     out = results.Crossings.empty(spec.m, 1).columns(slice(None))
-    hit_t, hit_w, hit_k, _ = simulate_block_cmc(spec, CmcConfig(dt=dt, n_runs=1), rng, 1, out=out)
+    hit_t, hit_w, hit_k, _, _ = simulate_block_cmc(spec, CmcConfig(dt=dt, n_runs=1), rng, 1, out=out)
     return hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]
 
 
@@ -38,6 +38,18 @@ def test_deterministic_drift_crossing(rng):
     assert kinds[0] == results.KIND_INTERIOR
     assert times[0] == 0.5
     assert weights[0] == 1.0
+
+
+def test_drift_and_slope_cross_at_the_first_grid_time_past_the_level(rng):
+    # the state is held as u = x - mu t against the level intercept +
+    # (slope - mu) t; without diffusion a component crosses at the first
+    # grid time with mu t <= intercept + slope t: t >= 0.2 for component 1
+    # and t >= 0.1 for component 2, both between grid times of dt = 0.03
+    spec = drift_spec([-1.0, 0.5], [-0.3, -0.1], m=2, slope=[0.5, 1.5])
+    times, _, kinds = single_run(spec, 0.03, rng)
+    assert kinds.tolist() == [results.KIND_INTERIOR] * 2
+    assert times[0] == pytest.approx(0.21)
+    assert times[1] == pytest.approx(0.12)
 
 
 def test_each_process_tracked_to_its_own_crossing(rng):
@@ -68,6 +80,34 @@ def test_jump_count_matches_rate(dt):
     mean_jumps = result.diagnostics["total_jumps"] / n
     se = math.sqrt(3.0 / n)
     assert mean_jumps == pytest.approx(3.0, abs=3 * se)
+
+
+def test_jump_arrivals_are_one_bernoulli_trial_per_run_and_step():
+    # a jump of -10 crosses at once, so a run's crossing step is its first
+    # jump: geometric in the steps of 0.03 (arrival probability 0.06), with
+    # a shortened last step of 0.01 (0.02); the arrivals of a window between
+    # regroupings are drawn together and must land on their own steps
+    spec = ModelSpec(
+        m=1,
+        x0=[0.0],
+        mu=[0.0],
+        sigma=[[0.0]],
+        jump_rate=2.0,
+        jump_mean=[-10.0],
+        jump_sd=[0.0],
+        barrier_intercept=[-1.0],
+        barrier_slope=[0.0],
+        horizon=1.0,
+    )
+    n = 20_000
+    result = run_cmc(spec, CmcConfig(dt=0.03, n_runs=n, seed=27))
+    grid = cmc._step_grid(1.0, 0.03)[0]
+    steps = np.searchsorted(grid, result.marginals[0].times)
+    observed = np.append(np.bincount(steps, minlength=len(grid)), n - len(steps))
+    p = np.append(np.full(len(grid) - 1, 0.06), 0.02)
+    survive = np.cumprod(np.append(1.0, 1.0 - p))
+    expected = n * np.append(survive[:-1] * p, survive[-1])
+    assert stats.chisquare(observed, expected).pvalue > 1e-3
 
 
 def test_determinism_across_worker_counts(monkeypatch, example1_spec):
@@ -108,7 +148,7 @@ def test_regrouped_runs_keep_their_columns():
         horizon=1.0,
     )
     dt, n = 0.001, 4000
-    hit_t, _, _, _ = simulate_block_cmc(
+    hit_t, _, _, _, _ = simulate_block_cmc(
         spec, CmcConfig(dt=dt, n_runs=n), np.random.default_rng(19), n,
         out=results.Crossings.empty(2, n).columns(slice(None)),
     )
@@ -181,6 +221,55 @@ def test_regrouped_component_keeps_its_row_norm():
     assert p_pair[0] == 1.0
     se = math.sqrt(p_pair[1] * (1 - p_pair[1]) / n + p_alone[0] * (1 - p_alone[0]) / n)
     assert p_pair[1] == pytest.approx(p_alone[0], abs=3.0 * se)
+
+
+def test_swapped_sigma_takes_matmul_with_the_law_of_its_diagonal():
+    # sigma = [[0, a], [b, 0]] has sigma sigma^T = diag(a^2, b^2): its full
+    # group goes through matmul, and diag(a, b)'s scales the normals in
+    # place, yet the two models have one law
+    def spec(sigma):
+        return ModelSpec(
+            m=2,
+            x0=[0.0, 0.0],
+            mu=[0.0, -0.1],
+            sigma=sigma,
+            jump_rate=1.0,
+            jump_mean=[0.0, 0.0],
+            jump_sd=[0.1, 0.1],
+            barrier_intercept=[-0.2, -0.3],
+            barrier_slope=[0.0, 0.1],
+            horizon=1.0,
+        )
+
+    swapped, diagonal = spec([[0.0, 0.2], [0.3, 0.0]]), spec([[0.2, 0.0], [0.0, 0.3]])
+    assert cmc._Group(swapped, np.arange(2), swapped.sigma).matmul
+    assert not cmc._Group(diagonal, np.arange(2), diagonal.sigma).matmul
+    dt, n = 0.005, 40_000
+    probs = []
+    for model, seed in ((swapped, 24), (diagonal, 25)):
+        result = run_cmc(model, CmcConfig(dt=dt, n_runs=n, seed=seed))
+        probs.append([*result.crossing_probabilities(), len(result.joint) / n])
+    for p, q in zip(*probs):
+        assert 0.05 < q < 0.95
+        se = math.sqrt(p * (1 - p) / n + q * (1 - q) / n)
+        assert p == pytest.approx(q, abs=4.0 * se)
+
+
+def test_work_counts_bound_the_stepped_cells(example1_spec):
+    # every uncrossed cell is stepped, and a crossed cell is stepped for
+    # less than one regrouping interval past its crossing step (m = 2: a
+    # run with one live component leaves the full group at the next one)
+    result = run_cmc(example1_spec, CmcConfig(dt=0.002, n_runs=5000, seed=26))
+    diag = result.diagnostics
+    crossed = diag["interior_crossings"]
+    assert 0 < crossed
+    assert diag["live_cells"] <= diag["stepped_cells"]
+    assert diag["stepped_cells"] <= diag["live_cells"] + crossed * cmc._COMPACT_EVERY
+    # one run crossing in its 5th of 10 steps needs 5 steps and is stepped
+    # until it retires at the next regrouping or at the horizon
+    one = run_cmc(drift_spec([-1.0], -0.45), CmcConfig(dt=0.1, n_runs=1)).diagnostics
+    assert one["live_cells"] == 5
+    assert one["stepped_cells"] == min(10, math.ceil(5 / cmc._COMPACT_EVERY) * cmc._COMPACT_EVERY)
 
 
 def test_crossing_probability_bias_shrinks_with_dt(single_bm_spec):

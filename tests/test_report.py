@@ -200,6 +200,13 @@ class TestRunExperiment:
         # lambda = 1 over the unit horizon: about one jump per run, fewer
         # where a run retires before the horizon
         assert 0 < values["cmc.total_jumps"] < runs + 5 * math.sqrt(runs)
+        # the baseline's work: 100 steps of dt = 0.01 for each cell that
+        # never crossed, and at most all 100 for every cell
+        assert "unif.stepped_cells" not in values and "unif.live_cells" not in values
+        steps = 100
+        uncrossed = runs * (2 - values["cmc.crossing_prob.1"] - values["cmc.crossing_prob.2"])
+        assert steps * round(uncrossed) < values["cmc.live_cells"]
+        assert values["cmc.live_cells"] <= values["cmc.stepped_cells"] <= 2 * steps * runs
 
     def test_density_files_reproducible(self, tmp_path):
         for sub in ("a", "b"):
