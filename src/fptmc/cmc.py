@@ -105,7 +105,7 @@ class _Group:
     and scales the normals in place; any other F is applied with ``matmul``.
     """
 
-    def __init__(self, spec: ModelSpec, comps: np.ndarray, factor: np.ndarray, capacity: int = 0):
+    def __init__(self, spec: ModelSpec, comps: np.ndarray, factor: np.ndarray, capacity: int):
         self.comps = comps
         self.matmul = bool(np.any(factor != np.diag(np.diagonal(factor))))
         self.factor = factor if self.matmul else np.diagonal(factor)[:, None]
@@ -113,16 +113,14 @@ class _Group:
             a[comps, None] for a in (spec.barrier_intercept, spec.jump_mean, spec.jump_sd)
         )
         self.level_slope = (spec.barrier_slope - spec.mu)[comps, None]
-        self.buffers(capacity)
-        self.hold(np.empty((len(comps), 0)), np.empty(0, dtype=np.intp))
-
-    def buffers(self, capacity: int) -> None:
-        """Flat step buffers for ``capacity`` runs: the normals, the
-        increment of a non-diagonal F, and the barrier check."""
-        cells = len(self.comps) * capacity
+        # flat step buffers for ``capacity`` runs, the most a group ever
+        # holds: the normals, the increment of a non-diagonal F, and the
+        # barrier check
+        cells = len(comps) * capacity
         self.z_buf = np.empty(cells)
         self.dx_buf = np.empty(cells if self.matmul else 0)
         self.hit_buf = np.empty(cells, dtype=bool)
+        self.hold(np.empty((len(comps), 0)), np.empty(0, dtype=np.intp))
 
     def hold(self, state: np.ndarray, run_ids: np.ndarray, alive=None) -> None:
         """Make these runs the group's runs; ``alive`` marks their uncrossed
@@ -131,12 +129,10 @@ class _Group:
         A step writes its normals, increment and barrier check into views of
         the group's flat buffers, ``buf[:k * n].reshape(k, n)``: contiguous
         for every n, as ``standard_normal(out=)`` requires, so a regrouping
-        allocates no step buffer unless the runs outgrow the capacity."""
+        allocates no step buffer."""
         self.state = state
         self.run_ids = run_ids
         self.alive = np.ones(state.shape, dtype=bool) if alive is None else alive
-        if state.size > self.hit_buf.size:
-            self.buffers(state.shape[1])
         self.z = self.z_buf[: state.size].reshape(state.shape)
         self.hit = self.hit_buf[: state.size].reshape(state.shape)
         if self.matmul:

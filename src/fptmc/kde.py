@@ -5,22 +5,25 @@ K(h, x) = exp(-x^2 / (h^2/2)) / (sqrt(pi/2) h), i.e. a normal density of
 standard deviation h/2, with the bandwidth minimising asymptotic integrated
 squared error under a gamma reference fit of the sample.  Multivariate
 estimates use the product Gaussian kernel of covariance h^2 I with the
-normal-reference bandwidth.  Both estimators divide by the number of Monte
-Carlo runs, not the number of crossings, so the integral of an estimate is
-the estimated crossing probability.
+normal-reference bandwidth.  Every sample counts once, and both estimators
+divide by the number of Monte Carlo runs, not the number of crossings: an
+estimate is a kernel-smoothed count over the runs, so its integral is the
+estimated crossing probability.
 
-Both estimators evaluate their kernel sum the same way: samples are binned
-onto a lattice and the Gaussian is Taylor-expanded about each lattice node
-(Silverman 1982, Appl. Stat. 31:93 for the binning; Greengard & Strain
-1991, SIAM J. Sci. Stat. Comput. 12:79 for the expansion), with the series
-cut below 2^-53 of the kernel peak, so the estimate equals the direct sum
-over every sample and grid node up to rounding.
+Both estimators run through one body, which differs between them only in
+the kernel's standard deviation, and evaluate their kernel sum the same
+way: samples are binned onto a lattice and the Gaussian is Taylor-expanded
+about each lattice node (Silverman 1982, Appl. Stat. 31:93 for the binning;
+Greengard & Strain 1991, SIAM J. Sci. Stat. Comput. 12:79 for the
+expansion), with the series cut below 2^-53 of the kernel peak, so the
+estimate equals the direct sum over every sample and grid node up to
+rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,33 +52,32 @@ _LOG_TAIL = math.log(_TAIL)
 
 @dataclass(frozen=True)
 class WeightedSamples:
-    """Crossing times with positive weights from N Monte Carlo runs.
+    """Crossing times from N Monte Carlo runs, each sample counting once.
 
     ``times`` is (n,) for one component or (n, m) for joint tuples where every
     component crossed in the same run.  ``n_runs`` is the total number of runs
-    (the estimator denominator), so n_runs >= n.  The engines give every
-    crossing weight 1; the kernel sums take any positive weights.
+    (the estimator denominator), so n_runs >= n.
     """
 
     times: np.ndarray
-    weights: np.ndarray
     n_runs: int
 
     def __post_init__(self):
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        weights = np.atleast_1d(np.asarray(self.weights, dtype=float))
-        if weights.ndim != 1 or len(weights) != times.shape[0]:
-            raise ValueError("weights must be one per sample")
-        if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
-        if self.n_runs < max(len(weights), 1):
+        if self.n_runs < max(times.shape[0], 1):
             raise ValueError("n_runs must be at least the number of samples")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "n_runs", int(self.n_runs))
 
     def __len__(self) -> int:
         return self.times.shape[0]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """All ones, one per sample, kept read-only because the benchmark
+        (``perfbench/``) reads it.  It leaves with ROADMAP item 3 once item 2
+        stops those reads."""
+        return np.ones(len(self))
 
 
 @dataclass(frozen=True)
@@ -182,33 +184,20 @@ def optimal_bandwidth_multi(m: int, n: int) -> float:
 
 
 def estimate_density_1d(samples: WeightedSamples, grid, h: float) -> DensityEstimate:
-    """Weighted kernel estimate on a sorted grid:
-    f(t) = (1/n_runs) * sum_k w_k K(h, t - s_k).
+    """Kernel estimate on a sorted grid: f(t) = (1/n_runs) * sum_k K(h, t - s_k).
 
     An empty sample set yields the all-zero estimate (no crossings observed).
     """
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or np.any(np.diff(grid) < 0):
-        raise ValueError("grid must be a sorted 1-D array")
     if samples.times.ndim != 1:
         raise ValueError("1-D estimator needs scalar crossing times")
-    values = _kernel_sum(samples.times[:, None], samples.weights, (grid,), h / 2.0)
-    values /= samples.n_runs
-    return DensityEstimate(
-        grid=grid,
-        values=values,
-        bandwidth=float(h),
-        n_samples=len(samples),
-        total_mass=float(np.trapezoid(values, grid)),
-    )
+    est = _estimate(samples, (grid,), h, h / 2.0)
+    return replace(est, grid=est.grid[0])
 
 
 def estimate_density_multi(
     samples: WeightedSamples, grid: tuple[np.ndarray, ...], h: float
 ) -> DensityEstimate:
-    """Weighted m-variate product-kernel estimate on a tensor grid.
+    """m-variate product-kernel estimate on a tensor grid.
 
     ``grid`` holds one sorted axis per dimension; the result values have shape
     (len(grid[0]), ..., len(grid[m-1])).  Only complete tuples (runs where
@@ -216,16 +205,24 @@ def estimate_density_multi(
     density of covariance h^2 I, not the half-width convention of the 1-D
     kernel.
     """
+    return _estimate(samples, grid, h, h)
+
+
+def _estimate(samples: WeightedSamples, grid, h: float, std: float) -> DensityEstimate:
+    """The estimate on the tensor grid of the axes ``grid``: the product
+    normal kernel of standard deviation ``std`` summed over the samples,
+    divided by ``n_runs``, and its trapezoidal mass."""
     if not h > 0:
         raise ValueError("bandwidth must be positive")
     axes = tuple(np.asarray(g, dtype=float) for g in grid)
-    m = len(axes)
+    if any(g.ndim != 1 or np.any(np.diff(g) < 0) for g in axes):
+        raise ValueError("every grid axis must be a sorted 1-D array")
     times = samples.times
     if times.ndim == 1:
         times = times[:, None]
-    if times.shape[1] != m:
-        raise ValueError(f"samples have {times.shape[1]} components, grid has {m}")
-    values = _kernel_sum(times, samples.weights, axes, h)
+    if times.shape[1] != len(axes):
+        raise ValueError(f"samples have {times.shape[1]} components, grid has {len(axes)}")
+    values = _kernel_sum(times, axes, std)
     values /= samples.n_runs
     mass = values
     for axis in reversed(axes):
@@ -234,7 +231,7 @@ def estimate_density_multi(
         grid=axes,
         values=values,
         bandwidth=float(h),
-        n_samples=times.shape[0],
+        n_samples=len(samples),
         total_mass=float(mass),
     )
 
@@ -250,7 +247,7 @@ class _Lattice:
             = exp(-(g - c)^2 / kappa) exp(-r^2 / kappa)
               * sum_n (2 (g - c) / kappa)^n r^n / n!,
 
-    so a sample enters only through the moments w r^n exp(-r^2 / kappa) of
+    so a sample enters only through the moments r^n exp(-r^2 / kappa) of
     its node, and the grid receives sum_n T_n M_n with the operators
     T_n[j, a] = K(g_j - c_a) (2 (g_j - c_a) / kappa)^n / n! built over the
     occupied nodes only.  ``bounds[n]`` bounds |T_n| max|r|^n relative to
@@ -293,10 +290,9 @@ class _Lattice:
             yield op
 
 
-def _kernel_sum(
-    points: np.ndarray, weights: np.ndarray, axes: tuple[np.ndarray, ...], std: float
-) -> np.ndarray:
-    """sum_k w_k prod_i N(g_i; points[k, i], std^2) on the tensor grid ``axes``.
+def _kernel_sum(points: np.ndarray, axes: tuple[np.ndarray, ...], std: float) -> np.ndarray:
+    """sum_k prod_i N(g_i; points[k, i], std^2) on the tensor grid ``axes``,
+    each sample counting once.
 
     Equal to the direct sum up to rounding (the Taylor tail dropped is below
     2^-53 of the kernel peak), at a cost and memory set by the grid and the
@@ -307,21 +303,21 @@ def _kernel_sum(
     operators stream; the inner axes keep theirs, which each order of the
     outer axes reuses.
     """
-    if len(weights) == 0:
+    if len(points) == 0:
         return np.zeros(tuple(len(g) for g in axes))
     lattices = [_Lattice(points[:, i], g, std) for i, g in enumerate(axes)]
     nodes = tuple(len(lat.centres) for lat in lattices)
     cell = np.ravel_multi_index(tuple(lat.index for lat in lattices), nodes)
     operators = [lattices[0].operators()]
     operators += [list(lat.operators()) for lat in lattices[1:]]
-    return _contract(lattices, operators, cell, 0, weights, 1.0)
+    return _contract(lattices, operators, cell, 0, 1.0, 1.0)
 
 
 def _contract(lattices, operators, cell, k, q, bound) -> np.ndarray:
     """The sum over the orders of axes k, k+1, ... with the orders of the
-    axes before k fixed: ``q`` holds each sample's weight times its moment
-    factors on those axes, whose order bounds multiply to ``bound``.  The
-    result is grid-valued on axes >= k and node-valued on axes < k."""
+    axes before k fixed: ``q`` holds each sample's moment factors on those
+    axes (1.0 on the first call), whose order bounds multiply to ``bound``.
+    The result is grid-valued on axes >= k and node-valued on axes < k."""
     lat = lattices[k]
     q = q * lat.damp
     total = None

@@ -82,12 +82,14 @@ def _matrix(name: str, value, m: int) -> np.ndarray:
     return np.array(value, dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """Full problem definition for one experiment, checked on construction.
 
     A ``ValueError`` starts with the field it is about.  The vectors and
-    ``sigma`` are stored as read-only float arrays.
+    ``sigma`` are stored as read-only float arrays, so a spec compares and
+    hashes by identity; ``ExperimentConfig``, which stores tuples, is the
+    form that compares by value.
 
     Parameters
     ----------

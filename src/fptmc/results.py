@@ -138,7 +138,7 @@ class EngineResult:
     def marginals(self) -> list[WeightedSamples]:
         # an integer gather is several times faster than a boolean one
         return [
-            WeightedSamples(times=t.take(rows), weights=np.ones(len(rows)), n_runs=self.n_runs)
+            WeightedSamples(times=t.take(rows), n_runs=self.n_runs)
             for t, rows in zip(self.times, self.marginal_run_indices)
         ]
 
@@ -149,10 +149,9 @@ class EngineResult:
 
     @cached_property
     def joint(self) -> WeightedSamples:
-        rows = self.joint_run_indices
         # the joint tuples are (n_joint, m), one row per run
-        times = self.times.take(rows, axis=1).T.copy()
-        return WeightedSamples(times=times, weights=np.ones(len(rows)), n_runs=self.n_runs)
+        times = self.times.take(self.joint_run_indices, axis=1).T.copy()
+        return WeightedSamples(times=times, n_runs=self.n_runs)
 
     def crossing_probabilities(self) -> np.ndarray:
         """Estimate of each component's probability of crossing within the

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import ive
 from scipy.stats import norm
 
 # second-order Richardson weights in sqrt(dt) for nested grids (n, n/2, n/4):
@@ -358,15 +359,46 @@ def bm_fpt_density(t, x0: float, level: float, mu: float, sigma: float):
     return out
 
 
-def direct_kernel_sum(times, weights, axes, std: float) -> np.ndarray:
+def wedge_both_cross(z1: float, z2: float, rho: float, horizon: float) -> float:
+    """Probability that both components of a driftless 2-D Brownian motion
+    with unit variances and correlation ``rho`` fall ``z1`` and ``z2``
+    below their starts by ``horizon``: 1 - S1 - S2 + S12.
+
+    S_i = 2 Phi(z_i / sqrt(T)) - 1 is one component's survival and S12 the
+    survival of the pair, that of a planar Brownian motion in a wedge of
+    angle alpha (Iyengar 1985; Zhou 2001, Rev. Financ. Stud. 14:555):
+
+        S12 = 2 r0 / sqrt(2 pi T) sum_{n odd} sin(n pi theta0 / alpha) / n
+              * exp(-x) [I_{(nu_n + 1)/2}(x) + I_{(nu_n - 1)/2}(x)],
+
+    with nu_n = n pi / alpha, x = r0^2 / (4T), theta0 = atan2(z2 sqrt(1 -
+    rho^2), z1 - rho z2) and r0 = z2 / sin theta0.  alpha is pi + atan(-sqrt(1
+    - rho^2) / rho) for rho > 0 and atan(-sqrt(1 - rho^2) / rho) for
+    rho < 0, which atan2(sqrt(1 - rho^2), -rho) gives for every rho, pi/2 at
+    rho = 0.  The first 200 odd terms are summed.
+    """
+    c = math.sqrt(1.0 - rho * rho)
+    alpha = math.atan2(c, -rho)
+    theta0 = math.atan2(z2 * c, z1 - rho * z2)
+    r0 = z2 / math.sin(theta0)
+    x = r0 * r0 / (4.0 * horizon)
+    n = np.arange(1, 400, 2)
+    nu = n * math.pi / alpha
+    series = np.sin(nu * theta0) / n * (ive((nu + 1.0) / 2.0, x) + ive((nu - 1.0) / 2.0, x))
+    both_survive = 2.0 * r0 / math.sqrt(2.0 * math.pi * horizon) * series.sum()
+    s1, s2 = (math.erf(z / math.sqrt(2.0 * horizon)) for z in (z1, z2))
+    return 1.0 - s1 - s2 + both_survive
+
+
+def direct_kernel_sum(times, axes, std: float) -> np.ndarray:
     """Direct product-kernel sum on a tensor grid:
-    sum_k w_k prod_i N(axes[i]; times[k, i], std^2), one sample chunk at a
+    sum_k prod_i N(axes[i]; times[k, i], std^2), one sample chunk at a
     time, with every sample evaluated at every grid node."""
-    weights = np.asarray(weights, dtype=float)
-    times = np.asarray(times, dtype=float).reshape(len(weights), -1)
+    times = np.asarray(times, dtype=float)
+    times = times.reshape(len(times), -1)
     m = len(axes)
     values = np.zeros(tuple(len(g) for g in axes))
-    for k in range(0, len(weights), 1024):
+    for k in range(0, len(times), 1024):
         sk = times[k : k + 1024]
         operands = []
         for i, g in enumerate(axes):
@@ -375,7 +407,7 @@ def direct_kernel_sum(times, weights, axes, std: float) -> np.ndarray:
                 math.sqrt(2.0 * math.pi) * std
             )
             operands += [factor, [i, m]]
-        values += np.einsum(*operands, weights[k : k + 1024], [m], list(range(m)))
+        values += np.einsum(*operands, list(range(m)))
     return values
 
 

@@ -165,13 +165,13 @@ def test_regroup_moves_each_run_with_its_state():
     # every state value encodes its run and component, 10 run + component,
     # so a run moved without its own state shows in any group
     spec = drift_spec([0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], m=3)
-    full = cmc._Group(spec, np.arange(3), spec.sigma)
+    full = cmc._Group(spec, np.arange(3), spec.sigma, capacity=10)
     full.hold(
         10.0 * np.arange(6) + np.arange(3)[:, None],
         np.arange(6),
         np.array([[1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]], dtype=bool),
     )
-    singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1))) for i in range(3)]
+    singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1)), capacity=10) for i in range(3)]
     # component 1's group already holds runs 7 and 9, and run 7 has crossed
     singles[0].hold(np.array([[70.0, 90.0]]), np.array([7, 9]))
     singles[0].alive[0, 0] = False
@@ -242,8 +242,8 @@ def test_swapped_sigma_takes_matmul_with_the_law_of_its_diagonal():
         )
 
     swapped, diagonal = spec([[0.0, 0.2], [0.3, 0.0]]), spec([[0.2, 0.0], [0.0, 0.3]])
-    assert cmc._Group(swapped, np.arange(2), swapped.sigma).matmul
-    assert not cmc._Group(diagonal, np.arange(2), diagonal.sigma).matmul
+    assert cmc._Group(swapped, np.arange(2), swapped.sigma, capacity=0).matmul
+    assert not cmc._Group(diagonal, np.arange(2), diagonal.sigma, capacity=0).matmul
     dt, n = 0.005, 40_000
     probs = []
     for model, seed in ((swapped, 24), (diagonal, 25)):

@@ -160,7 +160,7 @@ class TestBandwidths:
 class TestEstimate1D:
     def test_single_sample_is_shifted_kernel(self):
         grid = np.linspace(0.0, 1.0, 101)
-        ws = WeightedSamples(times=[0.5], weights=[1.0], n_runs=1)
+        ws = WeightedSamples(times=[0.5], n_runs=1)
         est = estimate_density_1d(ws, grid, h=0.1)
         assert np.array_equal(est.values, gaussian_kernel(0.1, grid - 0.5))
         assert est.n_samples == 1
@@ -168,14 +168,14 @@ class TestEstimate1D:
     def test_classical_reduction(self, rng):
         times = rng.uniform(0.2, 0.8, size=500)
         grid = np.linspace(0.0, 1.0, 64)
-        ws = WeightedSamples(times=times, weights=np.ones(500), n_runs=500)
+        ws = WeightedSamples(times=times, n_runs=500)
         est = estimate_density_1d(ws, grid, h=0.05)
         direct = gaussian_kernel(0.05, grid[:, None] - times[None, :]).mean(axis=1)
         assert np.allclose(est.values, direct, rtol=1e-12)
 
     def test_empty_samples(self):
         grid = np.linspace(0.0, 1.0, 32)
-        ws = WeightedSamples(times=np.empty(0), weights=np.empty(0), n_runs=10)
+        ws = WeightedSamples(times=np.empty(0), n_runs=10)
         est = estimate_density_1d(ws, grid, h=0.1)
         assert np.all(est.values == 0.0)
         assert est.total_mass == 0.0
@@ -183,28 +183,22 @@ class TestEstimate1D:
     def test_merge_linearity(self, rng):
         grid = np.linspace(0.0, 1.0, 50)
         t1, t2 = rng.uniform(0.1, 0.9, 300), rng.uniform(0.1, 0.9, 200)
-        w1, w2 = rng.uniform(0.5, 2.0, 300), rng.uniform(0.5, 2.0, 200)
-        a = estimate_density_1d(WeightedSamples(t1, w1, 1000), grid, 0.05)
-        b = estimate_density_1d(WeightedSamples(t2, w2, 500), grid, 0.05)
-        merged = estimate_density_1d(
-            WeightedSamples(np.concatenate([t1, t2]), np.concatenate([w1, w2]), 1500),
-            grid,
-            0.05,
-        )
+        a = estimate_density_1d(WeightedSamples(t1, 1000), grid, 0.05)
+        b = estimate_density_1d(WeightedSamples(t2, 500), grid, 0.05)
+        merged = estimate_density_1d(WeightedSamples(np.concatenate([t1, t2]), 1500), grid, 0.05)
         averaged = (1000 * a.values + 500 * b.values) / 1500
         assert np.allclose(merged.values, averaged, rtol=1e-12)
 
     def test_mass_tracks_weight_sum(self, rng):
         # samples well inside the grid with a narrow kernel: trapezoid mass
-        # approaches sum(w) / n_runs
+        # approaches the sample count over n_runs
         times = rng.uniform(0.3, 0.7, 2000)
-        weights = rng.uniform(0.5, 1.5, 2000)
-        ws = WeightedSamples(times, weights, 4000)
+        ws = WeightedSamples(times, 4000)
         est = estimate_density_1d(ws, np.linspace(0.0, 1.0, 512), h=0.02)
-        assert est.total_mass == pytest.approx(weights.sum() / 4000, abs=1e-3)
+        assert est.total_mass == pytest.approx(2000 / 4000, abs=1e-3)
 
     def test_rejects_bad_grid_and_bandwidth(self):
-        ws = WeightedSamples([0.5], [1.0], 1)
+        ws = WeightedSamples([0.5], 1)
         with pytest.raises(ValueError):
             estimate_density_1d(ws, np.array([0.5, 0.1]), h=0.1)
         with pytest.raises(ValueError):
@@ -214,7 +208,7 @@ class TestEstimate1D:
 class TestEstimateMulti:
     def test_single_sample_peak_2d(self):
         axis = np.linspace(0.0, 1.0, 101)  # includes 0.5
-        ws = WeightedSamples(times=[[0.5, 0.5]], weights=[1.0], n_runs=1)
+        ws = WeightedSamples(times=[[0.5, 0.5]], n_runs=1)
         est = estimate_density_multi(ws, (axis, axis), h=0.1)
         peak = est.values[50, 50]
         assert peak == pytest.approx(1.0 / (2.0 * math.pi * 0.01), rel=1e-12)
@@ -223,7 +217,7 @@ class TestEstimateMulti:
         # the multivariate kernel at m = 1 is a normal of variance h^2,
         # unlike the 1-D kernel's h^2/4
         axis = np.linspace(-1.0, 1.0, 201)
-        ws = WeightedSamples(times=[[0.0]], weights=[1.0], n_runs=1)
+        ws = WeightedSamples(times=[[0.0]], n_runs=1)
         est = estimate_density_multi(ws, (axis,), h=0.2)
         expected = np.exp(-np.square(axis) / (2 * 0.04)) / math.sqrt(
             2 * math.pi * 0.04
@@ -232,7 +226,7 @@ class TestEstimateMulti:
 
     def test_kernel_mass_2d(self, rng):
         axis = np.linspace(0.0, 1.0, 96)
-        ws = WeightedSamples(times=[[0.5, 0.5]], weights=[1.0], n_runs=1)
+        ws = WeightedSamples(times=[[0.5, 0.5]], n_runs=1)
         est = estimate_density_multi(ws, (axis, axis), h=0.05)
         assert est.total_mass == pytest.approx(1.0, abs=1e-3)
 
@@ -242,18 +236,14 @@ class TestEstimateMulti:
         n = 100_000
         s1 = rng.beta(3.0, 3.0, n)
         s2 = rng.beta(4.0, 2.0, n)
-        ws = WeightedSamples(np.column_stack([s1, s2]), np.ones(n), n)
+        ws = WeightedSamples(np.column_stack([s1, s2]), n)
         axis = np.linspace(0.0, 1.0, 96)
         h = optimal_bandwidth_multi(2, n)
         joint = estimate_density_multi(ws, (axis, axis), h)
         # marginal references smoothed with the same kernel scale, so the
         # comparison isolates the factorization property
-        f1 = estimate_density_multi(
-            WeightedSamples(s1[:, None], np.ones(n), n), (axis,), h
-        )
-        f2 = estimate_density_multi(
-            WeightedSamples(s2[:, None], np.ones(n), n), (axis,), h
-        )
+        f1 = estimate_density_multi(WeightedSamples(s1[:, None], n), (axis,), h)
+        f2 = estimate_density_multi(WeightedSamples(s2[:, None], n), (axis,), h)
         outer = np.outer(f1.values, f2.values)
         l1 = np.trapezoid(
             np.trapezoid(np.abs(joint.values - outer), axis, axis=1), axis
@@ -262,46 +252,55 @@ class TestEstimateMulti:
 
     def test_empty_joint(self):
         axis = np.linspace(0.0, 1.0, 16)
-        ws = WeightedSamples(np.empty((0, 2)), np.empty(0), n_runs=5)
+        ws = WeightedSamples(np.empty((0, 2)), n_runs=5)
         est = estimate_density_multi(ws, (axis, axis), h=0.1)
         assert np.all(est.values == 0.0)
         assert est.total_mass == 0.0
 
+    def test_rejects_unsorted_or_2d_axes(self):
+        # a descending axis would give a negative trapezoid mass
+        ws = WeightedSamples(times=[[0.5, 0.5]], n_runs=1)
+        axis = np.linspace(0.0, 1.0, 11)
+        for bad in (axis[::-1], axis[None, :]):
+            with pytest.raises(ValueError, match="sorted 1-D"):
+                estimate_density_multi(ws, (axis, bad), h=0.1)
+
     def test_3d_path_matches_direct_formula(self, rng):
         axes = tuple(np.linspace(0.0, 1.0, 9) for _ in range(3))
         times = rng.uniform(0.2, 0.8, size=(40, 3))
-        w = rng.uniform(0.5, 2.0, size=40)
-        ws = WeightedSamples(times, w, 100)
+        ws = WeightedSamples(times, 100)
         h = 0.15
         est = estimate_density_multi(ws, axes, h)
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         d2 = np.square(mesh[..., None, :] - times).sum(axis=-1)
-        direct = (np.exp(-d2 / (2 * h * h)) @ w) * (2 * math.pi * h * h) ** -1.5 / 100
+        direct = np.exp(-d2 / (2 * h * h)).sum(axis=-1) * (2 * math.pi * h * h) ** -1.5 / 100
         assert np.allclose(est.values, direct, rtol=1e-10)
 
 
-def _heavy_weights(rng):
+def _heavy_repeats(rng):
+    # four samples each repeated 1,000 times: nodes that hold most of the
+    # count stress the Taylor bound
     times = rng.gamma(3.0, 0.1, 5000)
-    weights = rng.exponential(1.0, 5000)
-    weights[rng.choice(5000, 4, replace=False)] = 1000.0 * weights.mean()
-    return times, weights, np.linspace(0.0, 1.0, 512)
+    repeats = np.ones(5000, dtype=int)
+    repeats[rng.choice(5000, 4, replace=False)] = 1000
+    return np.repeat(times, repeats), np.linspace(0.0, 1.0, 512)
 
 
 def _grid_aligned(rng):
-    # cmc-style crossing times: multiples of dt = 1e-3, unit weights
+    # cmc-style crossing times: multiples of dt = 1e-3
     times = rng.integers(1, 1001, 8000) * 1e-3
-    return times, np.ones(8000), np.linspace(0.0, 1.0, 512)
+    return times, np.linspace(0.0, 1.0, 512)
 
 
 def _grid_ends(rng):
     ends = [0.0, 1.0, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), -0.01, 1.01]
     times = np.concatenate([ends, rng.uniform(0.0, 1.0, 200)])
-    return times, rng.uniform(0.5, 2.0, len(times)), np.linspace(0.0, 1.0, 512)
+    return times, np.linspace(0.0, 1.0, 512)
 
 
 def _non_uniform_grid(rng):
     grid = np.concatenate([[0.0, 1.0], np.sort(rng.uniform(0.0, 1.0, 300)) ** 2])
-    return rng.beta(2.0, 5.0, 3000), rng.uniform(0.5, 2.0, 3000), np.sort(grid)
+    return rng.beta(2.0, 5.0, 3000), np.sort(grid)
 
 
 class TestBinnedKernelSum:
@@ -309,27 +308,24 @@ class TestBinnedKernelSum:
     grid node: equal up to rounding, relative to the estimate's peak."""
 
     @pytest.mark.parametrize(
-        "make", [_heavy_weights, _grid_aligned, _grid_ends, _non_uniform_grid]
+        "make", [_heavy_repeats, _grid_aligned, _grid_ends, _non_uniform_grid]
     )
     def test_1d_matches_direct_sum(self, rng, make):
-        times, weights, grid = make(rng)
+        times, grid = make(rng)
         n_runs = 2 * len(times)
         h = 0.03
-        est = estimate_density_1d(WeightedSamples(times, weights, n_runs), grid, h)
-        direct = direct_kernel_sum(times, weights, (grid,), h / 2.0) / n_runs
+        est = estimate_density_1d(WeightedSamples(times, n_runs), grid, h)
+        direct = direct_kernel_sum(times, (grid,), h / 2.0) / n_runs
         assert np.abs(est.values - direct).max() <= 1e-12 * direct.max()
         assert abs(est.total_mass - np.trapezoid(direct, grid)) <= 1e-14
 
     def test_joint_matches_direct_sum(self, rng):
         n = 20_000
         times = np.column_stack([rng.gamma(3.0, 0.1, n), rng.beta(2.0, 3.0, n)])
-        weights = rng.exponential(1.0, n)
         axis = np.linspace(0.0, 1.0, 128)
         h = optimal_bandwidth_multi(2, n)
-        est = estimate_density_multi(
-            WeightedSamples(times, weights, 2 * n), (axis, axis), h
-        )
-        direct = direct_kernel_sum(times, weights, (axis, axis), h) / (2 * n)
+        est = estimate_density_multi(WeightedSamples(times, 2 * n), (axis, axis), h)
+        direct = direct_kernel_sum(times, (axis, axis), h) / (2 * n)
         assert np.abs(est.values - direct).max() <= 1e-12 * direct.max()
         mass = np.trapezoid(np.trapezoid(direct, axis, axis=-1), axis)
         assert abs(est.total_mass - mass) <= 1e-14
@@ -337,7 +333,7 @@ class TestBinnedKernelSum:
     def test_3d_memory_is_bounded_by_the_grid(self, rng):
         # a direct sum over 256-sample chunks would hold ~200 MB per chunk
         n = 20_000
-        ws = WeightedSamples(rng.uniform(0.2, 0.8, (n, 3)), rng.uniform(0.5, 2.0, n), n)
+        ws = WeightedSamples(rng.uniform(0.2, 0.8, (n, 3)), n)
         axis = np.linspace(0.0, 1.0, 32)
         tracemalloc.start()
         try:
@@ -347,7 +343,7 @@ class TestBinnedKernelSum:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert est.values.shape == (32, 32, 32)
-        assert est.total_mass == pytest.approx(ws.weights.sum() / n, rel=0.05)
+        assert est.total_mass == pytest.approx(len(ws) / n, rel=0.05)
 
     def test_estimate_densities_three_components(self, rng):
         n = 3000
@@ -362,22 +358,12 @@ class TestBinnedKernelSum:
         )
         assert len(marginals) == 3
         assert joint.values.shape == (12, 12, 12)
-        direct = direct_kernel_sum(
-            result.joint.times, result.joint.weights, (axis,) * 3, joint.bandwidth
-        )
+        direct = direct_kernel_sum(result.joint.times, (axis,) * 3, joint.bandwidth)
         direct /= n
         assert np.abs(joint.values - direct).max() <= 1e-12 * direct.max()
 
 
 class TestWeightedSamplesValidation:
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightedSamples(times=[0.1, 0.2], weights=[1.0], n_runs=2)
-
-    def test_nonpositive_weights(self):
-        with pytest.raises(ValueError):
-            WeightedSamples(times=[0.1], weights=[0.0], n_runs=1)
-
     def test_n_runs_lower_bound(self):
         with pytest.raises(ValueError):
-            WeightedSamples(times=[0.1, 0.2], weights=[1.0, 1.0], n_runs=1)
+            WeightedSamples(times=[0.1, 0.2], n_runs=1)

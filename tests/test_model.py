@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fptmc import ModelSpec, bridge
+from fptmc import ModelSpec, bridge, parse_config
 from fptmc.results import Crossings
 from fptmc.unif import simulate_block
 from conftest import make_example_spec
@@ -120,6 +120,16 @@ def test_model_spec_stores_read_only_float_arrays():
     for name in ("x0", "mu", "sigma", "jump_mean", "jump_sd", "barrier_intercept",
                  "barrier_slope"):
         assert not getattr(spec, name).flags.writeable
+
+
+def test_model_specs_compare_by_identity_and_hash():
+    # array fields have no single truth value: a spec is equal only to itself,
+    # and the config it came from is the form that compares by value
+    cfg = parse_config("configs/example1.cfg")
+    a, b = cfg.to_model_spec(), cfg.to_model_spec()
+    assert a == a and a != b
+    assert {a: 1, b: 2}[a] == 1
+    assert cfg == parse_config("configs/example1.cfg")
 
 
 def engine_passes(monkeypatch, spec, n, seed=0):

@@ -24,6 +24,7 @@ from helpers import (
     bm_crossing_probability,
     line_crossing_probability,
     midpoint_block,
+    wedge_both_cross,
 )
 
 
@@ -138,16 +139,10 @@ def test_at_most_one_sample_per_run_per_process(example1_spec):
         assert np.all(np.diff(idx) > 0)  # strictly increasing, hence unique
 
 
-def test_joint_weights_are_products(example1_spec):
+def test_joint_tuples_are_the_marginal_times(example1_spec):
     result = run_engine(example1_spec, 30_000, seed=23)
-    lookup = []
-    for i in range(result.m):
-        w = dict(zip(result.marginal_run_indices[i], result.marginals[i].weights))
-        lookup.append(w)
     assert len(result.joint) == len(result.joint_run_indices)
     for k, run in enumerate(result.joint_run_indices):
-        product = lookup[0][run] * lookup[1][run]
-        assert result.joint.weights[k] == product  # exact
         assert result.joint.times[k, 0] == lookup_time(result, 0, run)
         assert result.joint.times[k, 1] == lookup_time(result, 1, run)
 
@@ -441,3 +436,51 @@ def test_drift_and_diffusion_row_norm():
         p = bm_crossing_probability(0.0, levels[i], mu[i], math.hypot(*sigma[i]), 1.0)
         se = math.sqrt(p * (1 - p) / n)
         assert len(ws) / n == pytest.approx(p, abs=4 * se)
+
+
+def test_wedge_law_factorises_without_correlation():
+    # at rho = 0 the pair survives with the product of the two survivals
+    for z1, z2, horizon in ((1.0, 1.0, 1.0), (0.5, 1.3, 1.0), (1.0, 1.0, 0.5)):
+        s1, s2 = (math.erf(z / math.sqrt(2.0 * horizon)) for z in (z1, z2))
+        exact = (1.0 - s1) * (1.0 - s2)
+        assert wedge_both_cross(z1, z2, 0.0, horizon) == pytest.approx(exact, abs=1e-14)
+    # the wedge is symmetric in its two sides
+    for rho in (-0.7, 0.5, 0.9):
+        assert wedge_both_cross(0.5, 1.3, rho, 1.0) == pytest.approx(
+            wedge_both_cross(1.3, 0.5, rho, 1.0), abs=1e-14
+        )
+
+
+_CORRELATED_JOINT = pytest.mark.xfail(
+    strict=True,
+    reason="each component's bridge decides its crossing alone, so the joint crossing "
+    "law misses a correlated sigma's dependence (README, Known limits)",
+)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [0.0, *(pytest.param(rho, marks=_CORRELATED_JOINT) for rho in (0.5, 0.9))],
+)
+def test_joint_crossing_matches_the_wedge_law_without_jumps(rho):
+    # no jumps or drift: both rows have norm 0.2 and both barriers sit 0.2
+    # below the start, so each component is a Brownian motion one sd from
+    # its barrier at T = 1, and P(both cross) has a closed form
+    sigma = [[0.2, 0.0], [0.2 * rho, 0.2 * math.sqrt(1.0 - rho * rho)]]
+    spec = ModelSpec(
+        m=2,
+        x0=[0.0, 0.0],
+        mu=[0.0, 0.0],
+        sigma=sigma,
+        jump_rate=0.0,
+        jump_mean=[0.0, 0.0],
+        jump_sd=[0.0, 0.0],
+        barrier_intercept=[-0.2, -0.2],
+        barrier_slope=[0.0, 0.0],
+        horizon=1.0,
+    )
+    n = 400_000
+    result = run_engine(spec, n, seed=47, workers=2)
+    p = wedge_both_cross(1.0, 1.0, rho, 1.0)
+    se = math.sqrt(p * (1 - p) / n)
+    assert len(result.joint) / n == pytest.approx(p, abs=4 * se)
