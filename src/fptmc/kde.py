@@ -15,9 +15,11 @@ the kernel's standard deviation, and evaluate their kernel sum the same
 way: samples are binned onto a lattice and the Gaussian is Taylor-expanded
 about each lattice node (Silverman 1982, Appl. Stat. 31:93 for the binning;
 Greengard & Strain 1991, SIAM J. Sci. Stat. Comput. 12:79 for the
-expansion), with the series cut below 2^-53 of the kernel peak, so the
-estimate equals the direct sum over every sample and grid node up to
-rounding.
+expansion), with the series cut below 2^-53 of the kernel peak, and each
+grid point sums only the lattice nodes within the kernel's reach, beyond
+which a sample adds less than that.  So the estimate equals the direct sum
+over every sample and grid node up to rounding, and the memory of its
+operators is set by the grid and the reach, not by the lattice.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .model import _integer
 
 __all__ = [
     "WeightedSamples",
@@ -42,7 +46,7 @@ __all__ = [
 
 # Lattice spacing of the binned kernel sum as a fraction of the kernel
 # standard deviation.  At a quarter the Taylor series converges in 13
-# orders per axis, and samples spanning L occupy at most 4 L / std + 1 nodes.
+# orders per axis.
 _LATTICE_STEP = 0.25
 # Taylor terms bounded below this fraction of the kernel peak are dropped:
 # the result then equals the direct sum up to rounding.
@@ -64,10 +68,11 @@ class WeightedSamples:
 
     def __post_init__(self):
         times = np.atleast_1d(np.asarray(self.times, dtype=float))
-        if self.n_runs < max(times.shape[0], 1):
-            raise ValueError("n_runs must be at least the number of samples")
+        if not np.isfinite(times).all():
+            raise ValueError("crossing times must be finite")
+        n_runs = _integer("n_runs", self.n_runs, max(times.shape[0], 1))
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "n_runs", int(self.n_runs))
+        object.__setattr__(self, "n_runs", n_runs)
 
     def __len__(self) -> int:
         return self.times.shape[0]
@@ -252,6 +257,15 @@ class _Lattice:
     T_n[j, a] = K(g_j - c_a) (2 (g_j - c_a) / kappa)^n / n! built over the
     occupied nodes only.  ``bounds[n]`` bounds |T_n| max|r|^n relative to
     the kernel peak; the list stops before the first order below ``_TAIL``.
+
+    A sample's whole series is exp(-(g - s)^2 / kappa), at most
+    exp(-(|g - c| - max|r|)^2 / kappa), so a node at least ``reach`` =
+    sqrt(-kappa ln _TAIL) + max|r| from a grid point adds less than
+    ``_TAIL`` of the peak there and is skipped.  The grid is cut into
+    ``chunks`` of points spanning at most ``reach``; each pairs a slice of
+    the grid with the contiguous slice of nodes within reach of it, so it
+    holds at most about 3 reach / step nodes, and the operators are built
+    on those blocks only.  A chunk with no node in reach is left out.
     """
 
     def __init__(self, s: np.ndarray, grid: np.ndarray, std: float):
@@ -277,31 +291,50 @@ class _Lattice:
             if log_b < _LOG_TAIL:
                 break
             self.bounds.append(math.exp(log_b))
+        reach = math.sqrt(-self.kappa * _LOG_TAIL) + r_max
+        first = np.searchsorted(self.centres, grid - reach, side="right")
+        stop = np.searchsorted(self.centres, grid + reach, side="left")
+        self.chunks = []
+        j = 0
+        while j < len(grid):
+            end = max(int(np.searchsorted(grid, grid[j] + reach, side="right")), j + 1)
+            lo, hi = int(first[j]), int(stop[end - 1])
+            if lo < hi:
+                self.chunks.append((slice(j, end), slice(lo, hi)))
+            j = end
 
     def operators(self):
-        """Yield T_0, T_1, ... for every order in ``bounds``; each is built
-        from the previous one, so only one is held at a time."""
-        diff = self.grid[:, None] - self.centres[None, :]
-        op = gaussian_kernel(2.0 * self.std, diff)
-        yield op
-        diff *= 2.0 / self.kappa
+        """Yield T_0, T_1, ... for every order in ``bounds``, each as its
+        list of blocks, one per chunk.  Every order is built in place from
+        the previous one, so a consumer that keeps an order copies it."""
+        diffs = [self.grid[g, None] - self.centres[None, c] for g, c in self.chunks]
+        ops = [gaussian_kernel(2.0 * self.std, diff) for diff in diffs]
+        yield ops
+        for diff in diffs:
+            diff *= 2.0 / self.kappa
         for n in range(1, len(self.bounds)):
-            op = op * diff / n
-            yield op
+            for op, diff in zip(ops, diffs):
+                op *= diff
+                op /= n
+            yield ops
 
 
 def _kernel_sum(points: np.ndarray, axes: tuple[np.ndarray, ...], std: float) -> np.ndarray:
     """sum_k prod_i N(g_i; points[k, i], std^2) on the tensor grid ``axes``,
     each sample counting once.
 
-    Equal to the direct sum up to rounding (the Taylor tail dropped is below
-    2^-53 of the kernel peak), at a cost and memory set by the grid and the
-    lattice rather than by samples x grid: the moment tensor has one cell per
-    combination of occupied nodes across the axes.  For m axes the
-    order tuples form a tensor product; a tuple whose bounds multiply to
-    below ``_TAIL`` is skipped.  Orders of axis 0 are summed outermost so its
-    operators stream; the inner axes keep theirs, which each order of the
-    outer axes reuses.
+    Equal to the direct sum up to rounding (the Taylor tail and the nodes
+    out of reach dropped are below 2^-53 of the kernel peak), at a cost and
+    memory set by the grid, the reach and the lattice rather than by
+    samples x grid.  An operator has one block per chunk of grid points,
+    over the nodes within their reach, so one axis holds about grid x
+    3 reach / step entries per order however many nodes it has; the moment
+    tensor has one cell per combination of occupied nodes across the axes.
+    For m axes the order tuples form a tensor product; a tuple whose bounds
+    multiply to below ``_TAIL`` is skipped.  Orders of axis 0 are summed
+    outermost, so its operators are updated in place and at most one
+    order's moment term is held; the inner axes keep every order, which
+    each order of the outer axes reuses.
     """
     if len(points) == 0:
         return np.zeros(tuple(len(g) for g in axes))
@@ -309,7 +342,7 @@ def _kernel_sum(points: np.ndarray, axes: tuple[np.ndarray, ...], std: float) ->
     nodes = tuple(len(lat.centres) for lat in lattices)
     cell = np.ravel_multi_index(tuple(lat.index for lat in lattices), nodes)
     operators = [lattices[0].operators()]
-    operators += [list(lat.operators()) for lat in lattices[1:]]
+    operators += [[[op.copy() for op in ops] for ops in lat.operators()] for lat in lattices[1:]]
     return _contract(lattices, operators, cell, 0, 1.0, 1.0)
 
 
@@ -320,20 +353,26 @@ def _contract(lattices, operators, cell, k, q, bound) -> np.ndarray:
     The result is grid-valued on axes >= k and node-valued on axes < k."""
     lat = lattices[k]
     q = q * lat.damp
-    total = None
+    outer = math.prod(len(x.centres) for x in lattices[:k])
+    inner = math.prod(len(x.grid) for x in lattices[k + 1 :])
+    total = np.zeros((outer, len(lat.grid), inner))
     for n, (op, b) in enumerate(zip(operators[k], lat.bounds)):
         if bound * b < _TAIL:
             break
         if n:
-            q = q * lat.offset
+            q *= lat.offset
         if k + 1 < len(lattices):
             sub = _contract(lattices, operators, cell, k + 1, q, bound * b)
         else:
             nodes = tuple(len(x.centres) for x in lattices)
             sub = np.bincount(cell, q, minlength=math.prod(nodes)).reshape(nodes)
-        term = np.moveaxis(np.tensordot(op, sub, axes=(1, k)), 0, k)
-        if total is None:
-            total = term
-        else:
-            total += term
-    return total
+        sub = sub.reshape(outer, -1, inner)
+        for (rows, cols), block in zip(lat.chunks, op):
+            # on the last axis, one product over every outer node: a batched
+            # product would make one matrix-vector product per node
+            if inner == 1:
+                total[:, rows, 0] += sub[:, cols, 0] @ block.T
+            else:
+                total[:, rows] += block @ sub[:, cols]
+    shape = [len(x.centres) for x in lattices[:k]] + [len(x.grid) for x in lattices[k:]]
+    return total.reshape(shape)

@@ -13,11 +13,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo, tmp_path):
     # run from a scratch directory holding the configs, so output the demo
-    # writes next to itself stays out of the repository
+    # writes next to itself stays out of the repository; development mode,
+    # with a RuntimeWarning or a ResourceWarning failing the run
     shutil.copytree(ROOT / "configs", tmp_path / "configs")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    strict = ["-X", "dev", "-W", "error::RuntimeWarning", "-W", "error::ResourceWarning"]
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, *strict, str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

@@ -298,6 +298,13 @@ def _grid_ends(rng):
     return times, np.linspace(0.0, 1.0, 512)
 
 
+def _far_beyond_grid(rng):
+    # most samples lie past the grid's end and none within 0.3 of its
+    # middle, so grid points there have no lattice node in the kernel's reach
+    times = rng.uniform(0.0, 5.0, 3000)
+    return times[(times < 0.2) | (times > 0.8)], np.linspace(0.0, 1.0, 512)
+
+
 def _non_uniform_grid(rng):
     grid = np.concatenate([[0.0, 1.0], np.sort(rng.uniform(0.0, 1.0, 300)) ** 2])
     return rng.beta(2.0, 5.0, 3000), np.sort(grid)
@@ -308,7 +315,7 @@ class TestBinnedKernelSum:
     grid node: equal up to rounding, relative to the estimate's peak."""
 
     @pytest.mark.parametrize(
-        "make", [_heavy_repeats, _grid_aligned, _grid_ends, _non_uniform_grid]
+        "make", [_heavy_repeats, _grid_aligned, _grid_ends, _far_beyond_grid, _non_uniform_grid]
     )
     def test_1d_matches_direct_sum(self, rng, make):
         times, grid = make(rng)
@@ -329,6 +336,21 @@ class TestBinnedKernelSum:
         assert np.abs(est.values - direct).max() <= 1e-12 * direct.max()
         mass = np.trapezoid(np.trapezoid(direct, axis, axis=-1), axis)
         assert abs(est.total_mass - mass) <= 1e-14
+
+    def test_1d_memory_is_bounded_by_the_reach(self, rng):
+        # h = 1e-3 puts 20,000 samples on about 8,000 lattice nodes; dense
+        # 512 x 8,000 operators would hold about 100 MB
+        n = 20_000
+        ws = WeightedSamples(rng.uniform(0.0, 1.0, n), n)
+        grid = np.linspace(0.0, 1.0, 512)
+        tracemalloc.start()
+        try:
+            est = estimate_density_1d(ws, grid, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert est.total_mass == pytest.approx(1.0, rel=0.01)
 
     def test_3d_memory_is_bounded_by_the_grid(self, rng):
         # a direct sum over 256-sample chunks would hold ~200 MB per chunk
@@ -367,3 +389,16 @@ class TestWeightedSamplesValidation:
     def test_n_runs_lower_bound(self):
         with pytest.raises(ValueError):
             WeightedSamples(times=[0.1, 0.2], n_runs=1)
+
+    @pytest.mark.parametrize("n_runs", [1.9, 2.0, True, "2"])
+    def test_n_runs_must_be_an_integer(self, n_runs):
+        with pytest.raises(ValueError, match="n_runs"):
+            WeightedSamples(times=[0.5], n_runs=n_runs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_times_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightedSamples(times=[0.5, bad], n_runs=2)
+
+    def test_n_runs_accepts_numpy_integers(self):
+        assert WeightedSamples(times=[0.5], n_runs=np.int64(3)).n_runs == 3
