@@ -108,9 +108,6 @@ def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
     np.subtract(1.0, keep, out=keep)
     hit = alive & (u <= keep)
     flat = np.flatnonzero(hit)
-    if not flat.size:
-        none = np.empty(0, dtype=np.intp)
-        return (none, none), np.empty(0)
     # a flat take gathers several times faster than (rows, cols) indexing
     comps, runs = np.divmod(flat, hit.shape[1])
     tau_c = tau.take(runs)

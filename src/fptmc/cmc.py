@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -147,7 +148,7 @@ class _Group:
         # one Bernoulli(rate dt_k) arrival per (step, run) cell of the
         # window: their count, then which cells, a uniform subset of that
         # size, sorted so that each step's arrivals are one slice
-        n_jumps = int(rng.binomial(len(times) * n, rate * dt_k)) if rate > 0 else 0
+        n_jumps = int(rng.binomial(len(times) * n, rate * dt_k))
         cells = np.sort(rng.choice(len(times) * n, n_jumps, replace=False, shuffle=False))
         sizes = self.jump_mean + self.jump_sd * rng.standard_normal((len(self.comps), n_jumps))
         bounds = np.searchsorted(cells, n * np.arange(len(times) + 1)).tolist()
@@ -206,11 +207,10 @@ def simulate_block_cmc(
     out: Crossings,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """Simulate ``size`` discretised runs, recording their crossings in
-    ``out``, the block's ``results.Crossings`` record of ``size`` runs set to
-    "never crossed" (``Crossings.columns`` of a job's record).  Returns its
-    (times, weights, kinds) arrays of shape (m, size), plus the total number
-    of jumps that occurred and the number of (component, run) cells stepped,
-    one normal each.
+    ``out``, the block's ``results.Crossings`` record of ``size`` runs, in
+    which no component has crossed yet.  Returns its (times, weights, kinds)
+    arrays of shape (m, size), plus the total number of jumps that occurred
+    and the number of (component, run) cells stepped, one normal each.
 
     Live runs are held in at most m + 1 groups: the runs with two or more
     uncrossed components keep all m components and sigma, and the runs with
@@ -256,19 +256,17 @@ def _live_cells(times: np.ndarray, grid: np.ndarray) -> int:
 def run_cmc(spec: ModelSpec, cfg: CmcConfig) -> EngineResult:
     """Run the discretised baseline with the same reproducibility contract as
     the bridge-sampling engine (fixed blocks, per-block streams, each block
-    recording its crossings in the columns it owns of one record).
+    recording its crossings in the columns it owns of the record that
+    ``run_blocks`` makes and times).
 
     Its diagnostics count the work: ``total_jumps``, ``stepped_cells``, the
     normals drawn for the diffusion, and ``live_cells``, the ones needed,
     which ``stepped_cells`` exceeds by the crossed cells still stepped until
     the next regrouping."""
     cfg.validate_for(spec)
-
-    def simulate(rng: np.random.Generator, size: int, out: Crossings):
-        return simulate_block_cmc(spec, cfg, rng, size, out=out)
-
-    hits = Crossings.empty(spec.m, cfg.n_runs)
-    outputs, elapsed = run_blocks(cfg.n_runs, cfg.seed, cfg.workers, simulate, out=hits)
+    hits, outputs, elapsed = run_blocks(
+        spec.m, cfg.n_runs, cfg.seed, cfg.workers, partial(simulate_block_cmc, spec, cfg)
+    )
     diagnostics = {
         "total_jumps": sum(o[3] for o in outputs),
         "stepped_cells": sum(o[4] for o in outputs),

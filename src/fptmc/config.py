@@ -37,9 +37,10 @@ lines and duplicate, unknown and missing keys; the known keys, the required
 ones and the defaults are the fields of ``ExperimentConfig``.  Every model
 value (the keys from ``m`` to ``horizon``) is checked by ``ModelSpec``, which
 ``ExperimentConfig`` builds; ``ExperimentConfig`` itself checks only the run
-settings, the ``engine`` word and ``dt``, and for the baseline builds the
-``CmcConfig``, which checks ``dt`` against the model.  An error names its
-key, and the file line of that key when it has one.
+settings, the ``engine`` word and ``out``; a given ``dt`` is checked by the
+``CmcConfig`` it builds, and for the baseline against the model by that
+``CmcConfig``.  An error names its key, and the file line of that key when
+it has one.
 
 Command-line flags override file values through ``apply_overrides``: a
 ``dataclasses.replace``, so the same rules check them.
@@ -91,9 +92,10 @@ class ExperimentConfig:
     that spec, which checks them, and stores its values back as tuples.  The
     spec's ``effective_sigmas()`` rule (no all-zero diffusion row) holds for
     every engine here.  Checked here are only the run settings' integer
-    minimums, the ``engine`` word and ``dt``, which ``cmc``/``both`` require
-    and whose ``CmcConfig`` is checked against the spec.  A ``ValueError``
-    starts with the field it is about.
+    minimums, the ``engine`` word, a non-empty ``out`` and ``dt``: a given
+    ``dt`` is checked by its ``CmcConfig`` whatever the engine, and
+    ``cmc``/``both`` require it and check that ``CmcConfig`` against the
+    spec.  A ``ValueError`` starts with the field it is about.
     """
 
     m: int
@@ -127,12 +129,15 @@ class ExperimentConfig:
             raise ValueError(
                 f"engine must be one of {', '.join(ENGINES)}; got {self.engine!r}"
             )
+        if not self.out:
+            raise ValueError("out must be a non-empty path")
         if self.dt is not None:
             object.__setattr__(self, "dt", _finite("dt", self.dt))
+            cmc_cfg = CmcConfig(self.dt, self.runs, self.seed, self.workers)
+            if self.needs_cmc:
+                cmc_cfg.validate_for(spec)
         elif self.needs_cmc:
             raise ValueError(f"missing required key 'dt' (engine = {self.engine})")
-        if self.needs_cmc:
-            CmcConfig(self.dt, self.runs, self.seed, self.workers).validate_for(spec)
 
     def to_model_spec(self) -> ModelSpec:
         return ModelSpec(**{f.name: getattr(self, f.name) for f in fields(ModelSpec)})

@@ -40,11 +40,6 @@ __all__ = [
 ]
 
 
-# the counts an engine's diagnostics carry that the report prints: crossings
-# by kind, and the baseline's jumps, stepped cells and live cells
-_COUNTS = ("interior_crossings", "at_jump_crossings", "total_jumps", "stepped_cells", "live_cells")
-
-
 def normalized_l1(values_a, values_b, grid) -> float:
     """L1 distance between two densities on a common grid, normalised by the
     average of their masses (0 for two identically-zero densities)."""
@@ -186,9 +181,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
         report.h_opt[eng] = [float(est.bandwidth) for est in marginals]
         report.seconds_per_run[eng] = float(result.seconds_per_run)
         report.crossing_prob[eng] = [float(p) for p in result.crossing_probabilities()]
-        report.counts[eng] = {
-            k: int(result.diagnostics[k]) for k in _COUNTS if k in result.diagnostics
-        }
+        report.counts[eng] = dict(result.diagnostics)
         density_values[eng] = [est.values for est in marginals]
         for i, est in enumerate(marginals):
             emit_density_csv(est, os.path.join(cfg.out, f"{eng}_marginal_{i+1}.csv"))

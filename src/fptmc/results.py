@@ -6,8 +6,8 @@ module knows: the engines write it through ``Crossings.record``, and
 
 Runs are partitioned into fixed-size blocks.  Block b of a job seeded with s
 always draws from the generator seeded by SeedSequence([s, b]) and records its
-crossings in the columns it owns of one preallocated (m, n_runs) record, so
-results are bitwise identical for any worker count and any scheduling.
+crossings in the columns it owns of one (m, n_runs) record, so results are
+bitwise identical for any worker count and any scheduling.
 Workers are threads: each block task is dominated by numpy work on its own
 arrays, and blocks own disjoint columns of the result, so no element is
 shared.
@@ -68,28 +68,23 @@ class Crossings(NamedTuple):
     first crossing of component i in run j, one cell per (i, j).
 
     A crossing is recorded as its time, weight 1 and its kind, KIND_INTERIOR
-    or KIND_AT_JUMP; a cell that never crossed holds (NaN, 0, KIND_NONE).
-    ``record`` is the only code that writes a crossing."""
+    or KIND_AT_JUMP; a cell that never crossed holds (NaN, 0, KIND_NONE), as
+    a new record's cells do.  ``record`` is the only code that writes one."""
 
     times: np.ndarray
     weights: np.ndarray
     kinds: np.ndarray
 
     @classmethod
-    def empty(cls, m: int, n_runs: int) -> Crossings:
-        """An uninitialised record of a job's n_runs runs, whose columns each
-        block sets with ``columns``."""
-        shape = (m, _integer("n_runs", n_runs, 1))
-        return cls(np.empty(shape), np.empty(shape), np.empty(shape, dtype=np.int8))
+    def never_crossed(cls, m: int, n_runs: int) -> Crossings:
+        """The record of n_runs runs in which no component crossed."""
+        shape = (m, n_runs)
+        return cls(np.full(shape, np.nan), np.zeros(shape), np.zeros(shape, dtype=np.int8))
 
     def columns(self, cols: slice) -> Crossings:
-        """The record of the runs ``cols``, views of these columns, set to
-        "never crossed": what one block records its crossings in."""
-        out = Crossings(*(a[:, cols] for a in self))
-        out.times.fill(np.nan)
-        out.weights.fill(0.0)
-        out.kinds.fill(KIND_NONE)
-        return out
+        """The record of the runs ``cols``, views of these columns: what one
+        block records its crossings in."""
+        return Crossings(*(a[:, cols] for a in self))
 
     def record(self, comps: np.ndarray, runs: np.ndarray, times, kind: int) -> None:
         """Record that component ``comps[k]`` of run ``runs[k]`` crossed at
@@ -109,9 +104,8 @@ class EngineResult:
     ``joint`` holds the m-tuples from runs where every component crossed.
     Every crossing has weight 1, so a crossing probability is a count over
     ``n_runs``.  The ``*_run_indices`` arrays map samples back to their run.
-    ``seconds_per_run`` is wall time of the run loop only, divided by n_runs;
-    the loop includes each block setting its columns of the record to "never
-    crossed" before it records its crossings there.
+    ``seconds_per_run`` is the wall time of ``run_blocks`` only, divided by
+    n_runs: making the "never crossed" record and running every block.
     """
 
     engine: str
@@ -172,39 +166,45 @@ def block_sizes(n_runs: int) -> list[int]:
 
 
 def run_blocks(
+    m: int,
     n_runs: int,
     seed: int,
     workers: int,
     simulate: Callable[..., tuple],
-    out: Crossings,
-) -> tuple[list[tuple], float]:
+) -> tuple[Crossings, list[tuple], float]:
     """Run ``simulate(rng, size, out=...)`` over every block, in order, timed.
 
-    ``out`` is the job's record, of n_runs columns (``Crossings.empty``
-    checks that count); block b is passed ``out=`` the record of the columns
-    it owns, ``b * BLOCK_SIZE`` onwards, set to "never crossed", to record
-    its crossings in.
+    The job's record of m components and n_runs runs is made "never crossed"
+    (``Crossings.never_crossed``); block b is passed ``out=`` the columns it
+    owns, ``b * BLOCK_SIZE`` onwards, to record its crossings in.
 
-    Returns the per-block outputs in block order and the elapsed wall time of
-    the whole loop.
+    Returns the record, the per-block outputs in block order, and the elapsed
+    wall time of making the record and running the blocks.
+
+    One worker runs the blocks on the calling thread, not on a pool of one:
+    ``ex1-density`` ran about 20% slower per run on a pool thread, and its
+    peak resident memory rose by 9%.  The likely cause, not proven, is that
+    glibc gives the pool thread its own malloc arena, whose pages are fresh.
     """
+    n_runs = _integer("n_runs", n_runs, 1)
     workers = _integer("workers", workers, 1)
     seed = _integer("seed", seed, 0)
     sizes = block_sizes(n_runs)
 
-    def task(b: int) -> tuple:
-        rng = block_rng(seed, b)
-        cols = slice(b * BLOCK_SIZE, b * BLOCK_SIZE + sizes[b])
-        return simulate(rng, sizes[b], out=out.columns(cols))
-
     start = time.perf_counter()
+    out = Crossings.never_crossed(m, n_runs)
+
+    def task(b: int) -> tuple:
+        cols = slice(b * BLOCK_SIZE, b * BLOCK_SIZE + sizes[b])
+        return simulate(block_rng(seed, b), sizes[b], out=out.columns(cols))
+
     if workers == 1:
         outputs = [task(b) for b in range(len(sizes))]
     else:
         with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
             outputs = list(pool.map(task, range(len(sizes))))
     elapsed = time.perf_counter() - start
-    return outputs, elapsed
+    return out, outputs, elapsed
 
 
 def collect_result(
@@ -217,11 +217,14 @@ def collect_result(
     """Build an EngineResult from a job's crossing record.
 
     ``hits`` is a list holding one ``Crossings``: the record every block
-    recorded its columns of."""
+    recorded its columns of.  The diagnostics are the crossing counts by
+    kind followed by the engine's own ``diagnostics``."""
     [(times, _, kinds)] = hits
-    diag = dict(diagnostics or {})
-    diag.setdefault("interior_crossings", int(np.count_nonzero(kinds == KIND_INTERIOR)))
-    diag.setdefault("at_jump_crossings", int(np.count_nonzero(kinds == KIND_AT_JUMP)))
+    diag = {
+        "interior_crossings": int(np.count_nonzero(kinds == KIND_INTERIOR)),
+        "at_jump_crossings": int(np.count_nonzero(kinds == KIND_AT_JUMP)),
+        **(diagnostics or {}),
+    }
     return EngineResult(engine, seed, times, kinds, elapsed / kinds.shape[1], diag)
 
 

@@ -21,6 +21,8 @@ pairs.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import bridge
@@ -59,12 +61,11 @@ def simulate_block(
     of the n live runs, so per-run values of shape (n,) and per-component
     constants of shape (m, 1) broadcast along contiguous rows.
 
-    ``out`` is the block's ``results.Crossings`` record of ``size`` runs,
-    set to "never crossed": ``Crossings.columns`` of a job's record.  Returns
-    its (times, weights, kinds) arrays, of shape (m, size) in run order,
-    plus the count of grazing events:
-    segments entered at or below the frozen midpoint level.  They are
-    recorded as immediate crossings of kind 2, so ``at_jump_crossings``
+    ``out`` is the block's ``results.Crossings`` record of ``size`` runs, in
+    which no component has crossed yet.  Returns its (times, weights, kinds)
+    arrays, of shape (m, size) in run order, plus the count of grazing
+    events: segments entered at or below the frozen midpoint level.  They
+    are recorded as immediate crossings of kind 2, so ``at_jump_crossings``
     counts them too.  They are not rare: where a barrier rises, its midpoint
     level lies above its level at the segment's start, so a run that starts
     a segment just above the barrier often starts it below that frozen
@@ -161,14 +162,16 @@ def simulate_block(
 
 
 def _graze_times(t0, t1, start, icpt, slope):
-    """Crossing times for grazing entries: where the barrier rises, the exact
-    instant the affine barrier reaches the entry value; otherwise the segment
-    start."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_star = (start - icpt) / slope
-    rising = slope > 0
-    t_star = np.where(rising & np.isfinite(t_star), t_star, t0)
-    return np.clip(t_star, t0, t1)
+    """Crossing times for grazing entries: the instant the affine barrier
+    reaches the entry value, clipped to the segment.
+
+    Only a rising barrier is grazed, so ``slope`` > 0 here.  A non-rising
+    barrier's frozen level is at most D(t0), and a run alive at a pass start
+    lies above D(t0): x0 lies above the intercept, and a survivor ends a pass
+    above its frozen level, at least D(t1), so a jump that does not cross
+    leaves it above D(t1).  Were that ever false, the division would warn (an
+    error under ``-W error``) or ``WeightedSamples`` would reject the time."""
+    return np.clip((start - icpt) / slope, t0, t1)
 
 
 def run_engine(
@@ -178,17 +181,14 @@ def run_engine(
 
     Output is bitwise reproducible for a given seed regardless of ``workers``:
     runs are partitioned into fixed blocks with per-block random streams,
-    each recording its crossings in the columns it owns of one record.
-    ``seconds_per_run`` covers the simulation loop, including the blocks
-    filling their record columns, and no density estimation.
+    each recording its crossings in the columns it owns of the record that
+    ``run_blocks`` makes and times: ``seconds_per_run`` includes making it
+    and excludes density estimation.
     """
     spec.effective_sigmas()  # reject degenerate diffusion rows up front
-
-    def simulate(rng: np.random.Generator, size: int, out: Crossings):
-        return simulate_block(spec, rng, size, out=out)
-
-    hits = Crossings.empty(spec.m, n_runs)
-    outputs, elapsed = run_blocks(n_runs, seed, workers, simulate, out=hits)
+    hits, outputs, elapsed = run_blocks(
+        spec.m, n_runs, seed, workers, partial(simulate_block, spec)
+    )
     grazing = sum(o[3] for o in outputs)
     return collect_result(
         "unif", seed, [hits], elapsed, diagnostics={"grazing_entries": grazing}

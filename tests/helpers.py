@@ -155,7 +155,7 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
         a[:, None] for a in (spec.mu, icpt, slope, spec.jump_mean, spec.jump_sd)
     )
 
-    out = Crossings.empty(m, size).columns(slice(None))
+    out = Crossings.never_crossed(m, size)
     grazing = 0
 
     run = np.arange(size)

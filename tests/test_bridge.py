@@ -450,7 +450,7 @@ def clocked_block(*subjects, jump_rate=3.0, n=2000, seed=0):
     subjects' crossing times and kinds, one row per run (the transpose of
     the block's component-major arrays)."""
     spec = clocked_spec(*subjects, jump_rate=jump_rate)
-    out = Crossings.empty(spec.m, n).columns(slice(None))
+    out = Crossings.never_crossed(spec.m, n)
     hit_t, _, hit_k, _ = simulate_block(spec, np.random.default_rng(seed), n, out=out)
     return hit_t[:CLOCKS].T, hit_t[CLOCKS:].T, hit_k[CLOCKS:].T
 

@@ -27,7 +27,7 @@ def drift_spec(mu, barrier, m=1, slope=0.0):
 def single_run(spec, dt, rng):
     """(times, weights, kinds) of one discretised run, one entry per
     component: column 0 of a one-run block."""
-    out = results.Crossings.empty(spec.m, 1).columns(slice(None))
+    out = results.Crossings.never_crossed(spec.m, 1)
     hit_t, hit_w, hit_k, _, _ = simulate_block_cmc(spec, CmcConfig(dt=dt, n_runs=1), rng, 1, out=out)
     return hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]
 
@@ -150,7 +150,7 @@ def test_regrouped_runs_keep_their_columns():
     dt, n = 0.001, 4000
     hit_t, _, _, _, _ = simulate_block_cmc(
         spec, CmcConfig(dt=dt, n_runs=n), np.random.default_rng(19), n,
-        out=results.Crossings.empty(2, n).columns(slice(None)),
+        out=results.Crossings.never_crossed(2, n),
     )
     t1, t2 = hit_t
     crossed2 = ~np.isnan(t2)

@@ -111,6 +111,17 @@ def test_dt_required_for_baseline():
     assert parse_config_text(ok).dt is None
 
 
+@pytest.mark.parametrize("dt", ["-5", "0"])
+def test_given_dt_is_positive_for_every_engine(dt):
+    unif = GOOD.replace("engine = both", "engine = unif")
+    broken = unif.replace("dt = 0.001", f"dt = {dt}")
+    line = broken.splitlines().index(f"dt = {dt}") + 1
+    with pytest.raises(ConfigError, match=f":{line}: dt must be positive"):
+        parse_config_text(broken)
+    # the bounds dt takes from the model hold for the baseline only
+    assert parse_config_text(unif.replace("dt = 0.001", "dt = 2")).dt == 2
+
+
 @pytest.mark.parametrize("value", ["abc", "[0.1]", "True"])
 def test_non_numeric_dt_names_its_line(value):
     broken = GOOD.replace("dt = 0.001", f"dt = {value}")
@@ -155,6 +166,7 @@ def test_non_finite_value_names_its_line(key, good, bad):
         ("dt", "dt = 0.001", "dt = 2"),
         # lambda = 1.0, so lambda * dt = 1
         ("dt", "dt = 0.001", "dt = 1.0"),
+        ("out", "out = /tmp/fptmc_demo", "out = "),
     ],
 )
 def test_model_rule_names_its_line(key, good, bad):

@@ -155,7 +155,7 @@ def engine_passes(monkeypatch, spec, n, seed=0):
 
     with monkeypatch.context() as patched:
         patched.setattr(bridge, "draw_crossings", recording)
-        out = Crossings.empty(spec.m, n).columns(slice(None))
+        out = Crossings.never_crossed(spec.m, n)
         hit_t, _, _, _ = simulate_block(spec, np.random.default_rng(seed), n, out=out)
     assert np.isnan(hit_t).all(), "a barrier was reached"
     runs = np.arange(n)

@@ -171,7 +171,7 @@ class TestRunExperiment:
 
     def test_report_values_block_consistent(self, tmp_path):
         cfg = parse_config_text(TINY_CFG + f"out = {tmp_path}/exp\n")
-        run_experiment(cfg)
+        report = run_experiment(cfg)
         text = (tmp_path / "exp" / "report.txt").read_text()
         values = {}
         in_block = False
@@ -207,6 +207,19 @@ class TestRunExperiment:
         uncrossed = runs * (2 - values["cmc.crossing_prob.1"] - values["cmc.crossing_prob.2"])
         assert steps * round(uncrossed) < values["cmc.live_cells"]
         assert values["cmc.live_cells"] <= values["cmc.stepped_cells"] <= 2 * steps * runs
+        # every count an engine makes is printed, the crossing counts first
+        assert list(report.counts["unif"]) == [
+            "interior_crossings", "at_jump_crossings", "grazing_entries"
+        ]
+        assert list(report.counts["cmc"]) == [
+            "interior_crossings", "at_jump_crossings", "total_jumps", "stepped_cells", "live_cells"
+        ]
+        for eng, counts in report.counts.items():
+            for name, count in counts.items():
+                assert values[f"{eng}.{name}"] == count
+        # these barriers fall, and a graze needs a rising one
+        assert values["unif.grazing_entries"] == 0
+        assert "cmc.grazing_entries" not in values
 
     def test_density_files_reproducible(self, tmp_path):
         for sub in ("a", "b"):

@@ -21,10 +21,9 @@ def test_thread_pool_capped_at_block_count(monkeypatch):
         return ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(results, "ThreadPoolExecutor", recording_pool)
-    serial, pooled = results.Crossings.empty(1, 1000), results.Crossings.empty(1, 1000)
-    outputs, _ = results.run_blocks(1000, seed=5, workers=1, simulate=draw_block, out=serial)
-    pooled_outputs, _ = results.run_blocks(
-        1000, seed=5, workers=8, simulate=draw_block, out=pooled
+    serial, outputs, _ = results.run_blocks(1, 1000, seed=5, workers=1, simulate=draw_block)
+    pooled, pooled_outputs, _ = results.run_blocks(
+        1, 1000, seed=5, workers=8, simulate=draw_block
     )
     assert requested == [1]
     assert outputs == pooled_outputs == [(1000,)]
@@ -47,7 +46,7 @@ def test_unif_in_place_result_matches_per_block_merge(example1_spec):
     merged = merge_by_block(
         "unif",
         lambda rng, size: unif.simulate_block(
-            example1_spec, rng, size, out=results.Crossings.empty(2, size).columns(slice(None))
+            example1_spec, rng, size, out=results.Crossings.never_crossed(2, size)
         ),
         n,
         seed=21,
@@ -61,7 +60,7 @@ def test_cmc_in_place_result_matches_per_block_merge(monkeypatch, example1_spec)
     merged = merge_by_block(
         "cmc",
         lambda rng, size: cmc.simulate_block_cmc(
-            example1_spec, cfg, rng, size, out=results.Crossings.empty(2, size).columns(slice(None))
+            example1_spec, cfg, rng, size, out=results.Crossings.never_crossed(2, size)
         ),
         cfg.n_runs,
         cfg.seed,

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import fptmc
-from fptmc import ModelSpec, bridge, estimate_densities, run_engine
+from fptmc import ModelSpec, bridge, estimate_densities, parse_config, run_engine
 from fptmc.bridge import survival_array
 from fptmc.results import (
     BLOCK_SIZE,
@@ -26,6 +27,8 @@ from helpers import (
     midpoint_block,
     wedge_both_cross,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_determinism_across_worker_counts(example1_spec):
@@ -171,7 +174,7 @@ def test_run_single_agrees_with_engine(single_bm_spec):
     n = 2000
     crossings = 0
     for _ in range(n):
-        out = Crossings.empty(1, 1).columns(slice(None))
+        out = Crossings.never_crossed(1, 1)
         crossings += simulate_block(single_bm_spec, rng, 1, out=out)[2][0, 0] != KIND_NONE
     p_exact = bm_crossing_probability(0.0, -1.0, 0.0, 1.0, 1.0)
     se = math.sqrt(p_exact * (1 - p_exact) / n)
@@ -182,7 +185,7 @@ def test_run_single_outcome_structure(example1_spec):
     rng = np.random.default_rng(101)
     seen_kinds = set()
     for _ in range(500):
-        out = Crossings.empty(2, 1).columns(slice(None))
+        out = Crossings.never_crossed(2, 1)
         hit_t, hit_w, hit_k, _ = simulate_block(example1_spec, rng, 1, out=out)
         assert hit_t.shape == hit_w.shape == hit_k.shape == (2, 1)
         for time, weight, kind in zip(hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]):
@@ -243,6 +246,22 @@ def test_grazing_diagnostic_with_rising_barrier():
     assert len(ws) == 2000  # the rising barrier catches every run
 
 
+@pytest.mark.parametrize(
+    "name, flat", [("example1", False), ("example2", False), ("example3", False), ("example3", True)]
+)
+def test_no_graze_where_the_barrier_does_not_rise(name, flat):
+    # a graze needs a rising barrier: the bundled examples' barriers fall,
+    # and example3's flattened at lambda = 20 (a jump about every 0.05)
+    spec = parse_config(str(CONFIGS / f"{name}.cfg")).to_model_spec()
+    if flat:
+        spec = dataclasses.replace(spec, barrier_slope=[0.0, 0.0], jump_rate=20.0)
+    else:
+        assert np.all(spec.barrier_slope < 0)
+    result = run_engine(spec, 200_000, seed=17, workers=2)
+    assert result.diagnostics["grazing_entries"] == 0
+    assert result.diagnostics["at_jump_crossings"] > 0
+
+
 # the rising barrier of the grazing test, with a diffusion that reaches it
 RISING = ModelSpec(
     m=1,
@@ -269,7 +288,7 @@ def test_output_equals_the_reference_kernel(spec):
     # the arithmetic is unchanged, so the output is equal to the last bit
     for b in range(2):
         ref_t, ref_w, ref_k, ref_grazing = midpoint_block(spec, block_rng(5, b), BLOCK_SIZE)
-        out = Crossings.empty(spec.m, BLOCK_SIZE).columns(slice(None))
+        out = Crossings.never_crossed(spec.m, BLOCK_SIZE)
         hit_t, hit_w, hit_k, grazing = simulate_block(spec, block_rng(5, b), BLOCK_SIZE, out=out)
         assert np.array_equal(hit_t, ref_t, equal_nan=True)
         assert np.array_equal(hit_w, ref_w)
