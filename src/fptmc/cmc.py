@@ -8,14 +8,15 @@ times are grid-aligned and carry weight 1.  No sub-step bridge correction is
 applied: stepping over an excursion is exactly the discretisation bias this
 baseline is expected to show, and the reason it needs small dt.
 
-Random numbers are drawn only for components that have not crossed: every
-``_COMPACT_EVERY`` steps the live runs are regrouped by their set of live
-components, and a crossed component, whose value is never read again, is
-dropped.  Between two regroupings a group draws the jump arrivals of the
-whole window at once, one Bernoulli trial per (step, run) cell, as a
-binomial count and then a uniform subset of the window's cells of that size
-(Glasserman 2004, *Monte Carlo Methods in Financial Engineering*, section
-3.5).
+Random numbers are drawn only for components that have not crossed: at the
+start of every window of ``_COMPACT_EVERY`` steps the live runs are regrouped
+by their set of live components, and a crossed component, whose value is
+never read again, is dropped.  A run with one live component steps with its
+row norm of sigma, whatever m is.  Between two regroupings a group draws the
+jump arrivals of the whole window at once, one Bernoulli trial per (step,
+run) cell, as a binomial count and then a uniform subset of the window's
+cells of that size (Glasserman 2004, *Monte Carlo Methods in Financial
+Engineering*, section 3.5).
 
 A step is the draw floor plus a few passes: normals into a reused buffer,
 one scale by the factor pre-multiplied by sqrt(dt_k), one add, the step's
@@ -162,8 +163,7 @@ class _Group:
                 self.z *= scaled
                 self.state += self.z
             lo, hi = bounds[j], bounds[j + 1]
-            if hi > lo:
-                self.state[:, jumped[lo:hi]] += sizes[:, lo:hi]
+            self.state[:, jumped[lo:hi]] += sizes[:, lo:hi]
             np.less_equal(self.state, self.icpt + self.level_slope * t, out=self.hit)
             self.hit &= self.alive
             if self.hit.any():
@@ -176,10 +176,8 @@ class _Group:
 def _regroup(full: _Group, singles: list[_Group]) -> None:
     """Move each run to the group of its live components: runs of ``full``
     with one uncrossed component left go to that component's group in
-    ``singles``, and runs with none left retire.  With no ``singles``
-    (m = 1) a run stays while it has a live component.  A crossed
-    component's value is never read again, so dropping it changes no run's
-    law."""
+    ``singles``, and runs with none left retire.  A crossed component's
+    value is never read again, so dropping it changes no run's law."""
     live = full.alive.sum(axis=0)
     for i, group in enumerate(singles):
         keep = np.flatnonzero(group.alive[0])
@@ -191,7 +189,7 @@ def _regroup(full: _Group, singles: list[_Group]) -> None:
             ),
             np.concatenate((group.run_ids.take(keep), full.run_ids.take(moved))),
         )
-    keep = np.flatnonzero(live > (1 if singles else 0))
+    keep = np.flatnonzero(live > 1)
     full.hold(
         full.state.take(keep, axis=1),
         full.run_ids.take(keep),
@@ -215,14 +213,14 @@ def simulate_block_cmc(
     Live runs are held in at most m + 1 groups: the runs with two or more
     uncrossed components keep all m components and sigma, and the runs with
     only component i left hold that component alone, with the factor
-    ||sigma_i||.  Runs move between groups every ``_COMPACT_EVERY`` steps,
-    and before a shortened last step."""
+    ||sigma_i||.  Runs move to the group of their live components at the
+    start of each window of ``_COMPACT_EVERY`` steps, and of a shortened last
+    step."""
     m = spec.m
     full = _Group(spec, np.arange(m), spec.sigma, capacity=size)
     full.hold(np.repeat(spec.x0[:, None], size, axis=1), np.arange(size))
-    # with m = 1 the full group is the group of its one component
     norms = spec.sigma_row_norms()
-    singles = [] if m == 1 else [
+    singles = [
         _Group(spec, np.array([i]), norms[i : i + 1, None], capacity=size) for i in range(m)
     ]
     groups = [full, *singles]
@@ -235,14 +233,14 @@ def simulate_block_cmc(
     edges = sorted({*range(0, n_even, _COMPACT_EVERY), n_even, len(grid)})
     n_jumps = stepped = 0
     for k0, k1 in zip(edges, edges[1:]):
+        _regroup(full, singles)
+        if not any(len(g.run_ids) for g in groups):
+            break
         dt_k = cfg.dt if k1 <= n_even else dt_last
         for group in groups:
             if len(group.run_ids):
                 stepped += (k1 - k0) * group.state.size
                 n_jumps += group.advance(rng, grid[k0:k1], dt_k, spec.jump_rate, out)
-        _regroup(full, singles)
-        if not any(len(g.run_ids) for g in groups):
-            break
     return (*out, n_jumps, stepped)
 
 

@@ -39,8 +39,9 @@ value (the keys from ``m`` to ``horizon``) is checked by ``ModelSpec``, which
 ``ExperimentConfig`` builds; ``ExperimentConfig`` itself checks only the run
 settings, the ``engine`` word and ``out``; a given ``dt`` is checked by the
 ``CmcConfig`` it builds, and for the baseline against the model by that
-``CmcConfig``.  An error names its key, and the file line of that key when
-it has one.
+``CmcConfig``.  ``ENGINES`` is the one table of the engines each ``engine``
+word runs, which ``ExperimentConfig.engines`` reads.  An error names its key,
+and the file line of that key when it has one.
 
 Command-line flags override file values through ``apply_overrides``: a
 ``dataclasses.replace``, so the same rules check them.
@@ -61,7 +62,8 @@ from .model import ModelSpec, _finite, _integer
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "parse_config_text",
            "apply_overrides"]
 
-ENGINES = ("unif", "cmc", "both")
+# the engine word -> the engines it runs, in report order
+ENGINES = {"unif": ("unif",), "cmc": ("cmc",), "both": ("unif", "cmc")}
 
 # the one field whose config key has another name
 _KEY_OF_FIELD = {"jump_rate": "lambda"}
@@ -93,9 +95,10 @@ class ExperimentConfig:
     spec's ``effective_sigmas()`` rule (no all-zero diffusion row) holds for
     every engine here.  Checked here are only the run settings' integer
     minimums, the ``engine`` word, a non-empty ``out`` and ``dt``: a given
-    ``dt`` is checked by its ``CmcConfig`` whatever the engine, and
-    ``cmc``/``both`` require it and check that ``CmcConfig`` against the
-    spec.  A ``ValueError`` starts with the field it is about.
+    ``dt`` is checked by its ``CmcConfig`` whatever the engine, and a
+    config whose ``engines`` include ``cmc`` requires it and checks that
+    ``CmcConfig`` against the spec.  A ``ValueError`` starts with the field
+    it is about.
     """
 
     m: int
@@ -125,7 +128,7 @@ class ExperimentConfig:
         for f in fields(ModelSpec):
             value = np.asarray(getattr(spec, f.name)).tolist()
             object.__setattr__(self, f.name, _tuples(value))
-        if self.engine not in ENGINES:
+        if not isinstance(self.engine, str) or self.engine not in ENGINES:
             raise ValueError(
                 f"engine must be one of {', '.join(ENGINES)}; got {self.engine!r}"
             )
@@ -134,21 +137,18 @@ class ExperimentConfig:
         if self.dt is not None:
             object.__setattr__(self, "dt", _finite("dt", self.dt))
             cmc_cfg = CmcConfig(self.dt, self.runs, self.seed, self.workers)
-            if self.needs_cmc:
+            if "cmc" in self.engines:
                 cmc_cfg.validate_for(spec)
-        elif self.needs_cmc:
+        elif "cmc" in self.engines:
             raise ValueError(f"missing required key 'dt' (engine = {self.engine})")
 
     def to_model_spec(self) -> ModelSpec:
         return ModelSpec(**{f.name: getattr(self, f.name) for f in fields(ModelSpec)})
 
     @property
-    def needs_cmc(self) -> bool:
-        return self.engine in ("cmc", "both")
-
-    @property
-    def needs_unif(self) -> bool:
-        return self.engine in ("unif", "both")
+    def engines(self) -> tuple[str, ...]:
+        """The engines that ``engine`` runs, in report order."""
+        return ENGINES[self.engine]
 
 
 # config key -> ExperimentConfig field
@@ -202,7 +202,7 @@ def parse_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc
     return parse_config_text(text, str(path))
 

@@ -116,7 +116,6 @@ class DensityEstimate:
     grid: np.ndarray | tuple[np.ndarray, ...]
     values: np.ndarray
     bandwidth: float
-    n_samples: int
     total_mass: float
 
 
@@ -236,7 +235,6 @@ def _estimate(samples: WeightedSamples, grid, h: float, std: float) -> DensityEs
         grid=axes,
         values=values,
         bandwidth=float(h),
-        n_samples=len(samples),
         total_mass=float(mass),
     )
 

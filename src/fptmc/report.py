@@ -158,18 +158,13 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
     joint_axis = np.linspace(0.0, spec.horizon, cfg.grid_2d)
     joint_grid = (joint_axis, joint_axis) if spec.m == 2 else None
 
-    engines: list[str] = []
-    if cfg.needs_unif:
-        engines.append("unif")
-    if cfg.needs_cmc:
-        engines.append("cmc")
     report = ComparisonReport(
-        engines=engines, n_runs=cfg.runs, seed=cfg.seed, dt=cfg.dt
+        engines=list(cfg.engines), n_runs=cfg.runs, seed=cfg.seed, dt=cfg.dt
     )
 
     os.makedirs(cfg.out, exist_ok=True)
     density_values: dict[str, list[np.ndarray]] = {}
-    for eng in engines:
+    for eng in cfg.engines:
         if eng == "unif":
             result = run_engine(spec, cfg.runs, seed=cfg.seed, workers=cfg.workers)
         else:
@@ -189,7 +184,7 @@ def run_experiment(cfg: ExperimentConfig) -> ComparisonReport:
             report.joint_mass[eng] = joint.total_mass
             emit_density_csv(joint, os.path.join(cfg.out, f"{eng}_joint.csv"))
 
-    if "unif" in engines and "cmc" in engines:
+    if "unif" in cfg.engines and "cmc" in cfg.engines:
         report.speedup = (
             report.seconds_per_run["cmc"] / report.seconds_per_run["unif"]
         )

@@ -51,11 +51,13 @@ def simulate_block(
     The loop state is the live set: ``run`` (each live column's index in the
     block), ``state`` (the value at the column's last jump instant),
     ``alive`` (its uncrossed components) and ``t0`` (that instant).  Each
-    pass draws one exponential gap per live column, runs the bridge step on
-    the interval up to the next jump (or the horizon) with the start and end
-    distances to each barrier's midpoint level, applies the jump,
-    records crossings straight in ``out``'s column ``run``, and keeps only
-    the columns that jumped and still have an uncrossed component.
+    pass draws one exponential gap per live column (an infinite one where
+    the jump rate is 0, so no run jumps and the pass ends at the horizon),
+    runs the bridge step on the interval up to the next jump (or the
+    horizon) with the start and end distances to each barrier's midpoint
+    level, applies the jump, records crossings straight in ``out``'s column
+    ``run``, and keeps only the columns that jumped and still have an
+    uncrossed component.
 
     The state is component-major: row i of the (m, n) arrays is component i
     of the n live runs, so per-run values of shape (n,) and per-component
@@ -93,14 +95,10 @@ def simulate_block(
     while run.size:
         n = run.size
         # lazy jump clock: the next instant of every live run
-        if lam > 0:
-            t1 = rng.exponential(1.0 / lam, n)
-            t1 += t0
-            jumped = t1 < T
-            np.minimum(t1, T, out=t1)
-        else:
-            jumped = np.zeros(n, dtype=bool)
-            t1 = np.full(n, T)
+        t1 = rng.exponential(1.0 / lam, n) if lam > 0 else np.full(n, np.inf)
+        t1 += t0
+        jumped = t1 < T
+        np.minimum(t1, T, out=t1)
         tau = t1 - t0
         # block-sized arrays are updated in place where they can be: a
         # fresh temporary costs more than the arithmetic done in it

@@ -51,9 +51,13 @@ def test_validate_non_numeric_dt(tmp_path, capsys):
     assert f"config error: {bad}:{line}: dt" in capsys.readouterr().err
 
 
-def test_missing_config_file(capsys):
-    assert main(["validate", "--config", "/nope/missing.cfg"]) == 1
-    assert "cannot read config" in capsys.readouterr().err
+def test_missing_config_file(tmp_path, capsys):
+    # a missing file, and a file that is not UTF-8
+    binary = tmp_path / "binary.cfg"
+    binary.write_bytes(b"m = 1\n\xff\xfe\n")
+    for path in ("/nope/missing.cfg", str(binary)):
+        assert main(["validate", "--config", path]) == 1
+        assert f"config error: {path}: cannot read config" in capsys.readouterr().err
 
 
 def test_run_writes_outputs(cfg_file, tmp_path, capsys):

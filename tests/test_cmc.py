@@ -223,6 +223,31 @@ def test_regrouped_component_keeps_its_row_norm():
     assert p_pair[1] == pytest.approx(p_alone[0], abs=3.0 * se)
 
 
+def test_single_component_steps_with_its_row_norm():
+    # a one-component model runs in its component's group, as a run with
+    # one live component does for any m, so sigma enters only through
+    # ||sigma_1||: the signs of sigma give one record, draw for draw
+    def spec(sigma):
+        return ModelSpec(
+            m=1,
+            x0=[0.0],
+            mu=[0.0],
+            sigma=[[sigma]],
+            jump_rate=1.0,
+            jump_mean=[0.0],
+            jump_sd=[0.1],
+            barrier_intercept=[-0.3],
+            barrier_slope=[0.1],
+            horizon=1.0,
+        )
+
+    cfg = CmcConfig(dt=0.005, n_runs=20_000, seed=29)
+    plus, minus = run_cmc(spec(0.3), cfg), run_cmc(spec(-0.3), cfg)
+    assert 0.2 < plus.crossing_probabilities()[0] < 0.8
+    assert np.array_equal(plus.times, minus.times, equal_nan=True)
+    assert np.array_equal(plus.kinds, minus.kinds)
+
+
 def test_swapped_sigma_takes_matmul_with_the_law_of_its_diagonal():
     # sigma = [[0, a], [b, 0]] has sigma sigma^T = diag(a^2, b^2): its full
     # group goes through matmul, and diag(a, b)'s scales the normals in

@@ -177,9 +177,11 @@ def test_model_rule_names_its_line(key, good, bad):
 
 
 def test_unknown_engine():
-    broken = GOOD.replace("engine = both", "engine = fast")
-    with pytest.raises(ConfigError, match="engine must be one of"):
-        parse_config_text(broken)
+    # a bare word, and a literal that is no word
+    for value in ("fast", "[1]"):
+        broken = GOOD.replace("engine = both", f"engine = {value}")
+        with pytest.raises(ConfigError, match="engine must be one of"):
+            parse_config_text(broken)
 
 
 def test_unknown_key_and_syntax():

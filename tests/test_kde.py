@@ -163,7 +163,6 @@ class TestEstimate1D:
         ws = WeightedSamples(times=[0.5], n_runs=1)
         est = estimate_density_1d(ws, grid, h=0.1)
         assert np.array_equal(est.values, gaussian_kernel(0.1, grid - 0.5))
-        assert est.n_samples == 1
 
     def test_classical_reduction(self, rng):
         times = rng.uniform(0.2, 0.8, size=500)

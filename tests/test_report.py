@@ -39,7 +39,6 @@ def small_estimate(n=32):
         grid=grid,
         values=values,
         bandwidth=0.05,
-        n_samples=100,
         total_mass=float(np.trapezoid(values, grid)),
     )
 
@@ -78,7 +77,7 @@ class TestDensityCsv:
         g1 = np.linspace(0.0, 1.0, 16)
         values = np.arange(256, dtype=float).reshape(16, 16)
         est = DensityEstimate(
-            grid=(g0, g1), values=values, bandwidth=0.1, n_samples=4, total_mass=1.0
+            grid=(g0, g1), values=values, bandwidth=0.1, total_mass=1.0
         )
         path = tmp_path / "joint.csv"
         emit_density_csv(est, str(path))
@@ -94,7 +93,7 @@ class TestDensityCsv:
     def test_zero_mass_rows(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 8)
         est = DensityEstimate(
-            grid=grid, values=np.zeros(8), bandwidth=0.1, n_samples=0, total_mass=0.0
+            grid=grid, values=np.zeros(8), bandwidth=0.1, total_mass=0.0
         )
         path = tmp_path / "zero.csv"
         emit_density_csv(est, str(path))
@@ -115,14 +114,12 @@ class TestDensityCsv:
                 grid=(axis, axis[: n - 7] * 0.7),
                 values=values,
                 bandwidth=0.1,
-                n_samples=5,
                 total_mass=1.0,
             )
             marginal = DensityEstimate(
                 grid=axis,
                 values=rng.lognormal(size=n),
                 bandwidth=0.1,
-                n_samples=5,
                 total_mass=1.0,
             )
             g0, g1 = joint.grid
