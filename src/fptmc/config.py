@@ -200,7 +200,7 @@ def _located(exc: ValueError, path: str, lines: dict) -> ConfigError:
 def parse_config(path: str) -> ExperimentConfig:
     """Read and validate a configuration file."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}", str(path)) from exc

@@ -28,7 +28,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -106,6 +105,15 @@ class EngineResult:
     ``n_runs``.  The ``*_run_indices`` arrays map samples back to their run.
     ``seconds_per_run`` is the wall time of ``run_blocks`` only, divided by
     n_runs: making the "never crossed" record and running every block.
+
+    A result holds its record only, float64 ``times`` and int8 ``kinds``:
+    9 bytes per (component, run) cell, 18 MB for 1M runs of two components.
+    Each read of ``marginal_run_indices``, ``marginals``,
+    ``joint_run_indices`` or ``joint`` derives that set again from the
+    record, so a caller that uses one set more than once should bind it
+    once.  On 1M runs of ``configs/example3.cfg`` (2 workers, 2-vCPU VM)
+    reading ``marginals`` took 15 ms and ``joint`` 14 ms, against 0.6-0.7 s
+    for the engine.
     """
 
     engine: str
@@ -123,12 +131,12 @@ class EngineResult:
     def n_runs(self) -> int:
         return self.kinds.shape[1]
 
-    @cached_property
+    @property
     def marginal_run_indices(self) -> list[np.ndarray]:
         """The runs where each component crossed, in increasing order."""
         return [np.flatnonzero(k) for k in self.kinds]
 
-    @cached_property
+    @property
     def marginals(self) -> list[WeightedSamples]:
         # an integer gather is several times faster than a boolean one
         return [
@@ -136,15 +144,16 @@ class EngineResult:
             for t, rows in zip(self.times, self.marginal_run_indices)
         ]
 
-    @cached_property
+    @property
     def joint_run_indices(self) -> np.ndarray:
         """The runs where every component crossed, in increasing order."""
         return np.flatnonzero(self.kinds.all(axis=0))
 
-    @cached_property
+    @property
     def joint(self) -> WeightedSamples:
-        # the joint tuples are (n_joint, m), one row per run
-        times = self.times.take(self.joint_run_indices, axis=1).T.copy()
+        # the joint tuples are (n_joint, m), one row per run, gathered as
+        # rows of the transposed record in one C-contiguous allocation
+        times = self.times.T.take(self.joint_run_indices, axis=0)
         return WeightedSamples(times=times, n_runs=self.n_runs)
 
     def crossing_probabilities(self) -> np.ndarray:
@@ -258,6 +267,7 @@ def estimate_densities(
         marginals.append(estimate_density_1d(ws, grid, h))
     joint = None
     if joint_grid is not None:
-        h = optimal_bandwidth_multi(result.m, max(len(result.joint), 1))
-        joint = estimate_density_multi(result.joint, joint_grid, h)
+        samples = result.joint
+        h = optimal_bandwidth_multi(result.m, max(len(samples), 1))
+        joint = estimate_density_multi(samples, joint_grid, h)
     return marginals, joint

@@ -248,6 +248,15 @@ def test_direct_construction_is_checked(change, message):
         ExperimentConfig(**dict(vars(parse_config_text(GOOD)), **change))
 
 
+def test_byte_order_mark_is_read_as_text(tmp_path):
+    # a config saved with a UTF-8 byte-order mark, as some Windows editors
+    # write it, parses to the same configuration as the plain file
+    path = tmp_path / "bom.cfg"
+    with open("configs/example1.cfg", "rb") as handle:
+        path.write_bytes(b"\xef\xbb\xbf" + handle.read())
+    assert parse_config(str(path)) == parse_config("configs/example1.cfg")
+
+
 def test_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         parse_config("/nonexistent/path.cfg")

@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -129,3 +132,45 @@ def test_every_crossing_is_one_unit_weight_sample(example1_spec, engine):
     assert len(result.joint) == np.count_nonzero(crossed == result.m) > 0
     for ws in result.marginals + [result.joint]:
         assert np.all(ws.weights == 1.0)
+
+
+DERIVED = ("marginal_run_indices", "marginals", "joint_run_indices", "joint")
+
+
+def test_a_held_result_costs_its_record(example1_spec):
+    # the sample sets are derived on each read: reading them leaves nothing
+    # on the result, so a held result costs its times and kinds only; a
+    # first read on another result pays any one-time allocation of the code
+    warm = run_engine(example1_spec, 1000, seed=40)
+    for name in DERIVED:
+        getattr(warm, name)
+    result = run_engine(example1_spec, 20_000, seed=41)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for name in DERIVED:
+            getattr(result, name)
+        gc.collect()
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert after - before < 4096
+    assert set(vars(result)) == {f.name for f in dataclasses.fields(result)}
+
+
+def test_derived_sets_are_the_same_on_every_read(example1_spec):
+    result = run_engine(example1_spec, 20_000, seed=42)
+    first, second = ({name: getattr(result, name) for name in DERIVED} for _ in range(2))
+    for a, b in zip(first["marginal_run_indices"], second["marginal_run_indices"]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    for a, b in zip(first["marginals"], second["marginals"]):
+        assert a.n_runs == b.n_runs and a.times.tobytes() == b.times.tobytes()
+    a, b = first["joint_run_indices"], second["joint_run_indices"]
+    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    a, b = first["joint"].times, second["joint"].times
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the joint tuples are rows of the record's crossed columns, C-contiguous
+    assert a.flags.c_contiguous and len(a) > 0
+    gathered = result.times.take(first["joint_run_indices"], axis=1).T
+    assert a.shape == gathered.shape and a.tobytes() == gathered.tobytes()

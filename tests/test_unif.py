@@ -144,15 +144,12 @@ def test_at_most_one_sample_per_run_per_process(example1_spec):
 
 def test_joint_tuples_are_the_marginal_times(example1_spec):
     result = run_engine(example1_spec, 30_000, seed=23)
-    assert len(result.joint) == len(result.joint_run_indices)
-    for k, run in enumerate(result.joint_run_indices):
-        assert result.joint.times[k, 0] == lookup_time(result, 0, run)
-        assert result.joint.times[k, 1] == lookup_time(result, 1, run)
-
-
-def lookup_time(result, i, run):
-    pos = np.searchsorted(result.marginal_run_indices[i], run)
-    return result.marginals[i].times[pos]
+    joint, runs = result.joint, result.joint_run_indices
+    assert len(joint) == len(runs) > 0
+    for i, (ws, rows) in enumerate(zip(result.marginals, result.marginal_run_indices)):
+        pos = np.searchsorted(rows, runs)
+        assert np.array_equal(rows[pos], runs)
+        assert np.array_equal(joint.times[:, i], ws.times[pos])
 
 
 def test_crossing_probability_monotone_in_jump_rate():
