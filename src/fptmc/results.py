@@ -110,10 +110,8 @@ class EngineResult:
     9 bytes per (component, run) cell, 18 MB for 1M runs of two components.
     Each read of ``marginal_run_indices``, ``marginals``,
     ``joint_run_indices`` or ``joint`` derives that set again from the
-    record, so a caller that uses one set more than once should bind it
-    once.  On 1M runs of ``configs/example3.cfg`` (2 workers, 2-vCPU VM)
-    reading ``marginals`` took 15 ms and ``joint`` 14 ms, against 0.6-0.7 s
-    for the engine.
+    record, a gather of O(n_runs) per component, so a caller that uses one
+    set more than once should bind it once.
     """
 
     engine: str

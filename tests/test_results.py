@@ -146,6 +146,8 @@ def test_a_held_result_costs_its_record(example1_spec):
         getattr(warm, name)
     result = run_engine(example1_spec, 20_000, seed=41)
     gc.collect()
+    # leave tracing as found: under -X tracemalloc it is already on
+    tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
@@ -154,7 +156,8 @@ def test_a_held_result_costs_its_record(example1_spec):
         gc.collect()
         after, _ = tracemalloc.get_traced_memory()
     finally:
-        tracemalloc.stop()
+        if not tracing:
+            tracemalloc.stop()
     assert after - before < 4096
     assert set(vars(result)) == {f.name for f in dataclasses.fields(result)}
 
