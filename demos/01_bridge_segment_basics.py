@@ -68,6 +68,7 @@ def draw(u, seed):
         np.full((1, n), d1),
         np.full(n, t_start),
         np.full(n, t_end),
+        np.full(n, tau),
         np.array([sigma]),
         u.reshape(1, n),
         np.ones((1, n), dtype=bool),

@@ -37,6 +37,10 @@ __all__ = [
 
 _LEAST_DOUBLE = np.finfo(float).smallest_subnormal
 
+# Crossing cells per chunk of ``draw_crossings``' time draw: the first pass of
+# a 65,536-run two-component block crosses about 73,000 cells.
+_DRAW_CHUNK = 16384
+
 
 def survival_array(d0, d1, tau, sigma):
     """Probability the bridge stays above the barrier, elementwise.
@@ -84,14 +88,14 @@ def fpt_density_array(t, d0, d1, t_start, t_end, sigma):
     return d0 * np.sqrt(tau / (2.0 * np.pi)) / sigma * u**-1.5 * v**-0.5 * np.exp(expo)
 
 
-def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
+def draw_crossings(d0, d1, t0, t1, tau, sigma, u, alive, rng):
     """Interior crossings of a block of bridge intervals, one uniform per cell.
 
     Column r of the (m, n) arrays ``d0`` and ``d1`` holds run r's start and
-    end distances to the barrier on its interval (t0[r], t1[r]) and row i is
-    component i; ``sigma`` holds the (m,) per-component volatilities, ``u``
-    holds (m, n) uniforms on (0, 1] and ``alive`` marks the cells that are
-    still uncrossed.
+    end distances to the barrier on its interval (t0[r], t1[r]), of length
+    tau[r] = t1[r] - t0[r], and row i is component i; ``sigma`` holds the
+    (m,) per-component volatilities, ``u`` holds (m, n) uniforms on (0, 1]
+    and ``alive`` marks the cells that are still uncrossed.
 
     With P the cell's survival probability, a cell crosses exactly when
     u <= 1 - P, which happens with probability 1 - P; so every alive cell
@@ -100,33 +104,44 @@ def draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
     bridge's conditional crossing-time law, with one standard normal per
     crossing cell from ``rng``, so every crossing has weight 1.
 
+    The block-sized survival array and mask are dropped once the crossing
+    cells' values are gathered, and the times are drawn over chunks of
+    ``_DRAW_CHUNK`` cells, so the draw's temporaries stay small however
+    many cells cross.  Consecutive ``standard_normal`` calls give the
+    numbers one call of their total size gives, so the times do not depend
+    on the chunk size.
+
     Returns ((components, runs), times) of the crossing cells, in
     component-major order.
     """
-    tau = t1 - t0
     keep = survival_array(d0, d1, tau, sigma[:, None])
     np.subtract(1.0, keep, out=keep)
-    hit = alive & (u <= keep)
-    flat = np.flatnonzero(hit)
-    # a flat take gathers several times faster than (rows, cols) indexing
-    comps, runs = np.divmod(flat, hit.shape[1])
-    tau_c = tau.take(runs)
-    scale = np.sqrt(tau_c)
-    scale *= sigma.take(comps)
+    flat = np.flatnonzero(alive & (u <= keep))
+    # a flat take gathers several times faster than (rows, cols) indexing;
     # given u <= keep, u / keep is uniform on (0, 1]: it picks the root
     w = u.ravel().take(flat)
     w /= keep.ravel().take(flat)
-    frac = _ig_fraction(
-        d0.ravel().take(flat),
-        np.abs(d1.ravel().take(flat)),
-        scale,
-        rng.standard_normal(flat.size),
-        w,
-    )
-    # a time that rounds onto an endpoint is kept: weight 1 needs no density
-    frac *= tau_c
-    frac += t0.take(runs)
-    s = np.minimum(frac, t1.take(runs), out=frac)
+    del keep
+    start = d0.ravel().take(flat)
+    # each chunk's fraction, then its time, is formed in the buffer of its
+    # end distances
+    s = d1.ravel().take(flat)
+    np.abs(s, out=s)
+    comps = np.empty_like(flat)
+    runs = np.divmod(flat, d0.shape[1], out=(comps, flat))[1]
+    for lo in range(0, s.size, _DRAW_CHUNK):
+        part = slice(lo, lo + _DRAW_CHUNK)
+        cells = runs[part]
+        tau_c = tau.take(cells)
+        scale = np.sqrt(tau_c)
+        scale *= sigma.take(comps[part])
+        frac = _ig_fraction(
+            start[part], s[part], scale, rng.standard_normal(tau_c.size), w[part]
+        )
+        # a time that rounds onto an endpoint is kept: weight 1 needs no density
+        frac *= tau_c
+        frac += t0.take(cells)
+        np.minimum(frac, t1.take(cells), out=frac)
     return (comps, runs), s
 
 
@@ -146,8 +161,8 @@ def _ig_fraction(d0, d1, scale, z, w):
     Levy limit r = 0; the fraction b / (1 + b) is 1 / (1 + a) for x1 and
     a / (a + r^2) for x2.
 
-    The five arguments are 1-D arrays of the crossing count that the caller
-    hands over: they are overwritten, and the result is returned in the
+    The five arguments are 1-D arrays of one chunk of crossing cells that
+    the caller hands over: they are overwritten, and the result is returned in the
     buffer of ``d1``, so the draw makes no further temporaries of that size
     but the mask of first roots.
     """

@@ -8,6 +8,7 @@ simulation are the reference against which the fast formulas are judged.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
@@ -103,7 +104,7 @@ def quad_interjump_density(d0, d1, t_start, t_end, sigma, lo=None, hi=None) -> f
     return val
 
 
-def uniform_candidates(d0, d1, t0, t1, sigma, u, alive, rng=None):
+def uniform_candidates(d0, d1, t0, t1, tau, sigma, u, alive, rng=None):
     """The paper's uniform-candidate sampler, on the arguments of
     ``bridge.draw_crossings`` (``rng`` is not used).  It returns the crossing
     cells, their times and their weights, where the engine's exact draw
@@ -118,7 +119,6 @@ def uniform_candidates(d0, d1, t0, t1, sigma, u, alive, rng=None):
     """
     from fptmc import bridge
 
-    tau = t1 - t0
     keep = 1.0 - bridge.survival_array(d0, d1, tau, sigma[:, None])
     hit = alive & (u <= keep)
     comps, runs = np.nonzero(hit)
@@ -426,3 +426,20 @@ def gamma_density_curvature_quad(alpha: float, beta: float) -> float:
 
     val, _ = quad(lambda t: second_derivative(t) ** 2, 0.0, np.inf, limit=400)
     return val
+
+
+def traced_peak(call):
+    """Run ``call()`` and return its peak traced memory above the start of
+    the call, in bytes, with its result.  Tracing is left as found: under
+    ``-X tracemalloc`` it is already on, and it stays on."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    return peak - before, result

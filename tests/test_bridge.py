@@ -69,11 +69,13 @@ def candidates(s, u, draw=uniform_candidates, rng=None):
         return np.full((1, n), float(value))
 
     d0, d1 = distances(s)
+    t0, t1 = np.full(n, float(s.t_start)), np.full(n, float(s.t_end))
     ii, *drawn = draw(
         cells(d0),
         cells(d1),
-        np.full(n, float(s.t_start)),
-        np.full(n, float(s.t_end)),
+        t0,
+        t1,
+        t1 - t0,
         np.array([float(s.sigma)]),
         u,
         np.ones((1, n), dtype=bool),
@@ -367,6 +369,7 @@ class TestExactCrossingTime:
             d1,
             np.array([2.0]),
             np.array([3.0]),
+            np.array([1.0]),
             np.array([1.0, 1.0, 1e-200, 1.0]),
             u,
             np.ones((4, 1), dtype=bool),
@@ -406,7 +409,7 @@ class TestExactCrossingTime:
         t0 = rng.uniform(0.0, 1.0, n)
         t1 = t0 + rng.uniform(1e-3, 1.0, n)
         sigma = rng.uniform(0.1, 1.0, m)
-        ii, times = draw_crossings(d0, d1, t0, t1, sigma, u, alive, rng)
+        ii, times = draw_crossings(d0, d1, t0, t1, t1 - t0, sigma, u, alive, rng)
         crossed = np.zeros((m, n), dtype=bool)
         crossed[ii] = True
         below = alive & (d1 <= 0.0)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +19,7 @@ from fptmc import (
     roughness_functional,
 )
 from fptmc.results import collect_result
-from helpers import direct_kernel_sum, gamma_density_curvature_quad
+from helpers import direct_kernel_sum, gamma_density_curvature_quad, traced_peak
 
 
 class TestGaussianKernel:
@@ -342,12 +341,7 @@ class TestBinnedKernelSum:
         n = 20_000
         ws = WeightedSamples(rng.uniform(0.0, 1.0, n), n)
         grid = np.linspace(0.0, 1.0, 512)
-        tracemalloc.start()
-        try:
-            est = estimate_density_1d(ws, grid, 1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, est = traced_peak(lambda: estimate_density_1d(ws, grid, 1e-3))
         assert peak < 8 * 2**20
         assert est.total_mass == pytest.approx(1.0, rel=0.01)
 
@@ -356,12 +350,7 @@ class TestBinnedKernelSum:
         n = 20_000
         ws = WeightedSamples(rng.uniform(0.2, 0.8, (n, 3)), n)
         axis = np.linspace(0.0, 1.0, 32)
-        tracemalloc.start()
-        try:
-            est = estimate_density_multi(ws, (axis, axis, axis), 0.1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak, est = traced_peak(lambda: estimate_density_multi(ws, (axis, axis, axis), 0.1))
         assert peak < 64 * 2**20
         assert est.values.shape == (32, 32, 32)
         assert est.total_mass == pytest.approx(len(ws) / n, rel=0.05)

@@ -25,6 +25,7 @@ from helpers import (
     bm_crossing_probability,
     line_crossing_probability,
     midpoint_block,
+    traced_peak,
     wedge_both_cross,
 )
 
@@ -295,6 +296,17 @@ def test_output_equals_the_reference_kernel(spec):
         assert np.count_nonzero(hit_k == KIND_AT_JUMP) > 100
     if spec is RISING:
         assert grazing > 0
+
+
+def test_block_working_set_is_bounded(example1_spec):
+    # a pass drops each block-sized array after its last read and draws the
+    # crossing times in chunks: one 65,536-run block of example1 peaks near
+    # 9.4 MiB above its record (13.0 MiB when every array lived to the end of
+    # the pass), against 3.2 MiB for the record of 100,000 runs
+    out = Crossings.never_crossed(example1_spec.m, BLOCK_SIZE)
+    rng = block_rng(1, 0)
+    peak, _ = traced_peak(lambda: simulate_block(example1_spec, rng, BLOCK_SIZE, out=out))
+    assert peak < 11 * 2**20
 
 
 @pytest.mark.xfail(

@@ -25,7 +25,13 @@ and on models that reach the engines' other inputs:
   positive sigma, through ``run_cmc`` (20,000 runs, seed 12, dt 1e-3);
 - a rising barrier, where ``run_engine`` records grazing entries: x0 0,
   mu 0, intercept -0.3, slope 0.5, sigma 0.2, lambda 3, jump sd 0.05 and
-  horizon 1 (100,000 runs, seed 1, 2 workers).
+  horizon 1 (100,000 runs, seed 1, 2 workers);
+- three components with a full lower-triangular sigma, so each diffusion
+  step mixes every component's normals: x0 0, mu [-0.01, 0, 0.01], sigma
+  [[0.2, 0, 0], [0.1, 0.17, 0], [0.06, 0.05, 0.18]], lambda 2, jump sd 0.1,
+  intercepts [-0.1, -0.15, -0.2], slopes [0, -0.05, 0] and horizon 1,
+  through ``run_engine`` (100,000 runs, seed 13, 2 workers) and ``run_cmc``
+  (20,000 runs, seed 14, dt 1e-3).
 """
 
 import hashlib
@@ -132,6 +138,22 @@ def main() -> None:
         horizon=1.0,
     )
     lines += result_lines("rising.unif", run_engine(rising, 100_000, seed=1, workers=2))
+    mixed = ModelSpec(
+        m=3,
+        x0=[0.0, 0.0, 0.0],
+        mu=[-0.01, 0.0, 0.01],
+        sigma=[[0.2, 0.0, 0.0], [0.1, 0.17, 0.0], [0.06, 0.05, 0.18]],
+        jump_rate=2.0,
+        jump_mean=[0.0, 0.0, 0.0],
+        jump_sd=[0.1, 0.1, 0.1],
+        barrier_intercept=[-0.1, -0.15, -0.2],
+        barrier_slope=[0.0, -0.05, 0.0],
+        horizon=1.0,
+    )
+    lines += result_lines("mixed3.unif", run_engine(mixed, 100_000, seed=13, workers=2))
+    lines += result_lines(
+        "mixed3.cmc", run_cmc(mixed, CmcConfig(dt=1e-3, n_runs=20_000, seed=14))
+    )
     print("\n".join(lines))
 
 
