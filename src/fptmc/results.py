@@ -5,9 +5,9 @@ module knows: the engines write it through ``Crossings.record``, and
 ``EngineResult`` derives its samples, run indices and probabilities from it.
 
 Runs are partitioned into fixed-size blocks.  Block b of a job seeded with s
-always draws from the generator seeded by SeedSequence([s, b]) and records its
-crossings in the columns it owns of one (m, n_runs) record, so results are
-bitwise identical for any worker count and any scheduling.
+always draws from the SFC64 generator seeded by SeedSequence([s, b]) and
+records its crossings in the columns it owns of one (m, n_runs) record, so
+results are bitwise identical for any worker count and any scheduling.
 Workers are threads: each block task is dominated by numpy work on its own
 arrays, and blocks own disjoint columns of the result, so no element is
 shared.
@@ -161,8 +161,12 @@ class EngineResult:
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
-    """The generator owning block ``block_index`` of a job seeded ``seed``."""
-    return np.random.default_rng(np.random.SeedSequence([int(seed), int(block_index)]))
+    """The generator owning block ``block_index`` of a job seeded ``seed``:
+    NumPy's SFC64 (the Small Fast Chaotic generator, which passes PractRand),
+    seeded by SeedSequence([seed, block_index]).  It draws faster than the
+    default PCG64, which the engines used before."""
+    sequence = np.random.SeedSequence([int(seed), int(block_index)])
+    return np.random.Generator(np.random.SFC64(sequence))
 
 
 def block_sizes(n_runs: int) -> list[int]:

@@ -62,7 +62,7 @@ def simulate_block(
     No block-sized array outlives its last reader: the diffusion's normals
     take the drift and then hold the level, the start values and the level
     become the distances to it, and these, the uniforms and the interval
-    lengths are dropped once the crossings are recorded, before the jump
+    lengths are dropped once the crossing times are drawn, before the jump
     step allocates.  One 65,536-run block of ``configs/example1.cfg`` peaks
     at about 9.4 MiB of temporaries.
 
@@ -79,7 +79,7 @@ def simulate_block(
     level lies above its level at the segment's start, so a run that starts
     a segment just above the barrier often starts it below that frozen
     level (x0 0, mu 0, intercept -0.3, slope 0.5, sigma 0.2, lambda 3,
-    jump sd 0.05 and T 1 gave 31,638 grazing events among 86,765 crossings
+    jump sd 0.05 and T 1 gave 31,516 grazing events among 86,674 crossings
     in 100,000 runs at seed 1).
     """
     m = spec.m
