@@ -127,12 +127,13 @@ def draw_crossings(d0, d1, t0, t1, tau, sigma, u, alive, rng):
     # end distances
     s = d1.ravel().take(flat)
     np.abs(s, out=s)
+    # the runs take the buffer of the flat indices
     comps = np.empty_like(flat)
     runs = np.divmod(flat, d0.shape[1], out=(comps, flat))[1]
     for lo in range(0, s.size, _DRAW_CHUNK):
         part = slice(lo, lo + _DRAW_CHUNK)
-        cells = runs[part]
-        tau_c = tau.take(cells)
+        runs_c = runs[part]
+        tau_c = tau.take(runs_c)
         scale = np.sqrt(tau_c)
         scale *= sigma.take(comps[part])
         frac = _ig_fraction(
@@ -140,8 +141,8 @@ def draw_crossings(d0, d1, t0, t1, tau, sigma, u, alive, rng):
         )
         # a time that rounds onto an endpoint is kept: weight 1 needs no density
         frac *= tau_c
-        frac += t0.take(cells)
-        np.minimum(frac, t1.take(cells), out=frac)
+        frac += t0.take(runs_c)
+        np.minimum(frac, t1.take(runs_c), out=frac)
     return (comps, runs), s
 
 
