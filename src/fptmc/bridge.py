@@ -104,8 +104,8 @@ def draw_crossings(d0, d1, t0, t1, tau, sigma, u, alive, rng):
     bridge's conditional crossing-time law, with one standard normal per
     crossing cell from ``rng``, so every crossing has weight 1.
 
-    The block-sized survival array and mask are dropped once the crossing
-    cells' values are gathered, and the times are drawn over chunks of
+    The block-sized survival array is dropped once the crossing cells'
+    values are gathered, and the times are drawn over chunks of
     ``_DRAW_CHUNK`` cells, so the draw's temporaries stay small however
     many cells cross.  Consecutive ``standard_normal`` calls give the
     numbers one call of their total size gives, so the times do not depend
@@ -163,9 +163,9 @@ def _ig_fraction(d0, d1, scale, z, w):
     a / (a + r^2) for x2.
 
     The five arguments are 1-D arrays of one chunk of crossing cells that
-    the caller hands over: they are overwritten, and the result is returned in the
-    buffer of ``d1``, so the draw makes no further temporaries of that size
-    but the mask of first roots.
+    the caller hands over: they are overwritten, and the result is returned
+    in the buffer of ``d1``, so the draw makes no further temporaries of
+    that size but the mask of first roots.
     """
     # a vanishing d0 overflows q and a to inf, which is the right limit (the
     # time rounds onto t0); inf or a = r = 0 only make the unused x2 branch NaN
