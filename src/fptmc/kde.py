@@ -79,10 +79,10 @@ class WeightedSamples:
 
     @property
     def weights(self) -> np.ndarray:
-        """All ones, one per sample, kept read-only because the benchmark
-        (``perfbench/``) reads it.  It leaves with ROADMAP item 3 once item 2
-        stops those reads."""
-        return np.ones(len(self))
+        """Weight 1, one per sample: a read-only view with zero strides,
+        kept because the benchmark (``perfbench/``) reads it.  It leaves with
+        ROADMAP item 3 once item 2 stops those reads."""
+        return np.broadcast_to(1.0, (len(self),))
 
 
 @dataclass(frozen=True)

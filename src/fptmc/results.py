@@ -66,9 +66,11 @@ class Crossings(NamedTuple):
     """A crossing record: (m, n) ``times``, ``weights`` and ``kinds`` of the
     first crossing of component i in run j, one cell per (i, j).
 
-    A crossing is recorded as its time, weight 1 and its kind, KIND_INTERIOR
-    or KIND_AT_JUMP; a cell that never crossed holds (NaN, 0, KIND_NONE), as
-    a new record's cells do.  ``record`` is the only code that writes one."""
+    A crossing is recorded as its time and its kind, KIND_INTERIOR or
+    KIND_AT_JUMP; a cell that never crossed holds (NaN, KIND_NONE), as a new
+    record's cells do.  ``record`` is the only code that writes one.  Weight
+    1, which every crossing carries, is not stored: ``weights`` is a read-only
+    all-ones view with zero strides that the benchmark (``perfbench/``) reads."""
 
     times: np.ndarray
     weights: np.ndarray
@@ -78,7 +80,7 @@ class Crossings(NamedTuple):
     def never_crossed(cls, m: int, n_runs: int) -> Crossings:
         """The record of n_runs runs in which no component crossed."""
         shape = (m, n_runs)
-        return cls(np.full(shape, np.nan), np.zeros(shape), np.zeros(shape, dtype=np.int8))
+        return cls(np.full(shape, np.nan), np.broadcast_to(1.0, shape), np.zeros(shape, np.int8))
 
     def columns(self, cols: slice) -> Crossings:
         """The record of the runs ``cols``, views of these columns: what one
@@ -90,7 +92,6 @@ class Crossings(NamedTuple):
         ``times[k]`` (or at ``times`` when it is a scalar), of ``kind``."""
         cells = (comps, runs)
         self.times[cells] = times
-        self.weights[cells] = 1.0
         self.kinds[cells] = kind
 
 
@@ -107,11 +108,11 @@ class EngineResult:
     n_runs: making the "never crossed" record and running every block.
 
     A result holds its record only, float64 ``times`` and int8 ``kinds``:
-    9 bytes per (component, run) cell, 18 MB for 1M runs of two components.
-    Each read of ``marginal_run_indices``, ``marginals``,
-    ``joint_run_indices`` or ``joint`` derives that set again from the
-    record, a gather of O(n_runs) per component, so a caller that uses one
-    set more than once should bind it once.
+    9 bytes per (component, run) cell as during the call, 18 MB for 1M runs
+    of two components.  Each read of ``marginal_run_indices``,
+    ``marginals``, ``joint_run_indices`` or ``joint`` derives that set again
+    from the record, a gather of O(n_runs) per component, so a caller that
+    uses one set more than once should bind it once.
     """
 
     engine: str
@@ -185,7 +186,7 @@ def run_blocks(
 ) -> tuple[Crossings, list[tuple], float]:
     """Run ``simulate(rng, size, out=...)`` over every block, in order, timed.
 
-    The job's record of m components and n_runs runs is made "never crossed"
+    The job's (m, n_runs) record, 9 bytes per cell, is made "never crossed"
     (``Crossings.never_crossed``); block b is passed ``out=`` the columns it
     owns, ``b * BLOCK_SIZE`` onwards, to record its crossings in.
 

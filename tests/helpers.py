@@ -199,7 +199,7 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
         # condition 1: interior bridge crossing, decided by one uniform
         u = rng.random((m, n))
         np.subtract(1.0, u, out=u)
-        # its weights are all 1, the weight every crossing is recorded with
+        # its weights are all 1, the weight every crossing carries
         ii, s, _ = level_draw_crossings(state, x_end, level, t0, t1, sig_eff, u, alive, rng)
         out.record(ii[0], run[ii[1]], s, KIND_INTERIOR)
         alive[ii] = False
@@ -210,15 +210,14 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
         run, t0 = run.take(cont), t1.take(cont)
         pre, alive = x_end.take(cont, axis=1), alive.take(cont, axis=1)
 
-        # condition 3: the jump at t1 lands at or below the barrier while the
-        # pre-jump value was still above it
+        # condition 3: the jump at t1 lands at or below the barrier
         state = rng.standard_normal(pre.shape)
         state *= jump_sd
         state += jump_mean
         state += pre
         level_right = slope_c * t0
         level_right += icpt_c
-        at_jump = alive & (state <= level_right) & (pre > level_right)
+        at_jump = alive & (state <= level_right)
         if at_jump.any():
             comps, cols = _cells(at_jump)
             out.record(comps, run[cols], t0[cols], KIND_AT_JUMP)

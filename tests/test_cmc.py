@@ -25,19 +25,18 @@ def drift_spec(mu, barrier, m=1, slope=0.0):
 
 
 def single_run(spec, dt, rng):
-    """(times, weights, kinds) of one discretised run, one entry per
-    component: column 0 of a one-run block."""
+    """(times, kinds) of one discretised run, one entry per component:
+    column 0 of a one-run block."""
     out = results.Crossings.never_crossed(spec.m, 1)
-    hit_t, hit_w, hit_k, _, _ = simulate_block_cmc(spec, CmcConfig(dt=dt, n_runs=1), rng, 1, out=out)
-    return hit_t[:, 0], hit_w[:, 0], hit_k[:, 0]
+    hit_t, _, hit_k, _, _ = simulate_block_cmc(spec, CmcConfig(dt=dt, n_runs=1), rng, 1, out=out)
+    return hit_t[:, 0], hit_k[:, 0]
 
 
 def test_deterministic_drift_crossing(rng):
     spec = drift_spec([-1.0], -0.5)
-    times, weights, kinds = single_run(spec, 0.1, rng)
+    times, kinds = single_run(spec, 0.1, rng)
     assert kinds[0] == results.KIND_INTERIOR
     assert times[0] == 0.5
-    assert weights[0] == 1.0
 
 
 def test_drift_and_slope_cross_at_the_first_grid_time_past_the_level(rng):
@@ -46,7 +45,7 @@ def test_drift_and_slope_cross_at_the_first_grid_time_past_the_level(rng):
     # grid time with mu t <= intercept + slope t: t >= 0.2 for component 1
     # and t >= 0.1 for component 2, both between grid times of dt = 0.03
     spec = drift_spec([-1.0, 0.5], [-0.3, -0.1], m=2, slope=[0.5, 1.5])
-    times, _, kinds = single_run(spec, 0.03, rng)
+    times, kinds = single_run(spec, 0.03, rng)
     assert kinds.tolist() == [results.KIND_INTERIOR] * 2
     assert times[0] == pytest.approx(0.21)
     assert times[1] == pytest.approx(0.12)
@@ -54,7 +53,7 @@ def test_drift_and_slope_cross_at_the_first_grid_time_past_the_level(rng):
 
 def test_each_process_tracked_to_its_own_crossing(rng):
     spec = drift_spec([-1.0, -0.25], [-0.5, -0.2], m=2)
-    times, _, _ = single_run(spec, 0.1, rng)
+    times, _ = single_run(spec, 0.1, rng)
     assert times[0] == pytest.approx(0.5)
     assert times[1] == pytest.approx(0.8)
 
@@ -125,7 +124,6 @@ def test_determinism_across_worker_counts(monkeypatch, example1_spec):
         assert other.diagnostics["total_jumps"] == base.diagnostics["total_jumps"]
         for a, b in zip(base.marginals + [base.joint], other.marginals + [other.joint]):
             assert np.array_equal(a.times, b.times)
-            assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(base.joint_run_indices, other.joint_run_indices)
 
 
@@ -324,11 +322,6 @@ def test_crossing_times_grid_aligned(single_bm_spec):
     assert np.all((times > 0.0) & (times <= 1.0))
 
 
-def test_weights_always_one(single_bm_spec):
-    result = run_cmc(single_bm_spec, CmcConfig(dt=0.01, n_runs=5000, seed=17))
-    assert np.all(result.marginals[0].weights == 1.0)
-
-
 def test_validation():
     spec = drift_spec([-1.0], -0.5)
     with pytest.raises(ValueError):
@@ -357,14 +350,14 @@ def test_sigma_zero_allowed_in_baseline(rng):
     # unlike the bridge engine, the discretised baseline never divides by a
     # per-component volatility
     spec = drift_spec([-1.0], -0.5)
-    times, _, _ = single_run(spec, 0.25, rng)
+    times, _ = single_run(spec, 0.25, rng)
     assert times[0] == pytest.approx(0.5)
 
 
 def test_uneven_final_step(rng):
     # horizon not divisible by dt: the last step is shortened to land on T
     spec = drift_spec([-1.0], -0.95)
-    times, _, _ = single_run(spec, 0.3, rng)
+    times, _ = single_run(spec, 0.3, rng)
     assert times[0] == pytest.approx(1.0)
 
 

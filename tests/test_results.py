@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from fptmc import CmcConfig, cmc, results, run_cmc, run_engine, unif
-from helpers import merge_by_block
+from helpers import merge_by_block, traced_peak
 
 
 def draw_block(rng, size, out):
@@ -36,10 +36,8 @@ def test_thread_pool_capped_at_block_count(monkeypatch):
 def assert_same_result(a, b):
     for i in range(a.m):
         assert np.array_equal(a.marginals[i].times, b.marginals[i].times)
-        assert np.array_equal(a.marginals[i].weights, b.marginals[i].weights)
         assert np.array_equal(a.marginal_run_indices[i], b.marginal_run_indices[i])
     assert np.array_equal(a.joint.times, b.joint.times)
-    assert np.array_equal(a.joint.weights, b.joint.weights)
     assert np.array_equal(a.joint_run_indices, b.joint_run_indices)
 
 
@@ -100,9 +98,8 @@ def test_shared_result_under_many_threads(monkeypatch, example1_spec, engine):
     finally:
         sys.setswitchinterval(interval)
     assert_same_result(serial, pooled)
-    (t1, w1, k1), (t8, w8, k8) = recorded
+    (t1, _, k1), (t8, _, k8) = recorded
     assert np.array_equal(t1, t8, equal_nan=True)
-    assert np.array_equal(w1, w8)
     assert np.array_equal(k1, k8)
     # every cell was written: a known kind, and NaN time exactly where no
     # crossing was recorded
@@ -112,10 +109,18 @@ def test_shared_result_under_many_threads(monkeypatch, example1_spec, engine):
 
 
 @pytest.mark.parametrize("engine", ["unif", "cmc"])
-def test_every_crossing_is_one_unit_weight_sample(example1_spec, engine):
+def test_every_crossing_is_one_unit_weight_sample(monkeypatch, example1_spec, engine):
     # no crossing is dropped without a count: each one is a marginal sample
     # of weight 1, so a crossing probability is a count over the runs
     n = 20_000
+    module = unif if engine == "unif" else cmc
+    records = []
+
+    def recording_collect(engine, seed, hits, *args, **kwargs):
+        records.extend(hits)
+        return results.collect_result(engine, seed, hits, *args, **kwargs)
+
+    monkeypatch.setattr(module, "collect_result", recording_collect)
     if engine == "unif":
         result = run_engine(example1_spec, n, seed=31)
     else:
@@ -130,8 +135,14 @@ def test_every_crossing_is_one_unit_weight_sample(example1_spec, engine):
     crossed = np.bincount(np.concatenate(result.marginal_run_indices), minlength=n)
     assert np.array_equal(result.joint_run_indices, np.flatnonzero(crossed == result.m))
     assert len(result.joint) == np.count_nonzero(crossed == result.m) > 0
-    for ws in result.marginals + [result.joint]:
-        assert np.all(ws.weights == 1.0)
+    # weight 1 is a constant, not stored: the record's weights and each
+    # sample set's are read-only all-ones views with zero strides
+    [record] = records
+    weights = [record.weights] + [ws.weights for ws in result.marginals + [result.joint]]
+    assert record.weights.shape == record.times.shape
+    for w in weights:
+        assert np.all(w == 1.0)
+        assert not w.flags.writeable and set(w.strides) == {0}
 
 
 DERIVED = ("marginal_run_indices", "marginals", "joint_run_indices", "joint")
@@ -160,6 +171,15 @@ def test_a_held_result_costs_its_record(example1_spec):
             tracemalloc.stop()
     assert after - before < 4096
     assert set(vars(result)) == {f.name for f in dataclasses.fields(result)}
+
+
+def test_a_record_costs_its_times_and_kinds():
+    # float64 times and int8 kinds, 9 bytes per cell: the unit weights take
+    # no memory
+    n = 100_000
+    peak, record = traced_peak(lambda: results.Crossings.never_crossed(2, n))
+    assert 8.9 * 2 * n < peak < 9.5 * 2 * n
+    assert record.weights.shape == (2, n) and np.all(record.weights == 1.0)
 
 
 def test_derived_sets_are_the_same_on_every_read(example1_spec):
