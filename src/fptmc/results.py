@@ -26,6 +26,7 @@ two with 16,384-run blocks, against 0.98-1.06 s and 0.63-0.70 s with
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -45,6 +46,7 @@ from .model import _integer
 
 __all__ = [
     "BLOCK_SIZE",
+    "ComponentSets",
     "Crossings",
     "EngineResult",
     "block_rng",
@@ -95,6 +97,28 @@ class Crossings(NamedTuple):
         self.kinds[cells] = kind
 
 
+class ComponentSets(Sequence):
+    """A read-only sequence of m sets, one per component, that derives
+    component i's set only when index i is read and keeps none of them.
+
+    It takes int and slice indices, a length and iteration, as a list does;
+    a slice is a list of the sets it selects."""
+
+    __slots__ = ("_m", "_derive")
+
+    def __init__(self, m: int, derive: Callable[[int], object]):
+        self._m = m
+        self._derive = derive
+
+    def __len__(self) -> int:
+        return self._m
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._derive(i) for i in range(self._m)[index]]
+        return self._derive(range(self._m)[index])
+
+
 @dataclass(frozen=True)
 class EngineResult:
     """Everything one engine execution produced: the (m, n_runs) ``times``
@@ -109,10 +133,14 @@ class EngineResult:
 
     A result holds its record only, float64 ``times`` and int8 ``kinds``:
     9 bytes per (component, run) cell as during the call, 18 MB for 1M runs
-    of two components.  Each read of ``marginal_run_indices``,
-    ``marginals``, ``joint_run_indices`` or ``joint`` derives that set again
-    from the record, a gather of O(n_runs) per component, so a caller that
-    uses one set more than once should bind it once.
+    of two components.  Its sample sets are derived from the record and not
+    kept.  ``marginals`` and ``marginal_run_indices`` are ``ComponentSets``:
+    component i's set is derived, a gather of O(n_runs), each time index i
+    is read, so a read costs one component's cells whatever m is, and
+    ``estimate_densities`` holds one component's samples at a time.  Each
+    read of ``joint_run_indices`` or ``joint`` derives that set again.  A
+    caller that uses one set more than once binds it once: ``ws =
+    result.marginals[i]``, not ``result.marginals``.
     """
 
     engine: str
@@ -131,17 +159,17 @@ class EngineResult:
         return self.kinds.shape[1]
 
     @property
-    def marginal_run_indices(self) -> list[np.ndarray]:
+    def marginal_run_indices(self) -> ComponentSets:
         """The runs where each component crossed, in increasing order."""
-        return [np.flatnonzero(k) for k in self.kinds]
+        return ComponentSets(self.m, lambda i: np.flatnonzero(self.kinds[i]))
 
     @property
-    def marginals(self) -> list[WeightedSamples]:
-        # an integer gather is several times faster than a boolean one
-        return [
-            WeightedSamples(times=t.take(rows), n_runs=self.n_runs)
-            for t, rows in zip(self.times, self.marginal_run_indices)
-        ]
+    def marginals(self) -> ComponentSets:
+        """Each component's crossing times, in run order."""
+        return ComponentSets(
+            self.m,
+            lambda i: WeightedSamples(times=self.times[i][self.kinds[i] != 0], n_runs=self.n_runs),
+        )
 
     @property
     def joint_run_indices(self) -> np.ndarray:
@@ -158,7 +186,8 @@ class EngineResult:
     def crossing_probabilities(self) -> np.ndarray:
         """Estimate of each component's probability of crossing within the
         horizon: its number of crossings over the number of runs."""
-        return np.count_nonzero(self.kinds, axis=1) / self.n_runs
+        # one row at a time: counting along an axis makes an (m, n) temporary
+        return np.array([np.count_nonzero(row) for row in self.kinds]) / self.n_runs
 
 
 def block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -260,7 +289,8 @@ def estimate_densities(
 
     ``grid`` is the 1-D evaluation grid spanning [0, T].  A component with no
     crossings gets the zero density; the joint estimate is zero when any
-    component never crossed in any run.
+    component never crossed in any run.  The marginal samples are derived
+    one component at a time, so the call holds one component's at once.
     """
     grid = np.asarray(grid, dtype=float)
     horizon = float(grid[-1]) if len(grid) else 1.0

@@ -122,7 +122,7 @@ def test_determinism_across_worker_counts(monkeypatch, example1_spec):
     assert base.diagnostics["total_jumps"] > 0 and len(base.joint) > 0
     for other in outputs[1:]:
         assert other.diagnostics["total_jumps"] == base.diagnostics["total_jumps"]
-        for a, b in zip(base.marginals + [base.joint], other.marginals + [other.joint]):
+        for a, b in zip([*base.marginals, base.joint], [*other.marginals, other.joint]):
             assert np.array_equal(a.times, b.times)
         assert np.array_equal(base.joint_run_indices, other.joint_run_indices)
 

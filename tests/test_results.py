@@ -138,7 +138,7 @@ def test_every_crossing_is_one_unit_weight_sample(monkeypatch, example1_spec, en
     # weight 1 is a constant, not stored: the record's weights and each
     # sample set's are read-only all-ones views with zero strides
     [record] = records
-    weights = [record.weights] + [ws.weights for ws in result.marginals + [result.joint]]
+    weights = [record.weights] + [ws.weights for ws in [*result.marginals, result.joint]]
     assert record.weights.shape == record.times.shape
     for w in weights:
         assert np.all(w == 1.0)
@@ -148,13 +148,20 @@ def test_every_crossing_is_one_unit_weight_sample(monkeypatch, example1_spec, en
 DERIVED = ("marginal_run_indices", "marginals", "joint_run_indices", "joint")
 
 
+def read_every_set(result, name):
+    """The set ``name`` of ``result``, with every component's set derived
+    when it is a per-component sequence."""
+    value = getattr(result, name)
+    return list(value) if isinstance(value, results.ComponentSets) else value
+
+
 def test_a_held_result_costs_its_record(example1_spec):
     # the sample sets are derived on each read: reading them leaves nothing
     # on the result, so a held result costs its times and kinds only; a
     # first read on another result pays any one-time allocation of the code
     warm = run_engine(example1_spec, 1000, seed=40)
     for name in DERIVED:
-        getattr(warm, name)
+        read_every_set(warm, name)
     result = run_engine(example1_spec, 20_000, seed=41)
     gc.collect()
     # leave tracing as found: under -X tracemalloc it is already on
@@ -163,7 +170,7 @@ def test_a_held_result_costs_its_record(example1_spec):
     try:
         before, _ = tracemalloc.get_traced_memory()
         for name in DERIVED:
-            getattr(result, name)
+            read_every_set(result, name)
         gc.collect()
         after, _ = tracemalloc.get_traced_memory()
     finally:
@@ -171,6 +178,67 @@ def test_a_held_result_costs_its_record(example1_spec):
             tracemalloc.stop()
     assert after - before < 4096
     assert set(vars(result)) == {f.name for f in dataclasses.fields(result)}
+
+
+def synthetic_result(m, n_runs, seed):
+    """A result of m components over n_runs runs, each cell crossed with
+    probability 1/2 at a uniform time, without a simulation."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.integers(0, 2, size=(m, n_runs), dtype=np.int8)
+    times = np.where(kinds != 0, rng.random((m, n_runs)), np.nan)
+    return results.EngineResult("unif", seed, times, kinds, 0.0)
+
+
+@pytest.mark.parametrize("name", ["marginals", "marginal_run_indices"])
+def test_one_component_read_costs_one_components_cells(name):
+    # reading component 3 derives its set alone: about 5 bytes per run here
+    # (the crossed mask and half a row of float64 times or int64 indices),
+    # where deriving all 16 components' sets costs about 16 times that
+    n = 65_536
+    result = synthetic_result(16, n, seed=43)
+    getattr(result, name)[3]
+    peak, derived = traced_peak(lambda: getattr(result, name)[3])
+    assert len(derived) == np.count_nonzero(result.kinds[3]) > 0
+    assert peak < 12 * n
+
+
+def test_component_sets_read_as_lists():
+    # every read the repository makes of a per-component sequence, against
+    # sets built run by run
+    result = synthetic_result(3, 500, seed=44)
+    runs = [np.array([j for j in range(result.n_runs) if result.kinds[i, j]]) for i in range(3)]
+    times = [np.array([result.times[i, j] for j in runs[i]]) for i in range(3)]
+    indices, marginals = result.marginal_run_indices, result.marginals
+    assert len(indices) == len(marginals) == result.m
+    for i in range(-3, 3):
+        assert indices[i].dtype == np.intp and np.array_equal(indices[i], runs[i])
+        assert marginals[i].n_runs == result.n_runs
+        assert marginals[i].times.tobytes() == times[i].tobytes()
+    for seq in (indices, marginals):
+        for bad in (3, -4):
+            with pytest.raises(IndexError):
+                seq[bad]
+    assert [a.tobytes() for a in indices[1:]] == [a.tobytes() for a in runs[1:]]
+    assert [ws.times.tobytes() for ws in marginals[::-2]] == [
+        a.tobytes() for a in times[::-2]
+    ]
+    first, second, third = marginals
+    assert third.times.tobytes() == times[2].tobytes()
+    assert np.array_equal(np.concatenate(indices), np.concatenate(runs))
+    for i, (ws, rows) in enumerate(zip(marginals, indices)):
+        assert ws.times.tobytes() == marginals[i].times.tobytes()
+        assert rows.tobytes() == indices[i].tobytes()
+
+
+def test_crossing_probabilities_count_without_a_record_sized_temporary():
+    # each row is counted in place: no (m, n_runs) bool temporary, 1 MiB here
+    n = 65_536
+    result = synthetic_result(16, n, seed=45)
+    result.crossing_probabilities()
+    peak, probs = traced_peak(result.crossing_probabilities)
+    expected = np.count_nonzero(result.kinds, axis=1) / n
+    assert probs.tobytes() == expected.tobytes()
+    assert peak < n
 
 
 def test_a_record_costs_its_times_and_kinds():
