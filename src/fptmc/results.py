@@ -289,8 +289,9 @@ def estimate_densities(
 
     ``grid`` is the 1-D evaluation grid spanning [0, T].  A component with no
     crossings gets the zero density; the joint estimate is zero when any
-    component never crossed in any run.  The marginal samples are derived
-    one component at a time, so the call holds one component's at once.
+    component never crossed in any run.  Each marginal is estimated from
+    its component's samples alone, derived when it is reached, so the call
+    holds one component's samples at a time.
     """
     grid = np.asarray(grid, dtype=float)
     horizon = float(grid[-1]) if len(grid) else 1.0
