@@ -15,7 +15,12 @@ exact draws against the density.
 
 import numpy as np
 
-from fptmc.bridge import draw_crossings, fpt_density_array, survival_array
+from fptmc.bridge import (
+    crossing_cells,
+    crossing_times,
+    fpt_density_array,
+    survival_array,
+)
 
 rng = np.random.default_rng(7)
 
@@ -57,23 +62,23 @@ print(f"quadrature of the crossing density:               {np.trapezoid(dens, ts
 
 # one uniform per run decides whether the bridge crosses; the engine does it
 # for a whole block of (component, run) cells at once, one row per
-# component, and draws the time of each crossing exactly, so every crossing
-# counts once, with weight 1.  The paper's sampler instead places the
+# component, and then draws the time of each crossing exactly, so every
+# crossing counts once, with weight 1.  The paper's sampler instead places the
 # crossing at the candidate t0 + tau / (1 - P) * u and weights it by
 # tau / (1 - P) * g(candidate).
 def draw(u, seed):
     n = len(u)
-    cells, times = draw_crossings(
+    t0, t1, sig = np.full(n, t_start), np.full(n, t_end), np.array([sigma])
+    cells, w, start, end = crossing_cells(
         np.full((1, n), d0),
         np.full((1, n), d1),
-        np.full(n, t_start),
-        np.full(n, t_end),
-        np.full(n, tau),
-        np.array([sigma]),
+        t0,
+        t1,
+        sig,
         u.reshape(1, n),
         np.ones((1, n), dtype=bool),
-        np.random.default_rng(seed),
     )
+    times = crossing_times(cells, w, start, end, t0, t1, sig, np.random.default_rng(seed))
     return dict(zip(cells[1].tolist(), times))
 
 

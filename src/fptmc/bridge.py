@@ -13,14 +13,16 @@ provides, elementwise:
   barrier for the whole interval;
 * ``fpt_density_array``: the conditional first-crossing-time density on the
   open interval, which integrates to one minus that survival probability;
-* ``draw_crossings``: turns one uniform per (component, run) cell into
-  either "no interior crossing" or a crossing time, drawn exactly from the
-  bridge's conditional crossing-time law (an inverse-Gaussian transform),
-  so every crossing has weight 1.
+* ``crossing_cells``: the crossing decision, which turns one uniform per
+  (component, run) cell into either "no interior crossing" or a crossing
+  cell;
+* ``crossing_times``: the crossing times of those cells, drawn exactly from
+  the bridge's conditional crossing-time law (an inverse-Gaussian
+  transform), so every crossing has weight 1.
 
-The bridge-sampling engine calls ``draw_crossings``, which evaluates
+The bridge-sampling engine calls ``crossing_cells``, which evaluates
 ``survival_array``, with distances to each barrier held at its interval's
-midpoint (see ``unif``); the crossing times it draws follow
+midpoint (see ``unif``), and then ``crossing_times``, whose times follow
 ``fpt_density_array``.
 These are the only implementation of the formulas.
 """
@@ -32,13 +34,15 @@ import numpy as np
 __all__ = [
     "survival_array",
     "fpt_density_array",
-    "draw_crossings",
+    "crossing_cells",
+    "crossing_times",
 ]
 
 _LEAST_DOUBLE = np.finfo(float).smallest_subnormal
 
-# Crossing cells per chunk of ``draw_crossings``' time draw: the first pass of
-# a 65,536-run two-component block crosses about 73,000 cells.
+# Crossing cells per chunk of ``crossing_times``' draw: the first pass of a
+# 65,536-run two-component block crosses about 73,000 cells, and each of the
+# draw's temporaries takes 128 KiB.
 _DRAW_CHUNK = 16384
 
 
@@ -88,62 +92,69 @@ def fpt_density_array(t, d0, d1, t_start, t_end, sigma):
     return d0 * np.sqrt(tau / (2.0 * np.pi)) / sigma * u**-1.5 * v**-0.5 * np.exp(expo)
 
 
-def draw_crossings(d0, d1, t0, t1, tau, sigma, u, alive, rng):
-    """Interior crossings of a block of bridge intervals, one uniform per cell.
+def crossing_cells(d0, d1, t0, t1, sigma, u, alive):
+    """The crossing decision of a block of bridge intervals, one uniform per
+    cell.
 
     Column r of the (m, n) arrays ``d0`` and ``d1`` holds run r's start and
-    end distances to the barrier on its interval (t0[r], t1[r]), of length
-    tau[r] = t1[r] - t0[r], and row i is component i; ``sigma`` holds the
-    (m,) per-component volatilities, ``u`` holds (m, n) uniforms on (0, 1]
-    and ``alive`` marks the cells that are still uncrossed.
+    end distances to the barrier on its interval (t0[r], t1[r]), and row i
+    is component i; ``sigma`` holds the (m,) per-component volatilities,
+    ``u`` holds (m, n) uniforms on (0, 1] and ``alive`` marks the cells that
+    are still uncrossed.
 
     With P the cell's survival probability, a cell crosses exactly when
     u <= 1 - P, which happens with probability 1 - P; so every alive cell
     with d1 <= 0 crosses, and since u >= 2^-53 a cell whose 1 - P is below
-    that never crosses.  The crossing time is drawn exactly from the
-    bridge's conditional crossing-time law, with one standard normal per
-    crossing cell from ``rng``, so every crossing has weight 1.
+    that never crosses.  The block-sized survival array is dropped once the
+    crossing cells' values are gathered.
 
-    The block-sized survival array is dropped once the crossing cells'
-    values are gathered, and the times are drawn over chunks of
-    ``_DRAW_CHUNK`` cells, so the draw's temporaries stay small however
-    many cells cross.  Consecutive ``standard_normal`` calls give the
-    numbers one call of their total size gives, so the times do not depend
-    on the chunk size.
-
-    Returns ((components, runs), times) of the crossing cells, in
-    component-major order.
+    Returns ((components, runs), w, start, end) of the crossing cells, in
+    component-major order: ``w`` = u / (1 - P), which given the crossing is
+    uniform on (0, 1], and the start and absolute end distances, the
+    arguments ``crossing_times`` takes with them.
     """
-    keep = survival_array(d0, d1, tau, sigma[:, None])
+    keep = survival_array(d0, d1, t1 - t0, sigma[:, None])
     np.subtract(1.0, keep, out=keep)
     flat = np.flatnonzero(alive & (u <= keep))
     # a flat take gathers several times faster than (rows, cols) indexing;
-    # given u <= keep, u / keep is uniform on (0, 1]: it picks the root
+    # w and |d1| are finished in their gathered buffers, which the block's
+    # peak holds
     w = u.ravel().take(flat)
     w /= keep.ravel().take(flat)
     del keep
     start = d0.ravel().take(flat)
-    # each chunk's fraction, then its time, is formed in the buffer of its
-    # end distances
-    s = d1.ravel().take(flat)
-    np.abs(s, out=s)
+    end = d1.ravel().take(flat)
+    np.abs(end, out=end)
     # the runs take the buffer of the flat indices
     comps = np.empty_like(flat)
     runs = np.divmod(flat, d0.shape[1], out=(comps, flat))[1]
-    for lo in range(0, s.size, _DRAW_CHUNK):
+    return (comps, runs), w, start, end
+
+
+def crossing_times(cells, w, start, end, t0, t1, sigma, rng):
+    """Crossing times of the cells ``crossing_cells`` returns, with its
+    ``w``, ``start`` and ``end``, drawn exactly from each bridge's
+    conditional crossing-time law with one standard normal per cell from
+    ``rng``, so every crossing has weight 1.
+
+    The times are drawn over chunks of ``_DRAW_CHUNK`` cells, so the draw's
+    temporaries stay small however many cells cross.  Consecutive
+    ``standard_normal`` calls give the numbers one call of their total size
+    gives, so the times do not depend on the chunk size.  Returns the times
+    as a new array, in the cells' order; no argument is written.
+    """
+    comps, runs = cells
+    times = np.empty(runs.size)
+    for lo in range(0, runs.size, _DRAW_CHUNK):
         part = slice(lo, lo + _DRAW_CHUNK)
-        runs_c = runs[part]
-        tau_c = tau.take(runs_c)
-        scale = np.sqrt(tau_c)
-        scale *= sigma.take(comps[part])
-        frac = _ig_fraction(
-            start[part], s[part], scale, rng.standard_normal(tau_c.size), w[part]
-        )
+        t0_c, t1_c = t0.take(runs[part]), t1.take(runs[part])
+        tau_c = t1_c - t0_c
+        scale = np.sqrt(tau_c) * sigma.take(comps[part])
+        z = rng.standard_normal(tau_c.size)
+        frac = _ig_fraction(start[part], end[part], scale, z, w[part])
         # a time that rounds onto an endpoint is kept: weight 1 needs no density
-        frac *= tau_c
-        frac += t0.take(runs_c)
-        np.minimum(frac, t1.take(runs_c), out=frac)
-    return (comps, runs), s
+        np.minimum(t0_c + tau_c * frac, t1_c, out=times[part])
+    return times
 
 
 def _ig_fraction(d0, d1, scale, z, w):
@@ -161,36 +172,14 @@ def _ig_fraction(d0, d1, scale, z, w):
     a = 1 / x1, which sums non-negative terms only and stays finite in the
     Levy limit r = 0; the fraction b / (1 + b) is 1 / (1 + a) for x1 and
     a / (a + r^2) for x2.
-
-    The five arguments are 1-D arrays of one chunk of crossing cells that
-    the caller hands over: they are overwritten, and the result is returned
-    in the buffer of ``d1``, so the draw makes no further temporaries of
-    that size but the mask of first roots.
     """
     # a vanishing d0 overflows q and a to inf, which is the right limit (the
     # time rounds onto t0); inf or a = r = 0 only make the unused x2 branch NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        r = np.divide(d1, d0, out=d1)
-        z *= scale
-        z /= d0
-        q = np.square(z, out=z)
-        q *= 0.5
-        root = np.multiply(r, 2.0, out=d0)
-        root += q
-        np.sqrt(root, out=root)
-        root *= np.sqrt(q, out=scale)
-        a = np.add(r, q, out=scale)
-        a += root
-        # x1 is taken where w (a + r) <= a
-        wa = np.add(a, r, out=z)
-        wa *= w
-        first = wa <= a
-        np.square(r, out=r)
-        r += a
-        frac = np.divide(a, r, out=r)
-        a += 1.0
-        np.copyto(frac, np.reciprocal(a, out=a), where=first)
-        return frac
+        r = d1 / d0
+        q = 0.5 * np.square(z * scale / d0)
+        a = r + q + np.sqrt(q) * np.sqrt(q + 2.0 * r)
+        return np.where(w * (a + r) <= a, 1.0 / (1.0 + a), a / (a + r * r))
 
 
 def _cells(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

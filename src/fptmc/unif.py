@@ -60,11 +60,12 @@ def simulate_block(
     uncrossed component.
 
     No block-sized array outlives its last reader: the diffusion's normals
-    take the drift and then hold the level, the start values and the level
-    become the distances to it, and these, the uniforms and the interval
-    lengths are dropped once the crossing times are drawn, before the jump
-    step allocates.  One 65,536-run block of ``configs/example1.cfg`` peaks
-    at about 9.4 MiB of temporaries.
+    take the drift and then hold the level, the interval lengths are
+    dropped once the level is formed, the start values and the level become
+    the distances to it, and these and the uniforms are dropped once the
+    crossing cells are decided, before their times are drawn.  One
+    65,536-run block of ``configs/example1.cfg`` peaks at about 8.5 MiB of
+    temporaries.
 
     The state is component-major: row i of the (m, n) arrays is component i
     of the n live runs, so per-run values of shape (n,) and per-component
@@ -117,7 +118,7 @@ def simulate_block(
         x_end += state
         level = np.multiply(slope_c, t0 + 0.5 * tau, out=z)
         level += icpt_c
-        del z
+        del z, tau
 
         # a segment entered at or below its frozen level (common where the
         # barrier rises) counts as an immediate crossing at the segment start,
@@ -140,8 +141,10 @@ def simulate_block(
         np.subtract(1.0, u, out=u)
         np.subtract(state, level, out=state)
         np.subtract(x_end, level, out=level)
-        ii, s = bridge.draw_crossings(state, level, t0, t1, tau, sig_eff, u, alive, rng)
-        del state, level, u, tau
+        ii, w, start, end = bridge.crossing_cells(state, level, t0, t1, sig_eff, u, alive)
+        del state, level, u
+        s = bridge.crossing_times(ii, w, start, end, t0, t1, sig_eff, rng)
+        del w, start, end
         out.record(ii[0], run[ii[1]], s, KIND_INTERIOR)
         alive[ii] = False
         del ii, s

@@ -104,11 +104,11 @@ def quad_interjump_density(d0, d1, t_start, t_end, sigma, lo=None, hi=None) -> f
     return val
 
 
-def uniform_candidates(d0, d1, t0, t1, tau, sigma, u, alive, rng=None):
+def uniform_candidates(d0, d1, t0, t1, sigma, u, alive):
     """The paper's uniform-candidate sampler, on the arguments of
-    ``bridge.draw_crossings`` (``rng`` is not used).  It returns the crossing
-    cells, their times and their weights, where the engine's exact draw
-    returns cells and times only: every exact crossing has weight 1.
+    ``bridge.crossing_cells``.  It returns the crossing cells, their times
+    and their weights, where the engine's exact draw returns cells and times
+    only: every exact crossing has weight 1.
 
     The crossing decision is the engine's, u <= 1 - P.  A crossing cell's
     time is the candidate t0 + tau / (1 - P) * u, which given the crossing is
@@ -119,6 +119,7 @@ def uniform_candidates(d0, d1, t0, t1, tau, sigma, u, alive, rng=None):
     """
     from fptmc import bridge
 
+    tau = t1 - t0
     keep = 1.0 - bridge.survival_array(d0, d1, tau, sigma[:, None])
     hit = alive & (u <= keep)
     comps, runs = np.nonzero(hit)
@@ -230,10 +231,11 @@ def midpoint_block(spec, rng: np.random.Generator, size: int):
 
 
 def level_draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
-    """``bridge.draw_crossings`` as it was when it took values and a level
-    and drew times out of place, for ``midpoint_block``.  Its survival is
-    ``bridge.survival_array`` of the differences to the level, which that
-    function then formed itself, the same to the last bit."""
+    """The engine's crossing step as it was when one call took values and a
+    level, decided the crossings and drew their times out of place, for
+    ``midpoint_block``.  Its survival is ``bridge.survival_array`` of the
+    differences to the level, which the step then formed itself, the same
+    to the last bit."""
     from fptmc.bridge import _cells, survival_array
 
     tau = t1 - t0
@@ -260,8 +262,9 @@ def level_draw_crossings(x_start, x_end, level, t0, t1, sigma, u, alive, rng):
 
 
 def reference_ig_fraction(d0, d1, scale, z, w):
-    """``bridge._ig_fraction`` as it was before it worked in place on its
-    arguments: the same operations, each into a fresh array."""
+    """The formula of ``bridge._ig_fraction``, kept here as the reference the
+    package's draw is compared with: the same operations, each into a fresh
+    array."""
     with np.errstate(over="ignore", invalid="ignore"):
         r = d1 / d0
         q = 0.5 * np.square(z * scale / d0)

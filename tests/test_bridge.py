@@ -7,7 +7,12 @@ import pytest
 from scipy import stats
 
 from fptmc import ModelSpec, bridge
-from fptmc.bridge import draw_crossings, fpt_density_array, survival_array
+from fptmc.bridge import (
+    crossing_cells,
+    crossing_times,
+    fpt_density_array,
+    survival_array,
+)
 from fptmc.results import KIND_AT_JUMP, KIND_INTERIOR, KIND_NONE, Crossings
 from fptmc.unif import simulate_block
 from helpers import (
@@ -57,11 +62,18 @@ def quad_density(s):
     return quad_interjump_density(*distances(s), s.t_start, s.t_end, s.sigma)
 
 
-def candidates(s, u, draw=uniform_candidates, rng=None):
-    """Crossing draws for the segment, one block column per uniform (the
-    paper's uniform candidates unless ``draw`` is ``draw_crossings``);
-    returns the accepted mask, then the times of accepted columns and, from
-    the paper's sampler, their weights."""
+def exact_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
+    """The engine's interior step: the crossing decision, then the exact
+    times of the crossing cells.  Returns ((components, runs), times)."""
+    cells, w, start, end = crossing_cells(d0, d1, t0, t1, sigma, u, alive)
+    return cells, crossing_times(cells, w, start, end, t0, t1, sigma, rng)
+
+
+def candidates(s, u, rng=None):
+    """Crossing draws for the segment, one block column per uniform: the
+    paper's uniform candidates, or the engine's exact draw from ``rng`` if
+    one is given; returns the accepted mask, then the times of accepted
+    columns and, from the paper's sampler, their weights."""
     u = np.asarray(u, dtype=float).reshape(1, -1)
     n = u.shape[1]
 
@@ -70,17 +82,9 @@ def candidates(s, u, draw=uniform_candidates, rng=None):
 
     d0, d1 = distances(s)
     t0, t1 = np.full(n, float(s.t_start)), np.full(n, float(s.t_end))
-    ii, *drawn = draw(
-        cells(d0),
-        cells(d1),
-        t0,
-        t1,
-        t1 - t0,
-        np.array([float(s.sigma)]),
-        u,
-        np.ones((1, n), dtype=bool),
-        rng,
-    )
+    alive = np.ones((1, n), dtype=bool)
+    args = (cells(d0), cells(d1), t0, t1, np.array([float(s.sigma)]), u, alive)
+    ii, *drawn = uniform_candidates(*args) if rng is None else exact_crossings(*args, rng)
     accepted = np.zeros(n, dtype=bool)
     accepted[ii[1]] = True
     return (accepted, *drawn)
@@ -339,7 +343,7 @@ class TestExactCrossingTime:
         s = IG_SEGMENTS[name]
         rng = np.random.default_rng(sorted(IG_SEGMENTS).index(name) + 500)
         n = int(3000 / (1.0 - survival(s)))
-        _, times = candidates(s, 1.0 - rng.random(n), draw_crossings, rng)
+        _, times = candidates(s, 1.0 - rng.random(n), rng)
         edges = np.concatenate([[s.t_start], np.sort(times), [s.t_end]])
         pieces = [
             quad_interjump_density(*distances(s), s.t_start, s.t_end, s.sigma, lo, hi)
@@ -353,7 +357,7 @@ class TestExactCrossingTime:
         # uniforms, the same cells cross
         s = seg()
         u = 1.0 - rng.random(20_000)
-        exact, _ = candidates(s, u, draw_crossings, np.random.default_rng(1))
+        exact, _ = candidates(s, u, np.random.default_rng(1))
         paper, _, _ = candidates(s, u)
         assert np.array_equal(exact, paper)
 
@@ -364,12 +368,11 @@ class TestExactCrossingTime:
         u = np.array([[1.0], [1.0], [1.0], [0.5]])
         d0 = np.array([[1e-300], [1.0], [1.0], [1.0]])
         d1 = np.array([[0.5], [-1e300], [0.0], [0.0]])
-        ii, times = draw_crossings(
+        ii, times = exact_crossings(
             d0,
             d1,
             np.array([2.0]),
             np.array([3.0]),
-            np.array([1.0]),
             np.array([1.0, 1.0, 1e-200, 1.0]),
             u,
             np.ones((4, 1), dtype=bool),
@@ -380,8 +383,8 @@ class TestExactCrossingTime:
         assert times[0] == 2.0 and times[1] == 2.0
 
     def test_in_place_fraction_equals_the_reference(self, rng):
-        # the in-place draw does the reference's operations in the same order,
-        # also where d0 vanishes, d1 is zero or huge and sigma is tiny
+        # the draw does the reference's operations in the same order, also
+        # where d0 vanishes, d1 is zero or huge and sigma is tiny
         n = 50_000
         d0 = rng.uniform(1e-3, 2.0, n)
         d1 = rng.uniform(0.0, 2.0, n)
@@ -393,6 +396,32 @@ class TestExactCrossingTime:
         got = bridge._ig_fraction(d0.copy(), d1.copy(), scale.copy(), z.copy(), w.copy())
         assert np.array_equal(got, expected)
         assert np.all((got >= 0.0) & (got <= 1.0))
+
+    def test_times_do_not_depend_on_the_chunk_and_keep_their_inputs(
+        self, rng, monkeypatch
+    ):
+        # about 50 crossing cells over 3 components and 20 runs, drawn in
+        # one chunk and in chunks of 3 cells, whose edges split runs and
+        # components; the draw writes into none of its inputs
+        m, n = 3, 20
+        d0 = rng.uniform(0.1, 2.0, (m, n))
+        d1 = rng.uniform(-1.0, 0.0, (m, n))
+        alive = rng.random((m, n)) < 0.85
+        t0 = rng.uniform(0.0, 1.0, n)
+        t1 = t0 + rng.uniform(1e-3, 1.0, n)
+        sigma = rng.uniform(0.1, 1.0, m)
+        u = 1.0 - rng.random((m, n))
+        cells, *drawn = crossing_cells(d0, d1, t0, t1, sigma, u, alive)
+        assert 40 <= cells[0].size <= 60
+        assert len(set(cells[0].tolist())) == m and len(set(cells[1].tolist())) > 10
+        inputs = (*drawn, t0, t1, sigma)
+        copies = [a.copy() for a in inputs]
+        whole = crossing_times(cells, *inputs, np.random.default_rng(5))
+        monkeypatch.setattr(bridge, "_DRAW_CHUNK", 3)
+        chunked = crossing_times(cells, *inputs, np.random.default_rng(5))
+        assert np.array_equal(chunked, whole)
+        for a, before in zip(inputs, copies):
+            assert np.array_equal(a, before)
 
     def test_every_alive_cell_ending_at_or_below_the_barrier_crosses(self, rng):
         # a cell whose interval ends at or below the barrier has crossing
@@ -409,7 +438,7 @@ class TestExactCrossingTime:
         t0 = rng.uniform(0.0, 1.0, n)
         t1 = t0 + rng.uniform(1e-3, 1.0, n)
         sigma = rng.uniform(0.1, 1.0, m)
-        ii, times = draw_crossings(d0, d1, t0, t1, t1 - t0, sigma, u, alive, rng)
+        ii, times = exact_crossings(d0, d1, t0, t1, sigma, u, alive, rng)
         crossed = np.zeros((m, n), dtype=bool)
         crossed[ii] = True
         below = alive & (d1 <= 0.0)

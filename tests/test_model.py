@@ -136,7 +136,7 @@ def engine_passes(monkeypatch, spec, n, seed=0):
     """Run one engine block of n runs and read its path skeletons off the
     interval step.
 
-    ``unif.simulate_block`` calls ``bridge.draw_crossings`` once per pass
+    ``unif.simulate_block`` calls ``bridge.crossing_cells`` once per pass
     with every live run's interval (t0, t1) and each component's distance
     above its barrier just after the jump at t0 and just before t1, one
     (m, n) column per run.  The spec's barriers must be flat, so that a
@@ -147,14 +147,14 @@ def engine_passes(monkeypatch, spec, n, seed=0):
     """
     assert np.all(spec.barrier_slope == 0.0)
     recorded = []
-    step = bridge.draw_crossings
+    step = bridge.crossing_cells
 
     def recording(d0, d1, t0, t1, *rest):
         recorded.append((t1.copy(), d0.copy(), d1.copy()))
         return step(d0, d1, t0, t1, *rest)
 
     with monkeypatch.context() as patched:
-        patched.setattr(bridge, "draw_crossings", recording)
+        patched.setattr(bridge, "crossing_cells", recording)
         out = Crossings.never_crossed(spec.m, n)
         hit_t, _, _, _ = simulate_block(spec, np.random.default_rng(seed), n, out=out)
     assert np.isnan(hit_t).all(), "a barrier was reached"
