@@ -144,10 +144,9 @@ def simulate_block(
         ii, w, start, end = bridge.crossing_cells(state, level, t0, t1, sig_eff, u, alive)
         del state, level, u
         s = bridge.crossing_times(ii, w, start, end, t0, t1, sig_eff, rng)
-        del w, start, end
         out.record(ii[0], run[ii[1]], s, KIND_INTERIOR)
         alive[ii] = False
-        del ii, s
+        del ii, w, start, end, s
 
         # retire runs that reached the horizon or have no component left;
         # the rest move on to their jump at t1
