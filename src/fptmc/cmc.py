@@ -18,15 +18,13 @@ run) cell, as a binomial count and then a uniform subset of the window's
 cells of that size (Glasserman 2004, *Monte Carlo Methods in Financial
 Engineering*, section 3.5).
 
-A step is the draw floor plus a few passes: normals into a reused buffer,
-one scale by the factor pre-multiplied by sqrt(dt_k), one add, the step's
-slice of the window's jumps, and one masked barrier check into a reused
-buffer.  The state is drift-free, u = x - mu t, checked against the level
-intercept + (slope - mu) t, so the drift costs nothing per cell.  Step
-buffers are flat arrays of each group's capacity, viewed at its current run
-count, so regrouping allocates none of them: that is what lets a regrouping
-every 16 steps pay, which draws about 1% more normals than the uncrossed
-cells need where 128 steps drew 12%.
+A step is the draw floor plus a few passes: normals into the window's
+array, one scale by the factor pre-multiplied by sqrt(dt_k), one add, the
+step's slice of the window's jumps, and one masked barrier check into the
+window's array.  A group makes those arrays once per window at its live
+size, so a block holds them only for the runs it still steps.  The state is
+drift-free, u = x - mu t, checked against the level intercept + (slope - mu)
+t, so the drift costs nothing per cell.
 """
 
 from __future__ import annotations
@@ -107,7 +105,7 @@ class _Group:
     and scales the normals in place; any other F is applied with ``matmul``.
     """
 
-    def __init__(self, spec: ModelSpec, comps: np.ndarray, factor: np.ndarray, capacity: int):
+    def __init__(self, spec: ModelSpec, comps: np.ndarray, factor: np.ndarray):
         self.comps = comps
         self.matmul = bool(np.any(factor != np.diag(np.diagonal(factor))))
         self.factor = factor if self.matmul else np.diagonal(factor)[:, None]
@@ -115,30 +113,14 @@ class _Group:
             a[comps, None] for a in (spec.barrier_intercept, spec.jump_mean, spec.jump_sd)
         )
         self.level_slope = (spec.barrier_slope - spec.mu)[comps, None]
-        # flat step buffers for ``capacity`` runs, the most a group ever
-        # holds: the normals, the increment of a non-diagonal F, and the
-        # barrier check
-        cells = len(comps) * capacity
-        self.z_buf = np.empty(cells)
-        self.dx_buf = np.empty(cells if self.matmul else 0)
-        self.hit_buf = np.empty(cells, dtype=bool)
         self.hold(np.empty((len(comps), 0)), np.empty(0, dtype=np.intp))
 
     def hold(self, state: np.ndarray, run_ids: np.ndarray, alive=None) -> None:
         """Make these runs the group's runs; ``alive`` marks their uncrossed
-        components, all of them when it is None.
-
-        A step writes its normals, increment and barrier check into views of
-        the group's flat buffers, ``buf[:k * n].reshape(k, n)``: contiguous
-        for every n, as ``standard_normal(out=)`` requires, so a regrouping
-        allocates no step buffer."""
+        components, all of them when it is None."""
         self.state = state
         self.run_ids = run_ids
         self.alive = np.ones(state.shape, dtype=bool) if alive is None else alive
-        self.z = self.z_buf[: state.size].reshape(state.shape)
-        self.hit = self.hit_buf[: state.size].reshape(state.shape)
-        if self.matmul:
-            self.dx = self.dx_buf[: state.size].reshape(state.shape)
 
     def advance(self, rng, times: np.ndarray, dt_k: float, rate: float, out: Crossings) -> int:
         """Advance every run through the Euler steps of length ``dt_k`` that
@@ -154,20 +136,25 @@ class _Group:
         sizes = self.jump_mean + self.jump_sd * rng.standard_normal((len(self.comps), n_jumps))
         bounds = np.searchsorted(cells, n * np.arange(len(times) + 1)).tolist()
         jumped = cells % n
+        # the step arrays of the window, at the group's live size: the
+        # normals, the barrier check, and the increment, which for a
+        # diagonal F is the scaled normals themselves
+        z = np.empty(self.state.shape)
+        hit = np.empty(self.state.shape, dtype=bool)
+        dx = np.empty(self.state.shape) if self.matmul else z
         for j, t in enumerate(times):
-            rng.standard_normal(out=self.z)
+            rng.standard_normal(out=z)
             if self.matmul:
-                np.matmul(scaled, self.z, out=self.dx)
-                self.state += self.dx
+                np.matmul(scaled, z, out=dx)
             else:
-                self.z *= scaled
-                self.state += self.z
+                z *= scaled
+            self.state += dx
             lo, hi = bounds[j], bounds[j + 1]
             self.state[:, jumped[lo:hi]] += sizes[:, lo:hi]
-            np.less_equal(self.state, self.icpt + self.level_slope * t, out=self.hit)
-            self.hit &= self.alive
-            if self.hit.any():
-                rows, cols = _cells(self.hit)
+            np.less_equal(self.state, self.icpt + self.level_slope * t, out=hit)
+            hit &= self.alive
+            if hit.any():
+                rows, cols = _cells(hit)
                 out.record(self.comps[rows], self.run_ids[cols], t, KIND_INTERIOR)
                 self.alive[rows, cols] = False
         return n_jumps
@@ -217,12 +204,10 @@ def simulate_block_cmc(
     start of each window of ``_COMPACT_EVERY`` steps, and of a shortened last
     step."""
     m = spec.m
-    full = _Group(spec, np.arange(m), spec.sigma, capacity=size)
+    full = _Group(spec, np.arange(m), spec.sigma)
     full.hold(np.repeat(spec.x0[:, None], size, axis=1), np.arange(size))
     norms = spec.sigma_row_norms()
-    singles = [
-        _Group(spec, np.array([i]), norms[i : i + 1, None], capacity=size) for i in range(m)
-    ]
+    singles = [_Group(spec, np.array([i]), norms[i : i + 1, None]) for i in range(m)]
     groups = [full, *singles]
     grid, dt_last = _step_grid(spec.horizon, cfg.dt)
 

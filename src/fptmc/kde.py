@@ -122,8 +122,8 @@ class DensityEstimate:
 def gaussian_kernel(h: float, x) -> np.ndarray:
     """Smoothing kernel of bandwidth h: a centred normal density with
     standard deviation h/2.  Symmetric, unit mass, peak at x = 0."""
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("bandwidth must be finite and positive")
     x = np.asarray(x, dtype=float)
     return np.exp(-np.square(x) / (h * h / 2.0)) / (math.sqrt(math.pi / 2.0) * h)
 
@@ -188,7 +188,7 @@ def optimal_bandwidth_multi(m: int, n: int) -> float:
 
 
 def estimate_density_1d(samples: WeightedSamples, grid, h: float) -> DensityEstimate:
-    """Kernel estimate on a sorted grid: f(t) = (1/n_runs) * sum_k K(h, t - s_k).
+    """Kernel estimate on a finite sorted grid: f(t) = (1/n_runs) * sum_k K(h, t - s_k).
 
     An empty sample set yields the all-zero estimate (no crossings observed).
     """
@@ -216,11 +216,11 @@ def _estimate(samples: WeightedSamples, grid, h: float, std: float) -> DensityEs
     """The estimate on the tensor grid of the axes ``grid``: the product
     normal kernel of standard deviation ``std`` summed over the samples,
     divided by ``n_runs``, and its trapezoidal mass."""
-    if not h > 0:
-        raise ValueError("bandwidth must be positive")
+    if not 0 < h < math.inf:
+        raise ValueError("bandwidth must be finite and positive")
     axes = tuple(np.asarray(g, dtype=float) for g in grid)
-    if any(g.ndim != 1 or np.any(np.diff(g) < 0) for g in axes):
-        raise ValueError("every grid axis must be a sorted 1-D array")
+    if any(g.ndim != 1 or not np.isfinite(g).all() or np.any(np.diff(g) < 0) for g in axes):
+        raise ValueError("every grid axis must be a finite sorted 1-D array")
     times = samples.times
     if times.ndim == 1:
         times = times[:, None]

@@ -6,7 +6,8 @@ from scipy import stats
 
 from fptmc import CmcConfig, ModelSpec, cmc, results, run_cmc
 from fptmc.cmc import simulate_block_cmc
-from helpers import bm_crossing_probability
+from conftest import make_example_spec
+from helpers import bm_crossing_probability, traced_peak
 
 
 def drift_spec(mu, barrier, m=1, slope=0.0):
@@ -163,13 +164,13 @@ def test_regroup_moves_each_run_with_its_state():
     # every state value encodes its run and component, 10 run + component,
     # so a run moved without its own state shows in any group
     spec = drift_spec([0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], m=3)
-    full = cmc._Group(spec, np.arange(3), spec.sigma, capacity=10)
+    full = cmc._Group(spec, np.arange(3), spec.sigma)
     full.hold(
         10.0 * np.arange(6) + np.arange(3)[:, None],
         np.arange(6),
         np.array([[1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]], dtype=bool),
     )
-    singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1)), capacity=10) for i in range(3)]
+    singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1))) for i in range(3)]
     # component 1's group already holds runs 7 and 9, and run 7 has crossed
     singles[0].hold(np.array([[70.0, 90.0]]), np.array([7, 9]))
     singles[0].alive[0, 0] = False
@@ -265,8 +266,8 @@ def test_swapped_sigma_takes_matmul_with_the_law_of_its_diagonal():
         )
 
     swapped, diagonal = spec([[0.0, 0.2], [0.3, 0.0]]), spec([[0.2, 0.0], [0.0, 0.3]])
-    assert cmc._Group(swapped, np.arange(2), swapped.sigma, capacity=0).matmul
-    assert not cmc._Group(diagonal, np.arange(2), diagonal.sigma, capacity=0).matmul
+    assert cmc._Group(swapped, np.arange(2), swapped.sigma).matmul
+    assert not cmc._Group(diagonal, np.arange(2), diagonal.sigma).matmul
     dt, n = 0.005, 40_000
     probs = []
     for model, seed in ((swapped, 24), (diagonal, 25)):
@@ -293,6 +294,42 @@ def test_work_counts_bound_the_stepped_cells(example1_spec):
     one = run_cmc(drift_spec([-1.0], -0.45), CmcConfig(dt=0.1, n_runs=1)).diagnostics
     assert one["live_cells"] == 5
     assert one["stepped_cells"] == min(10, math.ceil(5 / cmc._COMPACT_EVERY) * cmc._COMPACT_EVERY)
+
+
+def one_factor_spec(m):
+    """m names with pairwise diffusion correlation 0.3 and sigma row norm
+    0.2: a full lower triangular sigma, so the full group steps through
+    matmul."""
+    corr = np.full((m, m), 0.3) + 0.7 * np.eye(m)
+    return ModelSpec(
+        m=m,
+        x0=np.zeros(m),
+        mu=np.full(m, -0.01),
+        sigma=0.2 * np.linalg.cholesky(corr),
+        jump_rate=1.0,
+        jump_mean=np.zeros(m),
+        jump_sd=np.full(m, 0.15),
+        barrier_intercept=np.full(m, -0.1),
+        barrier_slope=np.full(m, -0.01),
+        horizon=1.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, dt, size, bound_mib",
+    [(make_example_spec(3.0), 1e-3, 65_536, 5.0), (one_factor_spec(16), 1e-2, 16_384, 9.0)],
+    ids=["example2", "one-factor-m16"],
+)
+def test_block_working_set_is_bounded(spec, dt, size, bound_mib):
+    # a group makes its step arrays once per window at its live size: a
+    # 65,536-run example2 block peaks near 4.3 MiB above its record and a
+    # 16,384-run block of 16 names near 7.2 MiB, where arrays sized for
+    # every run of the block in each group took 6.5 and 11.5 MiB
+    out = results.Crossings.never_crossed(spec.m, size)
+    rng = results.block_rng(1, 0)
+    cfg = CmcConfig(dt=dt, n_runs=size)
+    peak, _ = traced_peak(lambda: simulate_block_cmc(spec, cfg, rng, size, out=out))
+    assert peak < bound_mib * 2**20
 
 
 def test_crossing_probability_bias_shrinks_with_dt(single_bm_spec):

@@ -44,6 +44,9 @@ class TestGaussianKernel:
             gaussian_kernel(0.0, 1.0)
         with pytest.raises(ValueError):
             gaussian_kernel(-1.0, 1.0)
+        for h in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite and positive"):
+                gaussian_kernel(h, 1.0)
 
 
 class TestGammaFit:
@@ -201,6 +204,30 @@ class TestEstimate1D:
             estimate_density_1d(ws, np.array([0.5, 0.1]), h=0.1)
         with pytest.raises(ValueError):
             estimate_density_1d(ws, np.linspace(0, 1, 8), h=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_grid_nodes(self, bad):
+        # a NaN node compares false with its neighbours, so the sorted check
+        # alone lets it through to a NaN mass, and an infinite node to an
+        # infinite one
+        ws = WeightedSamples([0.2, 0.5, 0.7], 10)
+        for grid in ([0.0, bad, 1.0], [bad, 0.0, 1.0], [0.0, 1.0, bad]):
+            with pytest.raises(ValueError, match="finite sorted 1-D"):
+                estimate_density_1d(ws, grid, 0.1)
+        with pytest.raises(ValueError, match="finite sorted 1-D"):
+            estimate_density_multi(
+                WeightedSamples([[0.5, 0.5]], 1), (np.linspace(0, 1, 5), [0.0, bad]), 0.1
+            )
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_rejects_non_finite_bandwidth(self, h):
+        # an infinite bandwidth passes a positivity check and gives all
+        # zeros, through an invalid-value warning in the lattice
+        ws = WeightedSamples([0.2, 0.5, 0.7], 10)
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimate_density_1d(ws, np.linspace(0, 1, 8), h)
+        with pytest.raises(ValueError, match="finite and positive"):
+            estimate_density_multi(WeightedSamples([[0.5, 0.5]], 1), (ws.times, ws.times), h)
 
 
 class TestEstimateMulti:
