@@ -76,7 +76,6 @@ def draw(u, seed):
         t1,
         sig,
         u.reshape(1, n),
-        np.ones((1, n), dtype=bool),
     )
     times = crossing_times(cells, w, start, end, t0, t1, sig, np.random.default_rng(seed))
     return dict(zip(cells[1].tolist(), times))

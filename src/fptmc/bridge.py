@@ -92,21 +92,24 @@ def fpt_density_array(t, d0, d1, t_start, t_end, sigma):
     return d0 * np.sqrt(tau / (2.0 * np.pi)) / sigma * u**-1.5 * v**-0.5 * np.exp(expo)
 
 
-def crossing_cells(d0, d1, t0, t1, sigma, u, alive):
+def crossing_cells(d0, d1, t0, t1, sigma, u):
     """The crossing decision of a block of bridge intervals, one uniform per
     cell.
 
     Column r of the (m, n) arrays ``d0`` and ``d1`` holds run r's start and
     end distances to the barrier on its interval (t0[r], t1[r]), and row i
     is component i; ``sigma`` holds the (m,) per-component volatilities,
-    ``u`` holds (m, n) uniforms on (0, 1] and ``alive`` marks the cells that
-    are still uncrossed.
+    and ``u`` holds (m, n) uniforms on (0, 1].
 
     With P the cell's survival probability, a cell crosses exactly when
-    u <= 1 - P, which happens with probability 1 - P; so every alive cell
-    with d1 <= 0 crosses, and since u >= 2^-53 a cell whose 1 - P is below
-    that never crosses.  The block-sized survival array is dropped once the
-    crossing cells' values are gathered.
+    u <= 1 - P, which happens with probability 1 - P; so every cell with
+    finite distances and d1 <= 0 crosses, and since u >= 2^-53 a cell whose
+    1 - P is below that never crosses.  A cell with d0 = d1 = +inf, the
+    engine's mark of a component that has crossed already, has P exactly 1
+    and never crosses; only one infinite distance beside a finite one at or
+    below 0 would give P = NaN, with an invalid-value warning.  The
+    block-sized survival array is dropped once the crossing cells' values
+    are gathered.
 
     Returns ((components, runs), w, start, end) of the crossing cells, in
     component-major order: ``w`` = u / (1 - P), which given the crossing is
@@ -115,7 +118,7 @@ def crossing_cells(d0, d1, t0, t1, sigma, u, alive):
     """
     keep = survival_array(d0, d1, t1 - t0, sigma[:, None])
     np.subtract(1.0, keep, out=keep)
-    flat = np.flatnonzero(alive & (u <= keep))
+    flat = np.flatnonzero(u <= keep)
     # a flat take gathers several times faster than (rows, cols) indexing;
     # w and |d1| are finished in their gathered buffers, which the block's
     # peak holds

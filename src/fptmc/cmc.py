@@ -11,18 +11,19 @@ baseline is expected to show, and the reason it needs small dt.
 Random numbers are drawn only for components that have not crossed: at the
 start of every window of ``_COMPACT_EVERY`` steps the live runs are regrouped
 by their set of live components, and a crossed component, whose value is
-never read again, is dropped.  A run with one live component steps with its
-row norm of sigma, whatever m is.  Between two regroupings a group draws the
-jump arrivals of the whole window at once, one Bernoulli trial per (step,
-run) cell, as a binomial count and then a uniform subset of the window's
-cells of that size (Glasserman 2004, *Monte Carlo Methods in Financial
-Engineering*, section 3.5).
+never read again and is set to +inf to mark it, is dropped.  A run with one
+live component steps with its row norm of sigma, whatever m is.  Between
+two regroupings a group draws the jump arrivals of the whole window at
+once, one Bernoulli trial per (step, run) cell, as a binomial count and
+then a uniform subset of the window's cells of that size (Glasserman 2004,
+*Monte Carlo Methods in Financial Engineering*, section 3.5).
 
 A step is the draw floor plus a few passes: normals into the window's
 array, one scale by the factor pre-multiplied by sqrt(dt_k), one add, the
-step's slice of the window's jumps, and one masked barrier check into the
-window's array.  A group makes those arrays once per window at its live
-size, so a block holds them only for the runs it still steps.  The state is
+step's slice of the window's jumps, and one barrier check into the
+window's array, in which a crossed component's +inf never tests at or below
+its level.  A group makes those arrays once per window at its live size,
+so a block holds them only for the runs it still steps.  The state is
 drift-free, u = x - mu t, checked against the level intercept + (slope - mu)
 t, so the drift costs nothing per cell.
 """
@@ -94,8 +95,9 @@ def _step_grid(horizon: float, dt: float) -> tuple[np.ndarray, float]:
 class _Group:
     """Live runs that share one set of live components, ``comps``, and a
     factor F of that set's block of sigma sigma^T: their (k, n) drift-free
-    state u = x - mu t, which components of it are still uncrossed, and the
-    run each column is.
+    state u = x - mu t, +inf for a component that has crossed, and the run
+    each column is.  A step leaves +inf as it is and never finds it at or
+    below the barrier, so a crossed cell needs no mask.
 
     Rows of the state are the group's components; per-component constants
     of shape (k, 1) broadcast along contiguous rows.  Since x = u + mu t, a
@@ -115,12 +117,10 @@ class _Group:
         self.level_slope = (spec.barrier_slope - spec.mu)[comps, None]
         self.hold(np.empty((len(comps), 0)), np.empty(0, dtype=np.intp))
 
-    def hold(self, state: np.ndarray, run_ids: np.ndarray, alive=None) -> None:
-        """Make these runs the group's runs; ``alive`` marks their uncrossed
-        components, all of them when it is None."""
+    def hold(self, state: np.ndarray, run_ids: np.ndarray) -> None:
+        """Make these runs the group's runs."""
         self.state = state
         self.run_ids = run_ids
-        self.alive = np.ones(state.shape, dtype=bool) if alive is None else alive
 
     def advance(self, rng, times: np.ndarray, dt_k: float, rate: float, out: Crossings) -> int:
         """Advance every run through the Euler steps of length ``dt_k`` that
@@ -152,23 +152,23 @@ class _Group:
             lo, hi = bounds[j], bounds[j + 1]
             self.state[:, jumped[lo:hi]] += sizes[:, lo:hi]
             np.less_equal(self.state, self.icpt + self.level_slope * t, out=hit)
-            hit &= self.alive
             if hit.any():
                 rows, cols = _cells(hit)
                 out.record(self.comps[rows], self.run_ids[cols], t, KIND_INTERIOR)
-                self.alive[rows, cols] = False
+                self.state[rows, cols] = np.inf
         return n_jumps
 
 
 def _regroup(full: _Group, singles: list[_Group]) -> None:
     """Move each run to the group of its live components: runs of ``full``
-    with one uncrossed component left go to that component's group in
+    with one finite component left go to that component's group in
     ``singles``, and runs with none left retire.  A crossed component's
-    value is never read again, so dropping it changes no run's law."""
-    live = full.alive.sum(axis=0)
+    value, +inf, is never read again, so dropping it changes no run's law."""
+    finite = full.state < np.inf
+    live = finite.sum(axis=0)
     for i, group in enumerate(singles):
-        keep = np.flatnonzero(group.alive[0])
-        moved = np.flatnonzero((live == 1) & full.alive[i])
+        keep = np.flatnonzero(group.state[0] < np.inf)
+        moved = np.flatnonzero((live == 1) & finite[i])
         group.hold(
             np.concatenate(
                 (group.state.take(keep, axis=1), full.state[i : i + 1].take(moved, axis=1)),
@@ -177,11 +177,7 @@ def _regroup(full: _Group, singles: list[_Group]) -> None:
             np.concatenate((group.run_ids.take(keep), full.run_ids.take(moved))),
         )
     keep = np.flatnonzero(live > 1)
-    full.hold(
-        full.state.take(keep, axis=1),
-        full.run_ids.take(keep),
-        full.alive.take(keep, axis=1),
-    )
+    full.hold(full.state.take(keep, axis=1), full.run_ids.take(keep))
 
 
 def simulate_block_cmc(

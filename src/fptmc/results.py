@@ -222,10 +222,12 @@ def run_blocks(
     Returns the record, the per-block outputs in block order, and the elapsed
     wall time of making the record and running the blocks.
 
-    One worker runs the blocks on the calling thread, not on a pool of one:
-    ``ex1-density`` ran about 20% slower per run on a pool thread, and its
-    peak resident memory rose by 9%.  The likely cause, not proven, is that
-    glibc gives the pool thread its own malloc arena, whose pages are fresh.
+    A job runs on at most one worker per block, and on one worker it runs
+    on the calling thread, not on a pool of one, however many workers were
+    asked for: ``ex1-density`` ran about 20% slower per run on a pool
+    thread, and its peak resident memory rose by 9%.  The likely cause, not
+    proven, is that glibc gives the pool thread its own malloc arena, whose
+    pages are fresh.
     """
     n_runs = _integer("n_runs", n_runs, 1)
     workers = _integer("workers", workers, 1)
@@ -239,10 +241,11 @@ def run_blocks(
         cols = slice(b * BLOCK_SIZE, b * BLOCK_SIZE + sizes[b])
         return simulate(block_rng(seed, b), sizes[b], out=out.columns(cols))
 
+    workers = min(workers, len(sizes))
     if workers == 1:
         outputs = [task(b) for b in range(len(sizes))]
     else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(task, range(len(sizes))))
     elapsed = time.perf_counter() - start
     return out, outputs, elapsed

@@ -8,15 +8,15 @@ exact probability for that level.  A bridge that crosses gets its
 crossing time drawn exactly from the bridge's conditional crossing-time
 law, with weight 1.  Crossings caused by a jump itself are read off the
 post-jump value.  A component is retired from the run at its first
-crossing.
+crossing, by setting its value to +inf.
 
 Internally the engine simulates whole blocks of runs at once.  It keeps a
-compacted live set of runs, those with an uncrossed component and time left
-before the horizon, and advances every live run by one interjump interval
-per pass: the next jump instant is drawn lazily, one exponential gap per live
-run.  A run leaves the set when its last component crosses or its clock
-passes the horizon, so the work is proportional to the live (run, interval)
-pairs.
+compacted live set of runs, those with a finite component value and time
+left before the horizon, and advances every live run by one interjump
+interval per pass: the next jump instant is drawn lazily, one exponential
+gap per live run.  A run leaves the set when its last component crosses or
+its clock passes the horizon, so the work is proportional to the live (run,
+interval) pairs.
 """
 
 from __future__ import annotations
@@ -49,22 +49,24 @@ def simulate_block(
     """Simulate ``size`` independent runs with one generator.
 
     The loop state is the live set: ``run`` (each live column's index in the
-    block), ``state`` (the value at the column's last jump instant),
-    ``alive`` (its uncrossed components) and ``t0`` (that instant).  Each
-    pass draws one exponential gap per live column (an infinite one where
-    the jump rate is 0, so no run jumps and the pass ends at the horizon),
-    runs the bridge step on the interval up to the next jump (or the
-    horizon) with the start and end distances to each barrier's midpoint
-    level, applies the jump, records crossings straight in ``out``'s column
-    ``run``, and keeps only the columns that jumped and still have an
-    uncrossed component.
+    block), ``state`` (the value at the column's last jump instant, +inf for
+    a component that has crossed) and ``t0`` (that instant).  A retired
+    value never tests at or below a barrier, a retired cell's bridge has
+    survival 1, and inf plus any increment stays inf, so no mask is kept:
+    a column is live while any of its values is finite.  Each pass draws
+    one exponential gap per live column (an infinite one where the jump
+    rate is 0, so no run jumps and the pass ends at the horizon), runs the
+    bridge step on the interval up to the next jump (or the horizon) with
+    the start and end distances to each barrier's midpoint level, applies
+    the jump, records crossings straight in ``out``'s column ``run``, and
+    keeps only the columns that jumped and still have a finite value.
 
     No block-sized array outlives its last reader: the diffusion's normals
     take the drift and then hold the level, the interval lengths are
     dropped once the level is formed, the start values and the level become
     the distances to it, and these and the uniforms are dropped once the
     crossing cells are decided, before their times are drawn.  One
-    65,536-run block of ``configs/example1.cfg`` peaks at about 8.5 MiB of
+    65,536-run block of ``configs/example1.cfg`` peaks at about 8.4 MiB of
     temporaries.
 
     The state is component-major: row i of the (m, n) arrays is component i
@@ -97,7 +99,6 @@ def simulate_block(
 
     run = np.arange(size)
     state = np.repeat(spec.x0[:, None], size, axis=1)
-    alive = np.ones((m, size), dtype=bool)
     t0 = np.zeros(size)
 
     while run.size:
@@ -115,15 +116,17 @@ def simulate_block(
         x_end = sigma @ z
         x_end *= np.sqrt(tau)
         x_end += np.multiply(mu, tau, out=z)
-        x_end += state
         level = np.multiply(slope_c, t0 + 0.5 * tau, out=z)
         level += icpt_c
         del z, tau
 
         # a segment entered at or below its frozen level (common where the
         # barrier rises) counts as an immediate crossing at the segment start,
-        # or where the barrier reaches the entry value
-        graze = alive & (state <= level)
+        # or where the barrier reaches the entry value; it is retired before
+        # the end values are formed, so both its distances are +inf (one
+        # infinite distance beside a finite one at or below 0 would make
+        # the survival 0 * inf = NaN)
+        graze = state <= level
         if graze.any():
             comps, cols = _cells(graze)
             times = _graze_times(
@@ -131,8 +134,9 @@ def simulate_block(
             )
             out.record(comps, run[cols], times, KIND_AT_JUMP)
             grazing += len(cols)
-            alive &= ~graze
+            state[comps, cols] = np.inf
         del graze
+        x_end += state
 
         # condition 1: interior bridge crossing, decided by one uniform on
         # the distances to the frozen level, formed in the buffers of the
@@ -141,18 +145,18 @@ def simulate_block(
         np.subtract(1.0, u, out=u)
         np.subtract(state, level, out=state)
         np.subtract(x_end, level, out=level)
-        ii, w, start, end = bridge.crossing_cells(state, level, t0, t1, sig_eff, u, alive)
+        ii, w, start, end = bridge.crossing_cells(state, level, t0, t1, sig_eff, u)
         del state, level, u
         s = bridge.crossing_times(ii, w, start, end, t0, t1, sig_eff, rng)
         out.record(ii[0], run[ii[1]], s, KIND_INTERIOR)
-        alive[ii] = False
+        x_end[ii] = np.inf
         del ii, w, start, end, s
 
         # retire runs that reached the horizon or have no component left;
         # the rest move on to their jump at t1
-        cont = np.flatnonzero(jumped & alive.any(axis=0))
+        cont = np.flatnonzero(jumped & (x_end.min(axis=0) < np.inf))
         run, t0 = run.take(cont), t1.take(cont)
-        pre, alive = x_end.take(cont, axis=1), alive.take(cont, axis=1)
+        pre = x_end.take(cont, axis=1)
         del t1, x_end, cont
 
         # condition 3: the run is at or below the barrier after its jump at
@@ -163,14 +167,14 @@ def simulate_block(
         state += pre
         level_right = slope_c * t0
         level_right += icpt_c
-        at_jump = alive & (state <= level_right)
+        at_jump = state <= level_right
         if at_jump.any():
             comps, cols = _cells(at_jump)
             out.record(comps, run[cols], t0[cols], KIND_AT_JUMP)
-            alive &= ~at_jump
-            cont = np.flatnonzero(alive.any(axis=0))
+            state[comps, cols] = np.inf
+            cont = np.flatnonzero(state.min(axis=0) < np.inf)
             run, t0 = run.take(cont), t0.take(cont)
-            state, alive = state.take(cont, axis=1), alive.take(cont, axis=1)
+            state = state.take(cont, axis=1)
 
     return (*out, grazing)
 
@@ -179,7 +183,7 @@ def _graze_times(t0, t1, start, icpt, slope):
     """Crossing times for grazing entries: the instant the affine barrier
     reaches the entry value, clipped to the segment.
 
-    Every alive cell starts a pass above D(t0), whatever the barrier: x0
+    Every live cell starts a pass above D(t0), whatever the barrier: x0
     lies above the intercept, and the at-jump check retires every cell at or
     below D(t1).  So only a rising barrier is grazed, and ``slope`` > 0 here.
     Were that ever false, the division would warn (an error under ``-W

@@ -104,7 +104,7 @@ def quad_interjump_density(d0, d1, t_start, t_end, sigma, lo=None, hi=None) -> f
     return val
 
 
-def uniform_candidates(d0, d1, t0, t1, sigma, u, alive):
+def uniform_candidates(d0, d1, t0, t1, sigma, u):
     """The paper's uniform-candidate sampler, on the arguments of
     ``bridge.crossing_cells``.  It returns the crossing cells, their times
     and their weights, where the engine's exact draw returns cells and times
@@ -121,7 +121,7 @@ def uniform_candidates(d0, d1, t0, t1, sigma, u, alive):
 
     tau = t1 - t0
     keep = 1.0 - bridge.survival_array(d0, d1, tau, sigma[:, None])
-    hit = alive & (u <= keep)
+    hit = u <= keep
     comps, runs = np.nonzero(hit)
     stretch = tau[runs] / keep[comps, runs]
     s = t0[runs] + stretch * u[comps, runs]

@@ -62,10 +62,10 @@ def quad_density(s):
     return quad_interjump_density(*distances(s), s.t_start, s.t_end, s.sigma)
 
 
-def exact_crossings(d0, d1, t0, t1, sigma, u, alive, rng):
+def exact_crossings(d0, d1, t0, t1, sigma, u, rng):
     """The engine's interior step: the crossing decision, then the exact
     times of the crossing cells.  Returns ((components, runs), times)."""
-    cells, w, start, end = crossing_cells(d0, d1, t0, t1, sigma, u, alive)
+    cells, w, start, end = crossing_cells(d0, d1, t0, t1, sigma, u)
     return cells, crossing_times(cells, w, start, end, t0, t1, sigma, rng)
 
 
@@ -82,8 +82,7 @@ def candidates(s, u, rng=None):
 
     d0, d1 = distances(s)
     t0, t1 = np.full(n, float(s.t_start)), np.full(n, float(s.t_end))
-    alive = np.ones((1, n), dtype=bool)
-    args = (cells(d0), cells(d1), t0, t1, np.array([float(s.sigma)]), u, alive)
+    args = (cells(d0), cells(d1), t0, t1, np.array([float(s.sigma)]), u)
     ii, *drawn = uniform_candidates(*args) if rng is None else exact_crossings(*args, rng)
     accepted = np.zeros(n, dtype=bool)
     accepted[ii[1]] = True
@@ -375,7 +374,6 @@ class TestExactCrossingTime:
             np.array([3.0]),
             np.array([1.0, 1.0, 1e-200, 1.0]),
             u,
-            np.ones((4, 1), dtype=bool),
             np.random.default_rng(3),
         )
         assert ii[0].tolist() == [0, 1, 2, 3]
@@ -406,12 +404,14 @@ class TestExactCrossingTime:
         m, n = 3, 20
         d0 = rng.uniform(0.1, 2.0, (m, n))
         d1 = rng.uniform(-1.0, 0.0, (m, n))
-        alive = rng.random((m, n)) < 0.85
+        # a retired cell, the engine's +inf distances, never crosses
+        retired = rng.random((m, n)) >= 0.85
+        d0[retired] = d1[retired] = np.inf
         t0 = rng.uniform(0.0, 1.0, n)
         t1 = t0 + rng.uniform(1e-3, 1.0, n)
         sigma = rng.uniform(0.1, 1.0, m)
         u = 1.0 - rng.random((m, n))
-        cells, *drawn = crossing_cells(d0, d1, t0, t1, sigma, u, alive)
+        cells, *drawn = crossing_cells(d0, d1, t0, t1, sigma, u)
         assert 40 <= cells[0].size <= 60
         assert len(set(cells[0].tolist())) == m and len(set(cells[1].tolist())) > 10
         inputs = (*drawn, t0, t1, sigma)
@@ -434,17 +434,22 @@ class TestExactCrossingTime:
         d0[:, ::11] = 50.0  # far above: survival that rounds to one unless d1 <= 0
         u = 1.0 - rng.random((m, n))
         u[:, ::5] = 1.0
+        # a retired cell has +inf distances, as in the engine, and column 0
+        # is a run with no live component, whose inputs push hardest to cross
         alive = rng.random((m, n)) < 0.8
+        alive[:, 0] = False
+        d0[~alive] = d1[~alive] = np.inf
         t0 = rng.uniform(0.0, 1.0, n)
         t1 = t0 + rng.uniform(1e-3, 1.0, n)
         sigma = rng.uniform(0.1, 1.0, m)
-        ii, times = exact_crossings(d0, d1, t0, t1, sigma, u, alive, rng)
+        ii, times = exact_crossings(d0, d1, t0, t1, sigma, u, rng)
         crossed = np.zeros((m, n), dtype=bool)
         crossed[ii] = True
         below = alive & (d1 <= 0.0)
         assert below.sum() > 0.4 * m * n
         assert np.all(crossed[below])
         assert not np.any(crossed & ~alive)
+        assert 0 not in ii[1]
         assert np.all((times >= t0[ii[1]]) & (times <= t1[ii[1]]))
 
 
@@ -534,16 +539,17 @@ class TestFirstJumpCrossing:
     def test_extreme_cells_raise_no_warning(self):
         # the near-deterministic blocks above, and bridges that end far below
         # the barrier, at it with a zero sigma sqrt(tau), above it with a zero
-        # tau, or start a hair above it: no overflow, no 0 / 0
+        # tau, or start a hair above it, and a retired cell, whose distances
+        # are both +inf: no overflow, no 0 / 0 and no 0 * inf
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             p = survival_array(
-                np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-300]),
-                np.array([0.5, -0.5, -1e300, 0.0, 0.5, 0.5]),
-                np.array([0.3, 0.3, 1.0, 1.0, 0.0, 1.0]),
-                np.array([1e-9, 1e-9, 1.0, 1e-200, 1.0, 1.0]),
+                np.array([1.0, 1.0, 1.0, 1.0, 1.0, 1e-300, np.inf]),
+                np.array([0.5, -0.5, -1e300, 0.0, 0.5, 0.5, np.inf]),
+                np.array([0.3, 0.3, 1.0, 1.0, 0.0, 1.0, 0.3]),
+                np.array([1e-9, 1e-9, 1.0, 1e-200, 1.0, 1.0, 1.0]),
             )
-            assert p.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 1e-300]
+            assert p.tolist() == [1.0, 0.0, 0.0, 0.0, 1.0, 1e-300, 1.0]
             for subject in (DRIFTING_SUBJECT, (0.0, 0.0, -1.0, -0.5, 0.0)):
                 clocked_block(subject)
             TestExactCrossingTime().test_extreme_cells_stay_inside_the_interval()

@@ -165,24 +165,22 @@ def test_regroup_moves_each_run_with_its_state():
     # so a run moved without its own state shows in any group
     spec = drift_spec([0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], m=3)
     full = cmc._Group(spec, np.arange(3), spec.sigma)
-    full.hold(
-        10.0 * np.arange(6) + np.arange(3)[:, None],
-        np.arange(6),
-        np.array([[1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]], dtype=bool),
-    )
+    # a crossed cell holds +inf
+    alive = np.array([[1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]], dtype=bool)
+    full.hold(np.where(alive, 10.0 * np.arange(6) + np.arange(3)[:, None], np.inf), np.arange(6))
     singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1))) for i in range(3)]
     # component 1's group already holds runs 7 and 9, and run 7 has crossed
-    singles[0].hold(np.array([[70.0, 90.0]]), np.array([7, 9]))
-    singles[0].alive[0, 0] = False
+    singles[0].hold(np.array([[np.inf, 90.0]]), np.array([7, 9]))
     cmc._regroup(full, singles)
     assert full.run_ids.tolist() == [0, 1, 5]
     assert singles[0].run_ids.tolist() == [9, 2]
     assert singles[1].run_ids.tolist() == []
     assert singles[2].run_ids.tolist() == [3]
     for group in (full, *singles):
-        assert np.array_equal(group.state, 10.0 * group.run_ids + group.comps[:, None])
-    assert full.alive.tolist() == [[1, 0, 1], [1, 1, 1], [0, 1, 1]]
-    assert all(group.alive.all() for group in singles)
+        code = 10.0 * group.run_ids + group.comps[:, None]
+        assert np.array_equal(group.state, np.where(np.isfinite(group.state), code, np.inf))
+    assert np.isfinite(full.state).tolist() == [[1, 0, 1], [1, 1, 1], [0, 1, 1]]
+    assert all(np.isfinite(group.state).all() for group in singles)
 
 
 def test_regrouped_component_keeps_its_row_norm():
@@ -322,8 +320,8 @@ def one_factor_spec(m):
 )
 def test_block_working_set_is_bounded(spec, dt, size, bound_mib):
     # a group makes its step arrays once per window at its live size: a
-    # 65,536-run example2 block peaks near 4.3 MiB above its record and a
-    # 16,384-run block of 16 names near 7.2 MiB, where arrays sized for
+    # 65,536-run example2 block peaks near 4.1 MiB above its record and a
+    # 16,384-run block of 16 names near 6.9 MiB, where arrays sized for
     # every run of the block in each group took 6.5 and 11.5 MiB
     out = results.Crossings.never_crossed(spec.m, size)
     rng = results.block_rng(1, 0)

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -17,6 +18,8 @@ def draw_block(rng, size, out):
 
 
 def test_thread_pool_capped_at_block_count(monkeypatch):
+    # a three-block job asking for 8 workers gets a pool of 3, and a
+    # one-block job runs on the calling thread and builds no pool
     requested = []
 
     def recording_pool(max_workers):
@@ -24,13 +27,22 @@ def test_thread_pool_capped_at_block_count(monkeypatch):
         return ThreadPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(results, "ThreadPoolExecutor", recording_pool)
-    serial, outputs, _ = results.run_blocks(1, 1000, seed=5, workers=1, simulate=draw_block)
-    pooled, pooled_outputs, _ = results.run_blocks(
-        1, 1000, seed=5, workers=8, simulate=draw_block
-    )
-    assert requested == [1]
-    assert outputs == pooled_outputs == [(1000,)]
+    n = 2 * results.BLOCK_SIZE + 1000
+    serial, outputs, _ = results.run_blocks(1, n, seed=5, workers=1, simulate=draw_block)
+    pooled, pooled_outputs, _ = results.run_blocks(1, n, seed=5, workers=8, simulate=draw_block)
+    assert requested == [3]
+    assert outputs == pooled_outputs == [(results.BLOCK_SIZE,)] * 2 + [(1000,)]
     assert np.array_equal(pooled.times, serial.times)
+
+    threads = []
+
+    def thread_block(rng, size, out):
+        threads.append(threading.get_ident())
+        return draw_block(rng, size, out)
+
+    results.run_blocks(1, 1000, seed=5, workers=8, simulate=thread_block)
+    assert requested == [3]
+    assert threads == [threading.get_ident()]
 
 
 def assert_same_result(a, b):

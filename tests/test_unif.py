@@ -315,7 +315,7 @@ def test_output_equals_the_reference_kernel(spec):
 def test_block_working_set_is_bounded(example1_spec):
     # a pass drops each block-sized array after its last read, the distances
     # and uniforms before the crossing times are drawn, and draws the times
-    # in chunks: one 65,536-run block of example1 peaks near 8.5 MiB above
+    # in chunks: one 65,536-run block of example1 peaks near 8.4 MiB above
     # its record, against 3.2 MiB for the record of 100,000 runs
     out = Crossings.never_crossed(example1_spec.m, BLOCK_SIZE)
     rng = block_rng(1, 0)
