@@ -10,7 +10,9 @@ records its crossings in the columns it owns of one (m, n_runs) record, so
 results are bitwise identical for any worker count and any scheduling.
 Workers are threads: each block task is dominated by numpy work on its own
 arrays, and blocks own disjoint columns of the result, so no element is
-shared.
+shared.  The calling thread is one of the workers: it runs blocks beside
+``min(workers, blocks) - 1`` helper threads, so a job on one worker or of
+one block starts no thread.
 
 Blocks are large because every numpy call releases the interpreter lock and
 takes it back, and a block makes the same calls whatever its size: fewer,
@@ -25,9 +27,9 @@ two with 16,384-run blocks, against 0.98-1.06 s and 0.63-0.70 s with
 
 from __future__ import annotations
 
+import threading
 import time
 from collections.abc import Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -213,7 +215,7 @@ def run_blocks(
     workers: int,
     simulate: Callable[..., tuple],
 ) -> tuple[Crossings, list[tuple], float]:
-    """Run ``simulate(rng, size, out=...)`` over every block, in order, timed.
+    """Run ``simulate(rng, size, out=...)`` over every block, timed.
 
     The job's (m, n_runs) record, 9 bytes per cell, is made "never crossed"
     (``Crossings.never_crossed``); block b is passed ``out=`` the columns it
@@ -222,12 +224,24 @@ def run_blocks(
     Returns the record, the per-block outputs in block order, and the elapsed
     wall time of making the record and running the blocks.
 
-    A job runs on at most one worker per block, and on one worker it runs
-    on the calling thread, not on a pool of one, however many workers were
-    asked for: ``ex1-density`` ran about 20% slower per run on a pool
-    thread, and its peak resident memory rose by 9%.  The likely cause, not
-    proven, is that glibc gives the pool thread its own malloc arena, whose
-    pages are fresh.
+    The calling thread runs blocks, with ``min(workers, blocks) - 1``
+    helper threads beside it; each thread takes the next block index until
+    none is left.  Once a block raises, no thread starts another block:
+    the call waits for the blocks already running, then raises the first
+    exception.  Blocks are handed out in index order, but which thread
+    runs a block does not change the output.
+
+    The calling thread works rather than waits because of memory: glibc
+    serves each thread from its own malloc arena, and memory freed in an
+    arena is reused only by that arena's threads, so a caller that waits
+    leaves its own arena's free memory idle while one more helper's arena
+    grows.  On the
+    ``lam8-probs`` benchmark (1M runs of ``configs/example3.cfg``, two
+    workers, the previous result held) ``peak_rss_mb`` read 116.9 MB with
+    a pool of two threads while the caller waited and 101.6 MB with the
+    caller and one helper (medians of ten pairs); with glibc held to one
+    arena (``MALLOC_ARENA_MAX=1`` set in the measuring process) the pool
+    read 97.5-99.9 MB.  Timings did not move.
     """
     n_runs = _integer("n_runs", n_runs, 1)
     workers = _integer("workers", workers, 1)
@@ -241,12 +255,37 @@ def run_blocks(
         cols = slice(b * BLOCK_SIZE, b * BLOCK_SIZE + sizes[b])
         return simulate(block_rng(seed, b), sizes[b], out=out.columns(cols))
 
-    workers = min(workers, len(sizes))
-    if workers == 1:
-        outputs = [task(b) for b in range(len(sizes))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(task, range(len(sizes))))
+    outputs: list = [None] * len(sizes)
+    errors: list[BaseException] = []
+    lock = threading.Lock()
+    taken = 0
+
+    def work() -> None:
+        # take the next block until none is left or a block has raised
+        nonlocal taken
+        while True:
+            with lock:
+                if errors or taken == len(sizes):
+                    return
+                b = taken
+                taken += 1
+            try:
+                outputs[b] = task(b)
+            except BaseException as exc:
+                with lock:
+                    errors.append(exc)
+                return
+
+    helpers = [threading.Thread(target=work) for _ in range(min(workers, len(sizes)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     elapsed = time.perf_counter() - start
     return out, outputs, elapsed
 

@@ -3,7 +3,6 @@ import gc
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -17,32 +16,83 @@ def draw_block(rng, size, out):
     return (size,)
 
 
-def test_thread_pool_capped_at_block_count(monkeypatch):
-    # a three-block job asking for 8 workers gets a pool of 3, and a
-    # one-block job runs on the calling thread and builds no pool
-    requested = []
+def caller_first(caller: int, ran: list):
+    """A block kernel that records the thread running each block in ``ran``
+    and holds any other thread's block until the calling thread ``caller``
+    has run one, so that the calling thread is sure to get a block."""
+    caller_ran = threading.Event()
 
-    def recording_pool(max_workers):
-        requested.append(max_workers)
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-    monkeypatch.setattr(results, "ThreadPoolExecutor", recording_pool)
-    n = 2 * results.BLOCK_SIZE + 1000
-    serial, outputs, _ = results.run_blocks(1, n, seed=5, workers=1, simulate=draw_block)
-    pooled, pooled_outputs, _ = results.run_blocks(1, n, seed=5, workers=8, simulate=draw_block)
-    assert requested == [3]
-    assert outputs == pooled_outputs == [(results.BLOCK_SIZE,)] * 2 + [(1000,)]
-    assert np.array_equal(pooled.times, serial.times)
-
-    threads = []
-
-    def thread_block(rng, size, out):
-        threads.append(threading.get_ident())
+    def block(rng, size, out):
+        ran.append(threading.get_ident())
+        if ran[-1] == caller:
+            caller_ran.set()
+        else:
+            assert caller_ran.wait(timeout=30)
         return draw_block(rng, size, out)
 
-    results.run_blocks(1, 1000, seed=5, workers=8, simulate=thread_block)
-    assert requested == [3]
-    assert threads == [threading.get_ident()]
+    return block
+
+
+def test_threads_capped_at_block_count():
+    # a job runs on at most min(workers, blocks) threads, the calling
+    # thread among them, and the record and outputs do not depend on which
+    # thread ran a block
+    caller = threading.get_ident()
+    n = 2 * results.BLOCK_SIZE + 1000
+    serial, outputs, _ = results.run_blocks(1, n, seed=5, workers=1, simulate=draw_block)
+    assert outputs == [(results.BLOCK_SIZE,)] * 2 + [(1000,)]
+    for workers in (8, 2):
+        ran = []
+        record, threaded_outputs, _ = results.run_blocks(
+            1, n, seed=5, workers=workers, simulate=caller_first(caller, ran)
+        )
+        assert len(ran) == 3
+        assert caller in ran
+        assert len(set(ran)) <= min(workers, 3)
+        assert threaded_outputs == outputs
+        assert np.array_equal(record.times, serial.times)
+        assert np.array_equal(record.kinds, serial.kinds)
+
+    # a one-block job starts no thread, whatever workers asks for
+    before = threading.active_count()
+    during = []
+
+    def count_threads(rng, size, out):
+        during.append((threading.get_ident(), threading.active_count()))
+        return draw_block(rng, size, out)
+
+    _, single_outputs, _ = results.run_blocks(1, 1000, seed=5, workers=8, simulate=count_threads)
+    assert during == [(caller, before)]
+    assert single_outputs == [(1000,)]
+
+
+@pytest.mark.parametrize("fails_on", ["caller", "helper"])
+def test_a_failing_block_stops_the_job(fails_on):
+    # the block that raises is the calling thread's first or a helper's
+    # first; the other thread's blocks wait until it is reached, so it is
+    # reached whichever thread takes a block first.  run_blocks raises that
+    # same exception, the thread that raised starts no other block, and no
+    # thread is left running
+    caller = threading.get_ident()
+    error = RuntimeError(f"block on the {fails_on} failed")
+    failing_reached = threading.Event()
+    ran = []
+
+    def failing_block(rng, size, out):
+        on_caller = threading.get_ident() == caller
+        ran.append(on_caller)
+        if on_caller == (fails_on == "caller"):
+            failing_reached.set()
+            raise error
+        assert failing_reached.wait(timeout=30)
+        return draw_block(rng, size, out)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as raised:
+        results.run_blocks(1, 4 * results.BLOCK_SIZE, seed=5, workers=2, simulate=failing_block)
+    assert raised.value is error
+    assert threading.active_count() == before
+    assert ran.count(fails_on == "caller") == 1
 
 
 def assert_same_result(a, b):
