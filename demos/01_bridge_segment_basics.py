@@ -62,29 +62,25 @@ print(f"quadrature of the crossing density:               {np.trapezoid(dens, ts
 
 # one uniform per run decides whether the bridge crosses; the engine does it
 # for a whole block of (component, run) cells at once, one row per
-# component, and then draws the time of each crossing exactly, so every
-# crossing counts once, with weight 1.  The paper's sampler instead places the
-# crossing at the candidate t0 + tau / (1 - P) * u and weights it by
-# tau / (1 - P) * g(candidate).
-def draw(u, seed):
-    n = len(u)
+# component, drawing the uniforms itself, and then draws the time of each
+# crossing exactly from the same generator, so every crossing counts once,
+# with weight 1.  The paper's sampler instead places the crossing at the
+# candidate t0 + tau / (1 - P) * u and weights it by tau / (1 - P) * g(candidate).
+def draw(n, seed):
+    rng = np.random.default_rng(seed)
     t0, t1, sig = np.full(n, t_start), np.full(n, t_end), np.array([sigma])
     cells, w, start, end = crossing_cells(
-        np.full((1, n), d0),
-        np.full((1, n), d1),
-        t0,
-        t1,
-        sig,
-        u.reshape(1, n),
+        np.full((1, n), d0), np.full((1, n), d1), t0, t1, sig, rng
     )
-    times = crossing_times(cells, w, start, end, t0, t1, sig, np.random.default_rng(seed))
+    times = crossing_times(cells, w, start, end, t0, t1, sig, rng)
     return dict(zip(cells[1].tolist(), times))
 
 
-u = 1.0 - rng.random(5)
+# the uniforms the engine's kernel draws first from a generator of that seed
+u = 1.0 - np.random.default_rng(1).random(5)
 stretch = tau / (1.0 - p_survive)
 print("\nfive runs, exact draw and the paper's candidate on the same uniforms:")
-exact = draw(u, 1)
+exact = draw(len(u), 1)
 for run in range(len(u)):
     if run in exact:
         t_un = t_start + stretch * u[run]
@@ -96,7 +92,7 @@ for run in range(len(u)):
         print("  no interior crossing in this run")
 
 # the exact draws, histogrammed, follow the crossing density given a crossing
-times = np.array(list(draw(1.0 - rng.random(200_000), 2).values()))
+times = np.array(list(draw(200_000, 2).values()))
 edges = np.linspace(t_start, t_end, 11)
 width = edges[1] - edges[0]
 counts, _ = np.histogram(times, bins=edges)

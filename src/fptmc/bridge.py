@@ -13,16 +13,18 @@ provides, elementwise:
   barrier for the whole interval;
 * ``fpt_density_array``: the conditional first-crossing-time density on the
   open interval, which integrates to one minus that survival probability;
-* ``crossing_cells``: the crossing decision, which turns one uniform per
-  (component, run) cell into either "no interior crossing" or a crossing
-  cell;
+* ``crossing_cells``: the crossing decision, which draws one uniform per
+  (component, run) cell and turns it into either "no interior crossing" or
+  a crossing cell;
 * ``crossing_times``: the crossing times of those cells, drawn exactly from
   the bridge's conditional crossing-time law (an inverse-Gaussian
   transform), so every crossing has weight 1.
 
-The bridge-sampling engine calls ``crossing_cells``, which evaluates
-``survival_array``, with distances to each barrier held at its interval's
-midpoint (see ``unif``), and then ``crossing_times``, whose times follow
+The bridge-sampling engine passes the distances to each barrier, held at
+its interval's midpoint (see ``unif``), to ``crossing_cells``, which
+evaluates ``survival_array`` and then draws the pass's uniforms from the
+engine's generator, and then to ``crossing_times``, which draws one normal
+per crossing from the same generator and whose times follow
 ``fpt_density_array``.
 These are the only implementation of the formulas.
 """
@@ -92,14 +94,16 @@ def fpt_density_array(t, d0, d1, t_start, t_end, sigma):
     return d0 * np.sqrt(tau / (2.0 * np.pi)) / sigma * u**-1.5 * v**-0.5 * np.exp(expo)
 
 
-def crossing_cells(d0, d1, t0, t1, sigma, u):
+def crossing_cells(d0, d1, t0, t1, sigma, rng):
     """The crossing decision of a block of bridge intervals, one uniform per
-    cell.
+    cell drawn from ``rng``.
 
     Column r of the (m, n) arrays ``d0`` and ``d1`` holds run r's start and
     end distances to the barrier on its interval (t0[r], t1[r]), and row i
-    is component i; ``sigma`` holds the (m,) per-component volatilities,
-    and ``u`` holds (m, n) uniforms on (0, 1].
+    is component i; ``sigma`` holds the (m,) per-component volatilities.
+    Once it holds each cell's 1 - P, the kernel draws the (m, n) uniforms
+    u = 1 - ``rng.random((m, n))`` on (0, 1], consumed row-major, and takes
+    no other number from ``rng``.
 
     With P the cell's survival probability, a cell crosses exactly when
     u <= 1 - P, which happens with probability 1 - P; so every cell with
@@ -108,8 +112,9 @@ def crossing_cells(d0, d1, t0, t1, sigma, u):
     engine's mark of a component that has crossed already, has P exactly 1
     and never crosses; only one infinite distance beside a finite one at or
     below 0 would give P = NaN, with an invalid-value warning.  The
-    block-sized survival array is dropped once the crossing cells' values
-    are gathered.
+    block-sized survival array is dropped once its values at the crossing
+    cells are gathered, and the uniforms once theirs are, so the kernel
+    holds at most two block-sized arrays of its own beside its arguments.
 
     Returns ((components, runs), w, start, end) of the crossing cells, in
     component-major order: ``w`` = u / (1 - P), which given the crossing is
@@ -118,13 +123,18 @@ def crossing_cells(d0, d1, t0, t1, sigma, u):
     """
     keep = survival_array(d0, d1, t1 - t0, sigma[:, None])
     np.subtract(1.0, keep, out=keep)
+    u = rng.random(keep.shape)
+    np.subtract(1.0, u, out=u)
     flat = np.flatnonzero(u <= keep)
     # a flat take gathers several times faster than (rows, cols) indexing;
-    # w and |d1| are finished in their gathered buffers, which the block's
-    # peak holds
-    w = u.ravel().take(flat)
-    w /= keep.ravel().take(flat)
+    # each block-sized array is dropped once gathered, and w and |d1| are
+    # finished in their gathered buffers, which the block's peak holds
+    cross = keep.ravel().take(flat)
     del keep
+    w = u.ravel().take(flat)
+    del u
+    w /= cross
+    del cross
     start = d0.ravel().take(flat)
     end = d1.ravel().take(flat)
     np.abs(end, out=end)

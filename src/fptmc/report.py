@@ -54,28 +54,31 @@ def normalized_l1(values_a, values_b, grid) -> float:
 
 
 def _floats(array) -> list:
-    """Python floats (nested lists for 2-D), whose repr is the CSV text."""
+    """Python floats, whose repr is the CSV text."""
     return np.asarray(array, dtype=float).tolist()
 
 
 def emit_density_csv(estimate: DensityEstimate, path: str) -> None:
-    """Write a density estimate in the documented CSV format."""
-    rows = []
-    if isinstance(estimate.grid, tuple):
-        if len(estimate.grid) != 2:
-            raise ValueError("CSV output supports 1-D and 2-D estimates only")
-        # each axis value is formatted once, not once per row it appears in
-        g0, g1 = ([repr(t) for t in _floats(g)] for g in estimate.grid)
-        rows.append("# t1,t2,density")
-        for t1, row in zip(g0, _floats(estimate.values)):
-            prefix = t1 + ","
-            rows.extend([f"{prefix}{t2},{v!r}" for t2, v in zip(g1, row)])
-    else:
-        rows.append("# t,density")
-        grid, values = _floats(estimate.grid), _floats(estimate.values)
-        rows.extend(f"{t!r},{v!r}" for t, v in zip(grid, values))
+    """Write a density estimate in the documented CSV format.
+
+    A joint estimate is written one t1 row of grid nodes at a time, so the
+    text held at once is one row's whatever the grid size."""
+    joint = isinstance(estimate.grid, tuple)
+    if joint and len(estimate.grid) != 2:
+        raise ValueError("CSV output supports 1-D and 2-D estimates only")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
+        if joint:
+            # each axis value is formatted once, not once per row it appears in
+            g0, g1 = ([repr(t) for t in _floats(g)] for g in estimate.grid)
+            handle.write("# t1,t2,density\n")
+            for t1, row in zip(g0, np.asarray(estimate.values, dtype=float)):
+                prefix = t1 + ","
+                lines = [f"{prefix}{t2},{v!r}\n" for t2, v in zip(g1, row.tolist())]
+                handle.write("".join(lines))
+        else:
+            handle.write("# t,density\n")
+            grid, values = _floats(estimate.grid), _floats(estimate.values)
+            handle.write("".join([f"{t!r},{v!r}\n" for t, v in zip(grid, values)]))
 
 
 @dataclass

@@ -2,13 +2,13 @@
 
 Each run evaluates the process only at its jump instants.  Between two
 instants the path is a Brownian bridge given its simulated endpoints, so a
-single uniform per component per interval decides whether the bridge
-crosses the barrier, held at its value at the interval's midpoint, with the
-exact probability for that level.  A bridge that crosses gets its
-crossing time drawn exactly from the bridge's conditional crossing-time
-law, with weight 1.  Crossings caused by a jump itself are read off the
-post-jump value.  A component is retired from the run at its first
-crossing, by setting its value to +inf.
+single uniform per component per interval, which ``bridge.crossing_cells``
+draws, decides whether the bridge crosses the barrier, held at its value at
+the interval's midpoint, with the exact probability for that level.  A
+bridge that crosses gets its crossing time drawn exactly from the bridge's
+conditional crossing-time law, with weight 1.  Crossings caused by a jump
+itself are read off the post-jump value.  A component is retired from the
+run at its first crossing, by setting its value to +inf.
 
 Internally the engine simulates whole blocks of runs at once.  It keeps a
 compacted live set of runs, those with a finite component value and time
@@ -64,10 +64,14 @@ def simulate_block(
     No block-sized array outlives its last reader: the diffusion's normals
     take the drift and then hold the level, the interval lengths are
     dropped once the level is formed, the start values and the level become
-    the distances to it, and these and the uniforms are dropped once the
-    crossing cells are decided, before their times are drawn.  One
-    65,536-run block of ``configs/example1.cfg`` peaks at about 8.4 MiB of
-    temporaries.
+    the distances to it, and these are dropped once the crossing cells are
+    decided, before their times are drawn.  ``bridge.crossing_cells`` draws
+    the pass's uniforms itself, from ``rng`` between the diffusion's normals
+    and the crossing times' normals, once it holds the survival
+    probabilities, so the block never holds them beside the distances.  The
+    start times begin as a zero-stride view of 0 and the run ids are int32.
+    One 65,536-run block peaks at about 6.9 MiB of temporaries for
+    ``configs/example1.cfg`` and 8.2 MiB for ``configs/example3.cfg``.
 
     The state is component-major: row i of the (m, n) arrays is component i
     of the n live runs, so per-run values of shape (n,) and per-component
@@ -97,9 +101,11 @@ def simulate_block(
 
     grazing = 0
 
-    run = np.arange(size)
+    run = np.arange(size, dtype=np.int32)
     state = np.repeat(spec.x0[:, None], size, axis=1)
-    t0 = np.zeros(size)
+    # every run starts at 0: a zero-stride view, which the first compaction
+    # replaces with the surviving runs' jump instants
+    t0 = np.broadcast_to(0.0, size)
 
     while run.size:
         n = run.size
@@ -138,15 +144,14 @@ def simulate_block(
         del graze
         x_end += state
 
-        # condition 1: interior bridge crossing, decided by one uniform on
-        # the distances to the frozen level, formed in the buffers of the
-        # start values and the level, which the pass no longer needs
-        u = rng.random((m, n))
-        np.subtract(1.0, u, out=u)
+        # condition 1: interior bridge crossing, decided by one uniform
+        # (which the kernel draws) on the distances to the frozen level,
+        # formed in the buffers of the start values and the level, which
+        # the pass no longer needs
         np.subtract(state, level, out=state)
         np.subtract(x_end, level, out=level)
-        ii, w, start, end = bridge.crossing_cells(state, level, t0, t1, sig_eff, u)
-        del state, level, u
+        ii, w, start, end = bridge.crossing_cells(state, level, t0, t1, sig_eff, rng)
+        del state, level
         s = bridge.crossing_times(ii, w, start, end, t0, t1, sig_eff, rng)
         out.record(ii[0], run[ii[1]], s, KIND_INTERIOR)
         x_end[ii] = np.inf

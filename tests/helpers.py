@@ -12,8 +12,9 @@ import tracemalloc
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.signal import fftconvolve
 from scipy.special import ive
-from scipy.stats import norm
+from scipy.stats import norm, poisson
 
 # second-order Richardson weights in sqrt(dt) for nested grids (n, n/2, n/4):
 # combination annihilates both the sqrt(dt) and dt terms of the grid bias
@@ -390,6 +391,56 @@ def wedge_both_cross(z1: float, z2: float, rho: float, horizon: float) -> float:
     both_survive = 2.0 * r0 / math.sqrt(2.0 * math.pi * horizon) * series.sum()
     s1, s2 = (math.erf(z / math.sqrt(2.0 * horizon)) for z in (z1, z2))
     return 1.0 - s1 - s2 + both_survive
+
+
+def walk_first_passage(d, jump_mean, jump_sd, n_jumps=30, dx=5e-4) -> np.ndarray:
+    """f[k - 1] for k = 1..n_jumps: the probability that the walk d + S_1 +
+    ... + S_k, with steps S ~ N(jump_mean, jump_sd^2) and d > 0, first lands
+    at or below 0 at step k.
+
+    The first step is taken from d exactly.  The surviving walk is then held
+    as masses on the cells [j dx, (j + 1) dx) up to a reach that the walk
+    leaves with negligible probability, and each step moves a cell's mass
+    from its midpoint y: Phi((-y - jump_mean) / jump_sd) of it lands at or
+    below 0, and the rest spreads over the cells by one FFT convolution with
+    the step's cell probabilities.  The error is O(dx^2).
+    """
+    step = norm(jump_mean, jump_sd)
+    reach = d + max(jump_mean, 0.0) * n_jumps + 8.0 * jump_sd * math.sqrt(n_jumps)
+    edges = np.arange(0.0, reach + dx, dx)
+    mids = edges[:-1] + 0.5 * dx
+    n = len(mids)
+    lags = np.arange(1 - n, n) * dx
+    moves = step.cdf(lags + 0.5 * dx) - step.cdf(lags - 0.5 * dx)
+    lands_below = step.cdf(-mids)
+    f = [step.cdf(-d)]
+    mass = np.diff(step.cdf(edges - d))
+    for _ in range(n_jumps - 1):
+        f.append(mass @ lands_below)
+        mass = fftconvolve(mass, moves)[n - 1 : 2 * n - 1]
+    return np.array(f)
+
+
+def compound_poisson_law(distances, jump_means, jump_sds, rate, horizon, **walk):
+    """Exact crossing law of two components in the limit sigma -> 0 with zero
+    distance drift (mu = slope): (P1, P2, P(both), P(tau1 = tau2)).
+
+    Each distance to its barrier is then a random walk, ``walk_first_passage``
+    with the given ``n_jumps`` and ``dx``, stepped at the shared clock's
+    jumps.  Given the jump count the components are independent, so with N
+    ~ Poisson(rate horizon) and F_i the cumulative sum of f_i: P_i = sum_k
+    P(N >= k) f_i(k), P(both) = sum_K P(N = K) F_1(K) F_2(K), and both cross
+    at the same jump with probability sum_k P(N >= k) f_1(k) f_2(k).
+    """
+    f1, f2 = (
+        walk_first_passage(d, mean, sd, **walk)
+        for d, mean, sd in zip(distances, jump_means, jump_sds)
+    )
+    k = np.arange(1, len(f1) + 1)
+    jumps = poisson(rate * horizon)
+    at_least = jumps.sf(k - 1)
+    both = jumps.pmf(k) @ (np.cumsum(f1) * np.cumsum(f2))
+    return float(at_least @ f1), float(at_least @ f2), float(both), float(at_least @ (f1 * f2))
 
 
 def direct_kernel_sum(times, axes, std: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import copy
 import math
 import warnings
 from collections import namedtuple
@@ -62,31 +63,44 @@ def quad_density(s):
     return quad_interjump_density(*distances(s), s.t_start, s.t_end, s.sigma)
 
 
-def exact_crossings(d0, d1, t0, t1, sigma, u, rng):
-    """The engine's interior step: the crossing decision, then the exact
-    times of the crossing cells.  Returns ((components, runs), times)."""
-    cells, w, start, end = crossing_cells(d0, d1, t0, t1, sigma, u)
+def exact_crossings(d0, d1, t0, t1, sigma, rng):
+    """The engine's interior step: the crossing decision, which draws its
+    uniforms from ``rng``, then the exact times of the crossing cells, drawn
+    from the same generator.  Returns ((components, runs), times)."""
+    cells, w, start, end = crossing_cells(d0, d1, t0, t1, sigma, rng)
     return cells, crossing_times(cells, w, start, end, t0, t1, sigma, rng)
 
 
-def candidates(s, u, rng=None):
-    """Crossing draws for the segment, one block column per uniform: the
-    paper's uniform candidates, or the engine's exact draw from ``rng`` if
-    one is given; returns the accepted mask, then the times of accepted
-    columns and, from the paper's sampler, their weights."""
-    u = np.asarray(u, dtype=float).reshape(1, -1)
-    n = u.shape[1]
-
-    def cells(value):
-        return np.full((1, n), float(value))
-
+def segment_args(s, n):
+    """The kernels' arguments for n runs of the segment, one block column
+    per run: (d0, d1, t0, t1, sigma)."""
     d0, d1 = distances(s)
     t0, t1 = np.full(n, float(s.t_start)), np.full(n, float(s.t_end))
-    args = (cells(d0), cells(d1), t0, t1, np.array([float(s.sigma)]), u)
-    ii, *drawn = uniform_candidates(*args) if rng is None else exact_crossings(*args, rng)
-    accepted = np.zeros(n, dtype=bool)
-    accepted[ii[1]] = True
-    return (accepted, *drawn)
+    return np.full((1, n), d0), np.full((1, n), d1), t0, t1, np.array([float(s.sigma)])
+
+
+def run_mask(ii, n):
+    """The mask of the n runs among the crossing cells ``ii``."""
+    mask = np.zeros(n, dtype=bool)
+    mask[ii[1]] = True
+    return mask
+
+
+def candidates(s, u):
+    """The paper's uniform candidates for the segment, one block column per
+    uniform: the accepted mask, then the times of accepted columns and their
+    weights."""
+    u = np.asarray(u, dtype=float).reshape(1, -1)
+    ii, *drawn = uniform_candidates(*segment_args(s, u.shape[1]), u)
+    return (run_mask(ii, u.shape[1]), *drawn)
+
+
+def exact_draws(s, n, rng):
+    """The engine's exact draw for n runs of the segment, its uniforms and
+    normals from ``rng``: the crossed mask, then the times of crossed
+    columns."""
+    ii, times = exact_crossings(*segment_args(s, n), rng)
+    return run_mask(ii, n), times
 
 
 class TestSurvivalProbability:
@@ -342,7 +356,7 @@ class TestExactCrossingTime:
         s = IG_SEGMENTS[name]
         rng = np.random.default_rng(sorted(IG_SEGMENTS).index(name) + 500)
         n = int(3000 / (1.0 - survival(s)))
-        _, times = candidates(s, 1.0 - rng.random(n), rng)
+        _, times = exact_draws(s, n, rng)
         edges = np.concatenate([[s.t_start], np.sort(times), [s.t_end]])
         pieces = [
             quad_interjump_density(*distances(s), s.t_start, s.t_end, s.sigma, lo, hi)
@@ -353,18 +367,44 @@ class TestExactCrossingTime:
 
     def test_crossing_decision_is_shared_with_the_candidate(self, rng):
         # the exact draw keeps the paper's crossing decision: on the same
-        # uniforms, the same cells cross
+        # uniforms, which the kernel draws from a twin of the candidate's
+        # generator, the same cells cross
         s = seg()
-        u = 1.0 - rng.random(20_000)
-        exact, _ = candidates(s, u, np.random.default_rng(1))
-        paper, _, _ = candidates(s, u)
+        n = 20_000
+        exact, _ = exact_draws(s, n, copy.deepcopy(rng))
+        paper, _, _ = candidates(s, 1.0 - rng.random(n))
         assert np.array_equal(exact, paper)
+
+    def test_the_decision_draws_one_block_of_uniforms(self, rng):
+        # the kernel takes u = 1 - rng.random((m, n)) and nothing else from
+        # its generator, and on those uniforms returns what it returned when
+        # it was handed u: the cells u <= 1 - P in component-major order,
+        # w = u / (1 - P), the start distance and the absolute end distance
+        m, n = 3, 5000
+        d0 = rng.uniform(1e-3, 2.0, (m, n))
+        d1 = rng.uniform(-1.0, 2.0, (m, n))
+        retired = rng.random((m, n)) >= 0.9
+        d0[retired] = d1[retired] = np.inf
+        t0 = rng.uniform(0.0, 1.0, n)
+        t1 = t0 + rng.uniform(1e-3, 1.0, n)
+        sigma = rng.uniform(0.1, 1.0, m)
+        kernel, twin = np.random.default_rng(41), np.random.default_rng(41)
+        (comps, runs), w, start, end = crossing_cells(d0, d1, t0, t1, sigma, kernel)
+        u = 1.0 - twin.random((m, n))
+        keep = 1.0 - survival_array(d0, d1, t1 - t0, sigma[:, None])
+        cells = np.nonzero(u <= keep)
+        assert 0 < cells[0].size < m * n
+        assert np.array_equal(comps, cells[0]) and np.array_equal(runs, cells[1])
+        assert np.array_equal(w, u[cells] / keep[cells])
+        assert np.array_equal(start, d0[cells])
+        assert np.array_equal(end, np.abs(d1[cells]))
+        assert kernel.bit_generator.state == twin.bit_generator.state
 
     def test_extreme_cells_stay_inside_the_interval(self):
         # a vanishing start distance, an end far below the barrier and the
-        # Levy limit with a tiny sigma: every crossing is kept, with a time
-        # on the closed interval
-        u = np.array([[1.0], [1.0], [1.0], [0.5]])
+        # Levy limit with a tiny sigma: each cell crosses whatever its
+        # uniform (the first one's 1 - P rounds to 1), and every crossing is
+        # kept, with a time on the closed interval
         d0 = np.array([[1e-300], [1.0], [1.0], [1.0]])
         d1 = np.array([[0.5], [-1e300], [0.0], [0.0]])
         ii, times = exact_crossings(
@@ -373,7 +413,6 @@ class TestExactCrossingTime:
             np.array([2.0]),
             np.array([3.0]),
             np.array([1.0, 1.0, 1e-200, 1.0]),
-            u,
             np.random.default_rng(3),
         )
         assert ii[0].tolist() == [0, 1, 2, 3]
@@ -410,8 +449,7 @@ class TestExactCrossingTime:
         t0 = rng.uniform(0.0, 1.0, n)
         t1 = t0 + rng.uniform(1e-3, 1.0, n)
         sigma = rng.uniform(0.1, 1.0, m)
-        u = 1.0 - rng.random((m, n))
-        cells, *drawn = crossing_cells(d0, d1, t0, t1, sigma, u)
+        cells, *drawn = crossing_cells(d0, d1, t0, t1, sigma, rng)
         assert 40 <= cells[0].size <= 60
         assert len(set(cells[0].tolist())) == m and len(set(cells[1].tolist())) > 10
         inputs = (*drawn, t0, t1, sigma)
@@ -425,15 +463,13 @@ class TestExactCrossingTime:
 
     def test_every_alive_cell_ending_at_or_below_the_barrier_crosses(self, rng):
         # a cell whose interval ends at or below the barrier has crossing
-        # probability 1 and u is at most 1, so it never reaches the jump at
-        # the interval's end uncrossed
+        # probability exactly 1 and u is at most 1, so it never reaches the
+        # jump at the interval's end uncrossed
         m, n = 3, 20_000
         d0 = rng.uniform(1e-6, 2.0, (m, n))
         d1 = rng.uniform(-1.0, 1.0, (m, n))
         d1[:, ::7] = 0.0
         d0[:, ::11] = 50.0  # far above: survival that rounds to one unless d1 <= 0
-        u = 1.0 - rng.random((m, n))
-        u[:, ::5] = 1.0
         # a retired cell has +inf distances, as in the engine, and column 0
         # is a run with no live component, whose inputs push hardest to cross
         alive = rng.random((m, n)) < 0.8
@@ -442,11 +478,13 @@ class TestExactCrossingTime:
         t0 = rng.uniform(0.0, 1.0, n)
         t1 = t0 + rng.uniform(1e-3, 1.0, n)
         sigma = rng.uniform(0.1, 1.0, m)
-        ii, times = exact_crossings(d0, d1, t0, t1, sigma, u, rng)
+        ii, times = exact_crossings(d0, d1, t0, t1, sigma, rng)
         crossed = np.zeros((m, n), dtype=bool)
         crossed[ii] = True
         below = alive & (d1 <= 0.0)
         assert below.sum() > 0.4 * m * n
+        # so even the largest uniform, 1, crosses there
+        assert np.all(survival_array(d0, d1, t1 - t0, sigma[:, None])[below] == 0.0)
         assert np.all(crossed[below])
         assert not np.any(crossed & ~alive)
         assert 0 not in ii[1]

@@ -11,6 +11,7 @@ from fptmc import (
     parse_config_text,
     run_experiment,
 )
+from helpers import traced_peak
 
 TINY_CFG = """
 m = 2
@@ -140,6 +141,22 @@ class TestDensityCsv:
                 emit_density_csv(est, str(path))
                 reference = ("\n".join(expected[name]) + "\n").encode("utf-8")
                 assert path.read_bytes() == reference
+
+    def test_joint_text_is_held_one_row_at_a_time(self, tmp_path, rng):
+        # a 512 x 512 joint writes 15 MB of text: held whole, with its row
+        # strings, it peaked at 57 MiB traced; one row at a time, at 0.2
+        n = 512
+        axis = np.linspace(0.0, 1.0, n)
+        joint = DensityEstimate(
+            grid=(axis, axis),
+            values=rng.lognormal(size=(n, n)),
+            bandwidth=0.1,
+            total_mass=1.0,
+        )
+        path = tmp_path / "joint.csv"
+        peak, _ = traced_peak(lambda: emit_density_csv(joint, str(path)))
+        assert peak < 2**20
+        assert path.stat().st_size > 10**7
 
 
 class TestRunExperiment:
