@@ -1,12 +1,13 @@
 """Conventional fixed-step Monte Carlo baseline.
 
-The horizon is discretised into steps of size dt and every run is advanced
-through every step: an Euler diffusion increment, then (with probability
-rate*dt, shared across components like the exact engine's jump clock) one
-normal jump per component, then a barrier check at the grid time.  Crossing
-times are grid-aligned and carry weight 1.  No sub-step bridge correction is
-applied: stepping over an excursion is exactly the discretisation bias this
-baseline is expected to show, and the reason it needs small dt.
+The horizon T is cut into N = ceil(T / dt) equal steps of T / N, none longer
+than dt, and every run is advanced through every step: an Euler diffusion
+increment, then (with probability rate T / N, shared across components like
+the exact engine's jump clock) one normal jump per component, then a
+barrier check at the grid time.  Crossing times are grid-aligned and carry
+weight 1.  No sub-step bridge correction is applied: stepping over an
+excursion is exactly the discretisation bias this baseline is expected to
+show, and the reason it needs small dt.
 
 Random numbers are drawn only for components that have not crossed: at the
 start of every window of ``_COMPACT_EVERY`` steps the live runs are regrouped
@@ -19,7 +20,7 @@ then a uniform subset of the window's cells of that size (Glasserman 2004,
 *Monte Carlo Methods in Financial Engineering*, section 3.5).
 
 A step is the draw floor plus a few passes: normals into the window's
-array, one scale by the factor pre-multiplied by sqrt(dt_k), one add, the
+array, one scale by the factor pre-multiplied by sqrt(T / N), one add, the
 step's slice of the window's jumps, and one barrier check into the
 window's array, in which a crossed component's +inf never tests at or below
 its level.  A group makes those arrays once per window at its live size,
@@ -57,7 +58,8 @@ _COMPACT_EVERY = 16
 
 @dataclass(frozen=True)
 class CmcConfig:
-    """Settings of one baseline execution.  ``n_runs``, ``seed`` and
+    """Settings of one baseline execution.  ``dt`` is the longest step: a
+    run takes ceil(T / dt) equal steps.  ``n_runs``, ``seed`` and
     ``workers`` are checked where they are used, in ``results``."""
 
     dt: float
@@ -79,25 +81,21 @@ class CmcConfig:
             )
 
 
-def _step_grid(horizon: float, dt: float) -> tuple[np.ndarray, float]:
-    """Grid times dt, 2 dt, ..., horizon, and the length of the last step:
-    every step is dt long but the last, which is shortened when dt does not
-    divide the horizon."""
-    n_full = int(math.floor(horizon / dt + 1e-9))
-    grid = dt * np.arange(1, n_full + 1)
-    if n_full == 0 or grid[-1] < horizon - 1e-12 * horizon:
-        last = horizon - (grid[-1] if n_full else 0.0)
-        return np.append(grid, horizon), float(last)
-    grid[-1] = min(grid[-1], horizon)
-    return grid, dt
+def _step_grid(horizon: float, dt: float) -> np.ndarray:
+    """Grid times of the ceil(horizon / dt) equal steps that reach the
+    horizon, none longer than dt; where dt divides the horizon they are dt,
+    2 dt, ..., horizon."""
+    n = math.ceil(horizon / dt - 1e-9)
+    return np.linspace(0.0, horizon, n + 1)[1:]
 
 
 class _Group:
     """Live runs that share one set of live components, ``comps``, and a
-    factor F of that set's block of sigma sigma^T: their (k, n) drift-free
-    state u = x - mu t, +inf for a component that has crossed, and the run
-    each column is.  A step leaves +inf as it is and never finds it at or
-    below the barrier, so a crossed cell needs no mask.
+    factor F of that set's block of sigma sigma^T, stepped in steps of
+    length ``step``: their (k, n) drift-free state u = x - mu t, +inf for a
+    component that has crossed, and the run each column is.  A step leaves
+    +inf as it is and never finds it at or below the barrier, so a crossed
+    cell needs no mask.
 
     Rows of the state are the group's components; per-component constants
     of shape (k, 1) broadcast along contiguous rows.  Since x = u + mu t, a
@@ -105,12 +103,15 @@ class _Group:
     step adds no drift.  A diagonal F, which every single-component group
     and a diagonal sigma's full group have, is kept as its (k, 1) diagonal
     and scales the normals in place; any other F is applied with ``matmul``.
+    Either is held pre-multiplied by sqrt(step), and a step's arrival
+    probability is rate * step.
     """
 
-    def __init__(self, spec: ModelSpec, comps: np.ndarray, factor: np.ndarray):
+    def __init__(self, spec: ModelSpec, comps: np.ndarray, factor: np.ndarray, step: float):
         self.comps = comps
         self.matmul = bool(np.any(factor != np.diag(np.diagonal(factor))))
-        self.factor = factor if self.matmul else np.diagonal(factor)[:, None]
+        self.scaled = (factor if self.matmul else np.diagonal(factor)[:, None]) * math.sqrt(step)
+        self.p_jump = spec.jump_rate * step
         self.icpt, self.jump_mean, self.jump_sd = (
             a[comps, None] for a in (spec.barrier_intercept, spec.jump_mean, spec.jump_sd)
         )
@@ -122,16 +123,15 @@ class _Group:
         self.state = state
         self.run_ids = run_ids
 
-    def advance(self, rng, times: np.ndarray, dt_k: float, rate: float, out: Crossings) -> int:
-        """Advance every run through the Euler steps of length ``dt_k`` that
-        end at the grid times ``times``, recording the crossings at each in
-        ``out``; returns the number of jumps."""
+    def advance(self, rng, times: np.ndarray, out: Crossings) -> int:
+        """Advance every run through the Euler steps that end at the grid
+        times ``times``, recording the crossings at each in ``out``; returns
+        the number of jumps."""
         n = len(self.run_ids)
-        scaled = self.factor * math.sqrt(dt_k)
-        # one Bernoulli(rate dt_k) arrival per (step, run) cell of the
+        # one Bernoulli(rate step) arrival per (step, run) cell of the
         # window: their count, then which cells, a uniform subset of that
         # size, sorted so that each step's arrivals are one slice
-        n_jumps = int(rng.binomial(len(times) * n, rate * dt_k))
+        n_jumps = int(rng.binomial(len(times) * n, self.p_jump))
         cells = np.sort(rng.choice(len(times) * n, n_jumps, replace=False, shuffle=False))
         sizes = self.jump_mean + self.jump_sd * rng.standard_normal((len(self.comps), n_jumps))
         bounds = np.searchsorted(cells, n * np.arange(len(times) + 1)).tolist()
@@ -145,9 +145,9 @@ class _Group:
         for j, t in enumerate(times):
             rng.standard_normal(out=z)
             if self.matmul:
-                np.matmul(scaled, z, out=dx)
+                np.matmul(self.scaled, z, out=dx)
             else:
-                z *= scaled
+                z *= self.scaled
             self.state += dx
             lo, hi = bounds[j], bounds[j + 1]
             self.state[:, jumped[lo:hi]] += sizes[:, lo:hi]
@@ -197,31 +197,30 @@ def simulate_block_cmc(
     uncrossed components keep all m components and sigma, and the runs with
     only component i left hold that component alone, with the factor
     ||sigma_i||.  Runs move to the group of their live components at the
-    start of each window of ``_COMPACT_EVERY`` steps, and of a shortened last
-    step."""
+    start of each window of ``_COMPACT_EVERY`` steps.  The steps are the
+    ceil(T / dt) equal steps of ``_step_grid``, so ``cfg.dt`` is the longest
+    step the run may take."""
     m = spec.m
-    full = _Group(spec, np.arange(m), spec.sigma)
+    grid = _step_grid(spec.horizon, cfg.dt)
+    step = spec.horizon / len(grid)
+    full = _Group(spec, np.arange(m), spec.sigma, step)
     full.hold(np.repeat(spec.x0[:, None], size, axis=1), np.arange(size))
     norms = spec.sigma_row_norms()
-    singles = [_Group(spec, np.array([i]), norms[i : i + 1, None]) for i in range(m)]
+    singles = [_Group(spec, np.array([i]), norms[i : i + 1, None], step) for i in range(m)]
     groups = [full, *singles]
-    grid, dt_last = _step_grid(spec.horizon, cfg.dt)
 
     # the runs stay in their groups for a window of steps between two
-    # regroupings; a shortened last step is a window of its own, so that
-    # every window has one step length
-    n_even = len(grid) - (dt_last != cfg.dt)
-    edges = sorted({*range(0, n_even, _COMPACT_EVERY), n_even, len(grid)})
+    # regroupings
+    edges = [*range(0, len(grid), _COMPACT_EVERY), len(grid)]
     n_jumps = stepped = 0
     for k0, k1 in zip(edges, edges[1:]):
         _regroup(full, singles)
         if not any(len(g.run_ids) for g in groups):
             break
-        dt_k = cfg.dt if k1 <= n_even else dt_last
         for group in groups:
             if len(group.run_ids):
                 stepped += (k1 - k0) * group.state.size
-                n_jumps += group.advance(rng, grid[k0:k1], dt_k, spec.jump_rate, out)
+                n_jumps += group.advance(rng, grid[k0:k1], out)
     return (*out, n_jumps, stepped)
 
 
@@ -249,6 +248,6 @@ def run_cmc(spec: ModelSpec, cfg: CmcConfig) -> EngineResult:
     diagnostics = {
         "total_jumps": sum(o[3] for o in outputs),
         "stepped_cells": sum(o[4] for o in outputs),
-        "live_cells": _live_cells(hits.times, _step_grid(spec.horizon, cfg.dt)[0]),
+        "live_cells": _live_cells(hits.times, _step_grid(spec.horizon, cfg.dt)),
     }
     return collect_result("cmc", cfg.seed, [hits], elapsed, diagnostics=diagnostics)

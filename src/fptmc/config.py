@@ -25,7 +25,9 @@ Recognised keys, with types and defaults:
     horizon            float      required    terminal time T > 0
     engine             word       required    unif | cmc | both
     runs               int        required    Monte Carlo runs
-    dt                 float      cmc/both    baseline step size
+    dt                 float      cmc/both    largest baseline step: the
+                                              baseline takes ceil(T / dt)
+                                              equal steps
     seed               int        0
     workers            int        1
     grid_1d            int        512         marginal density grid points

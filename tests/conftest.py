@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,47 @@ def make_example_spec(jump_rate: float) -> ModelSpec:
         jump_sd=[0.2, 0.12],
         barrier_intercept=[math.log(0.9), math.log(0.95)],
         barrier_slope=[-0.002, -0.012],
+        horizon=1.0,
+    )
+
+
+def compound_poisson_spec(rate, slopes=(0.0, 0.0)):
+    """example1's jump sds and barrier intercepts with a vanishing sigma and
+    zero distance drift (mu = slope): each distance to its barrier is a
+    Gaussian random walk on the shared jump clock."""
+    return dataclasses.replace(
+        make_example_spec(rate),
+        mu=list(slopes),
+        sigma=np.eye(2) * 1e-6,
+        barrier_slope=list(slopes),
+    )
+
+
+def compound_poisson_args(spec):
+    """``helpers.compound_poisson_law``'s model arguments for a spec of
+    ``compound_poisson_spec``."""
+    return (
+        spec.x0 - spec.barrier_intercept,
+        spec.jump_mean,
+        spec.jump_sd,
+        spec.jump_rate,
+        spec.horizon,
+    )
+
+
+def names_spec(jump_rate: float, sigma: float, m: int = 16) -> ModelSpec:
+    """m identical names on a diagonal sigma: zero drift, flat barriers at
+    -0.1 and normal jumps of sd 0.15 on the shared clock."""
+    return ModelSpec(
+        m=m,
+        x0=np.zeros(m),
+        mu=np.zeros(m),
+        sigma=sigma * np.eye(m),
+        jump_rate=jump_rate,
+        jump_mean=np.zeros(m),
+        jump_sd=np.full(m, 0.15),
+        barrier_intercept=np.full(m, -0.1),
+        barrier_slope=np.zeros(m),
         horizon=1.0,
     )
 

@@ -421,23 +421,26 @@ def walk_first_passage(d, jump_mean, jump_sd, n_jumps=30, dx=5e-4) -> np.ndarray
     return np.array(f)
 
 
-def compound_poisson_law(distances, jump_means, jump_sds, rate, horizon, **walk):
+def compound_poisson_law(distances, jump_means, jump_sds, rate, horizon, jumps=None, **walk):
     """Exact crossing law of two components in the limit sigma -> 0 with zero
     distance drift (mu = slope): (P1, P2, P(both), P(tau1 = tau2)).
 
     Each distance to its barrier is then a random walk, ``walk_first_passage``
     with the given ``n_jumps`` and ``dx``, stepped at the shared clock's
-    jumps.  Given the jump count the components are independent, so with N
-    ~ Poisson(rate horizon) and F_i the cumulative sum of f_i: P_i = sum_k
-    P(N >= k) f_i(k), P(both) = sum_K P(N = K) F_1(K) F_2(K), and both cross
-    at the same jump with probability sum_k P(N >= k) f_1(k) f_2(k).
+    jumps.  Given the jump count N the components are independent, so with
+    F_i the cumulative sum of f_i: P_i = sum_k P(N >= k) f_i(k), P(both) =
+    sum_K P(N = K) F_1(K) F_2(K), and both cross at the same jump with
+    probability sum_k P(N >= k) f_1(k) f_2(k).  N is Poisson(rate horizon),
+    the exact clock's count, unless ``jumps``, a frozen ``scipy.stats``
+    discrete law, gives another: the Euler baseline's N steps of T / N, one
+    Bernoulli(rate T / N) arrival each, count Binomial(N, rate T / N) jumps.
     """
     f1, f2 = (
         walk_first_passage(d, mean, sd, **walk)
         for d, mean, sd in zip(distances, jump_means, jump_sds)
     )
     k = np.arange(1, len(f1) + 1)
-    jumps = poisson(rate * horizon)
+    jumps = poisson(rate * horizon) if jumps is None else jumps
     at_least = jumps.sf(k - 1)
     both = jumps.pmf(k) @ (np.cumsum(f1) * np.cumsum(f2))
     return float(at_least @ f1), float(at_least @ f2), float(both), float(at_least @ (f1 * f2))

@@ -6,8 +6,13 @@ from scipy import stats
 
 from fptmc import CmcConfig, ModelSpec, cmc, results, run_cmc
 from fptmc.cmc import simulate_block_cmc
-from conftest import make_example_spec
-from helpers import bm_crossing_probability, traced_peak
+from conftest import compound_poisson_args, compound_poisson_spec, make_example_spec, names_spec
+from helpers import (
+    bm_crossing_probability,
+    compound_poisson_law,
+    traced_peak,
+    walk_first_passage,
+)
 
 
 def drift_spec(mu, barrier, m=1, slope=0.0):
@@ -44,12 +49,13 @@ def test_drift_and_slope_cross_at_the_first_grid_time_past_the_level(rng):
     # the state is held as u = x - mu t against the level intercept +
     # (slope - mu) t; without diffusion a component crosses at the first
     # grid time with mu t <= intercept + slope t: t >= 0.2 for component 1
-    # and t >= 0.1 for component 2, both between grid times of dt = 0.03
+    # and t >= 0.1 for component 2, both between grid times of dt = 0.03,
+    # which takes 34 steps of 1/34
     spec = drift_spec([-1.0, 0.5], [-0.3, -0.1], m=2, slope=[0.5, 1.5])
     times, kinds = single_run(spec, 0.03, rng)
     assert kinds.tolist() == [results.KIND_INTERIOR] * 2
-    assert times[0] == pytest.approx(0.21)
-    assert times[1] == pytest.approx(0.12)
+    assert times[0] == pytest.approx(7 / 34)
+    assert times[1] == pytest.approx(4 / 34)
 
 
 def test_each_process_tracked_to_its_own_crossing(rng):
@@ -61,8 +67,8 @@ def test_each_process_tracked_to_its_own_crossing(rng):
 
 @pytest.mark.parametrize("dt", [0.001, 0.3])
 def test_jump_count_matches_rate(dt):
-    # dt = 0.3 ends on a shortened step of 0.1: the arrival probabilities
-    # 3 x 0.9 + 0.3 still add up to lambda T
+    # dt = 0.3 takes 4 steps of 0.25: the arrival probabilities 4 x 0.75
+    # add up to lambda T
     spec = ModelSpec(
         m=1,
         x0=[0.0],
@@ -84,9 +90,9 @@ def test_jump_count_matches_rate(dt):
 
 def test_jump_arrivals_are_one_bernoulli_trial_per_run_and_step():
     # a jump of -10 crosses at once, so a run's crossing step is its first
-    # jump: geometric in the steps of 0.03 (arrival probability 0.06), with
-    # a shortened last step of 0.01 (0.02); the arrivals of a window between
-    # regroupings are drawn together and must land on their own steps
+    # jump: geometric in the 34 steps of 1/34 that dt = 0.03 takes (arrival
+    # probability 2/34); the arrivals of a window between regroupings are
+    # drawn together and must land on their own steps
     spec = ModelSpec(
         m=1,
         x0=[0.0],
@@ -101,10 +107,11 @@ def test_jump_arrivals_are_one_bernoulli_trial_per_run_and_step():
     )
     n = 20_000
     result = run_cmc(spec, CmcConfig(dt=0.03, n_runs=n, seed=27))
-    grid = cmc._step_grid(1.0, 0.03)[0]
+    grid = cmc._step_grid(1.0, 0.03)
+    assert len(grid) == 34
     steps = np.searchsorted(grid, result.marginals[0].times)
     observed = np.append(np.bincount(steps, minlength=len(grid)), n - len(steps))
-    p = np.append(np.full(len(grid) - 1, 0.06), 0.02)
+    p = np.full(len(grid), 2.0 / 34)
     survive = np.cumprod(np.append(1.0, 1.0 - p))
     expected = n * np.append(survive[:-1] * p, survive[-1])
     assert stats.chisquare(observed, expected).pvalue > 1e-3
@@ -164,11 +171,11 @@ def test_regroup_moves_each_run_with_its_state():
     # every state value encodes its run and component, 10 run + component,
     # so a run moved without its own state shows in any group
     spec = drift_spec([0.0, 0.0, 0.0], [-1.0, -1.0, -1.0], m=3)
-    full = cmc._Group(spec, np.arange(3), spec.sigma)
+    full = cmc._Group(spec, np.arange(3), spec.sigma, 0.1)
     # a crossed cell holds +inf
     alive = np.array([[1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]], dtype=bool)
     full.hold(np.where(alive, 10.0 * np.arange(6) + np.arange(3)[:, None], np.inf), np.arange(6))
-    singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1))) for i in range(3)]
+    singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1)), 0.1) for i in range(3)]
     # component 1's group already holds runs 7 and 9, and run 7 has crossed
     singles[0].hold(np.array([[np.inf, 90.0]]), np.array([7, 9]))
     cmc._regroup(full, singles)
@@ -264,8 +271,8 @@ def test_swapped_sigma_takes_matmul_with_the_law_of_its_diagonal():
         )
 
     swapped, diagonal = spec([[0.0, 0.2], [0.3, 0.0]]), spec([[0.2, 0.0], [0.0, 0.3]])
-    assert cmc._Group(swapped, np.arange(2), swapped.sigma).matmul
-    assert not cmc._Group(diagonal, np.arange(2), diagonal.sigma).matmul
+    assert cmc._Group(swapped, np.arange(2), swapped.sigma, 0.005).matmul
+    assert not cmc._Group(diagonal, np.arange(2), diagonal.sigma, 0.005).matmul
     dt, n = 0.005, 40_000
     probs = []
     for model, seed in ((swapped, 24), (diagonal, 25)):
@@ -389,11 +396,59 @@ def test_sigma_zero_allowed_in_baseline(rng):
     assert times[0] == pytest.approx(0.5)
 
 
-def test_uneven_final_step(rng):
-    # horizon not divisible by dt: the last step is shortened to land on T
-    spec = drift_spec([-1.0], -0.95)
-    times, _ = single_run(spec, 0.3, rng)
-    assert times[0] == pytest.approx(1.0)
+def test_dt_that_does_not_divide_the_horizon_takes_equal_steps(rng):
+    # dt = 0.3 takes ceil(1 / 0.3) = 4 steps of 0.25, none longer than dt,
+    # the last ending on T: a drift of -1 reaches -0.6 at t = 0.6, which
+    # the grid sees at 0.75, and -0.95 at t = 0.95, seen at T
+    assert single_run(drift_spec([-1.0], -0.6), 0.3, rng)[0][0] == 0.75
+    assert single_run(drift_spec([-1.0], -0.95), 0.3, rng)[0][0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "horizon, dt",
+    [(1.0, dt) for dt in (1e-4, 2e-4, 5e-4, 1e-3, 2.5e-3, 0.01, 0.05, 0.1, 0.2, 0.25, 1.0)]
+    + [(0.5, 1e-3), (2.0, 1e-3)],
+)
+def test_a_dividing_dt_steps_on_its_own_multiples(horizon, dt):
+    # where dt divides the horizon the grid is dt, 2 dt, ..., N dt and the
+    # step is dt, bit for bit
+    grid = cmc._step_grid(horizon, dt)
+    assert np.array_equal(grid, dt * np.arange(1, len(grid) + 1))
+    assert horizon / len(grid) == dt
+
+
+@pytest.mark.parametrize("rate, seed", [(3.0, 64), (1.0, 65)], ids=["lam3", "lam1"])
+def test_crossing_law_matches_the_sigma_zero_limit_with_its_jump_count(rate, seed):
+    # as sigma -> 0 with mu = slope the baseline steps only jumps, so it has
+    # no monitoring bias: a component crosses at the step of the jump that
+    # takes its walk to or below the barrier.  Its N equal steps count
+    # Binomial(N, rate T / N) jumps, and with that count the law is exact.
+    # The exact clock's Poisson count gives a law 4.9 and 5.2 SE away on P1
+    # and P2 at lambda = 3: the error of one Bernoulli arrival per step
+    spec = compound_poisson_spec(rate)
+    dt, n = 0.03, 400_000
+    n_steps = len(cmc._step_grid(spec.horizon, dt))
+    jumps = stats.binom(n_steps, rate * spec.horizon / n_steps)
+    result = run_cmc(spec, CmcConfig(dt=dt, n_runs=n, seed=seed, workers=2))
+    both = result.joint.times
+    at_one_jump = np.count_nonzero(both[:, 0] == both[:, 1])
+    got = (*result.crossing_probabilities(), len(both) / n, at_one_jump / n)
+    for value, p in zip(got, compound_poisson_law(*compound_poisson_args(spec), jumps=jumps)):
+        assert value == pytest.approx(p, abs=4 * math.sqrt(p * (1 - p) / n))
+
+
+def test_default_count_law_matches_the_sigma_zero_limit_with_its_jump_count():
+    # 16 identical names as sigma -> 0: given the jump count K the names
+    # cross independently, each with its walk's F(K), so the number crossed
+    # by T is sum_K P(N = K) Binom(16, F(K)) with N Binomial(20, 0.05) on
+    # dt = 0.05's steps, checked by one chi-square test over its 17 bins
+    n = 200_000
+    result = run_cmc(names_spec(1.0, 1e-6), CmcConfig(dt=0.05, n_runs=n, seed=22, workers=2))
+    counts = np.bincount(np.count_nonzero(result.kinds != results.KIND_NONE, axis=0), minlength=17)
+    f = np.append(0.0, np.cumsum(walk_first_passage(0.1, 0.0, 0.15)))
+    given_k = stats.binom.pmf(np.arange(17), 16, f[:, None])
+    law = stats.binom(20, 0.05).pmf(np.arange(len(f))) @ given_k
+    assert stats.chisquare(counts, n * law).pvalue > 1e-3
 
 
 def test_terminal_law_of_a_non_symmetric_sigma():

@@ -20,7 +20,7 @@ from fptmc.results import (
     collect_result,
 )
 from fptmc.unif import simulate_block
-from conftest import make_example_spec
+from conftest import compound_poisson_args, compound_poisson_spec, make_example_spec, names_spec
 from helpers import (
     bm_crossing_probability,
     compound_poisson_law,
@@ -536,28 +536,6 @@ def test_joint_crossing_matches_the_wedge_law_without_jumps(rho):
     assert len(result.joint) / n == pytest.approx(p, abs=4 * se)
 
 
-def compound_poisson_spec(rate, slopes=(0.0, 0.0)):
-    """example1's jump sds and barrier intercepts with a vanishing sigma and
-    zero distance drift (mu = slope): each distance to its barrier is a
-    Gaussian random walk on the shared jump clock."""
-    return dataclasses.replace(
-        make_example_spec(rate),
-        mu=list(slopes),
-        sigma=np.eye(2) * 1e-6,
-        barrier_slope=list(slopes),
-    )
-
-
-def compound_poisson_args(spec):
-    return (
-        spec.x0 - spec.barrier_intercept,
-        spec.jump_mean,
-        spec.jump_sd,
-        spec.jump_rate,
-        spec.horizon,
-    )
-
-
 def test_compound_poisson_law_is_converged():
     # the law as measured at dx 1e-4 and 40 jumps, where dx 2e-3 to 1e-4 and
     # 30 to 40 jumps agree; it does not move when dx halves or more jumps
@@ -610,3 +588,28 @@ def test_crossing_law_matches_the_compound_poisson_limit(rate, slopes, n, seed):
     got = (*result.crossing_probabilities(), len(both) / n, at_one_jump / n)
     for value, p in zip(got, compound_poisson_law(*compound_poisson_args(spec))):
         assert value == pytest.approx(p, abs=4 * math.sqrt(p * (1 - p) / n))
+
+
+def test_default_count_law_matches_the_compound_poisson_limit():
+    # 16 identical names as sigma -> 0: given the jump count K the names
+    # cross independently, each with its walk's F(K), so the number crossed
+    # by T is the Poisson mixture sum_K P(N = K) Binom(16, F(K)), checked by
+    # one chi-square test over its 17 bins.  The law is bimodal: 0.371 for
+    # no name, mostly from no jump at all, and a mode at 4-5 names
+    n = 400_000
+    result = run_engine(names_spec(1.0, 1e-6), n, seed=21, workers=2)
+    counts = np.bincount(np.count_nonzero(result.kinds != KIND_NONE, axis=0), minlength=17)
+    f = np.append(0.0, np.cumsum(walk_first_passage(0.1, 0.0, 0.15)))
+    given_k = stats.binom.pmf(np.arange(17), 16, f[:, None])
+    law = stats.poisson(1.0).pmf(np.arange(len(f))) @ given_k
+    assert stats.chisquare(counts, n * law).pvalue > 1e-3
+
+
+def test_default_count_law_without_jumps_is_binomial():
+    # at lambda = 0 with a diagonal sigma the 16 names are independent, each
+    # crossing a flat barrier 0.5 sd below its start with 2 Phi(-0.5)
+    n = 100_000
+    result = run_engine(names_spec(0.0, 0.2), n, seed=31, workers=2)
+    counts = np.bincount(np.count_nonzero(result.kinds != KIND_NONE, axis=0), minlength=17)
+    law = stats.binom.pmf(np.arange(17), 16, 2.0 * stats.norm.cdf(-0.5))
+    assert stats.chisquare(counts, n * law).pvalue > 1e-3

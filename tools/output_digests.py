@@ -11,7 +11,9 @@ them only between runs on one machine.  The runs, on the bundled configs:
 
 - ``run_engine`` on example1 (100,000 runs, seed 7, 2 workers) and on
   example3 (300,000 runs, seed 8, 2 workers);
-- ``run_cmc`` on example2 (20,000 runs, seed 9, its own dt);
+- ``run_cmc`` on example2 (20,000 runs, seed 9, its own dt), and at dt
+  3e-3 (20,000 runs, seed 15), which does not divide the horizon, so the
+  baseline takes 334 equal steps of 1/334;
 - ``run_experiment`` on example2 with both engines (20,000 runs, dt 1e-3),
   into a temporary directory: each CSV, and the report's ``[values]`` lines
   without the timings (``*.seconds_per_run`` and ``speedup``);
@@ -101,6 +103,8 @@ def main() -> None:
     cfg = config("example2")
     cmc = CmcConfig(dt=cfg.dt, n_runs=20_000, seed=9)
     lines += result_lines("example2.cmc", run_cmc(cfg.to_model_spec(), cmc))
+    uneven = CmcConfig(dt=3e-3, n_runs=20_000, seed=15)
+    lines += result_lines("example2.dt3e-3.cmc", run_cmc(cfg.to_model_spec(), uneven))
     both = apply_overrides(cfg, engine="both", runs=20_000, dt=1e-3)
     lines += experiment_lines("example2.both", both)
 
