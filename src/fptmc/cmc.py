@@ -92,8 +92,9 @@ def _step_grid(horizon: float, dt: float) -> np.ndarray:
 class _Group:
     """Live runs that share one set of live components, ``comps``, and a
     factor F of that set's block of sigma sigma^T, stepped in steps of
-    length ``step``: their (k, n) drift-free state u = x - mu t, +inf for a
-    component that has crossed, and the run each column is.  A step leaves
+    length ``step``: their (k, n) drift-free ``state`` u = x - mu t, +inf
+    for a component that has crossed, and ``run_ids``, the run each column
+    is, both empty until the caller assigns them.  A step leaves
     +inf as it is and never finds it at or below the barrier, so a crossed
     cell needs no mask.
 
@@ -116,12 +117,8 @@ class _Group:
             a[comps, None] for a in (spec.barrier_intercept, spec.jump_mean, spec.jump_sd)
         )
         self.level_slope = (spec.barrier_slope - spec.mu)[comps, None]
-        self.hold(np.empty((len(comps), 0)), np.empty(0, dtype=np.intp))
-
-    def hold(self, state: np.ndarray, run_ids: np.ndarray) -> None:
-        """Make these runs the group's runs."""
-        self.state = state
-        self.run_ids = run_ids
+        self.state = np.empty((len(comps), 0))
+        self.run_ids = np.empty(0, dtype=np.intp)
 
     def advance(self, rng, times: np.ndarray, out: Crossings) -> int:
         """Advance every run through the Euler steps that end at the grid
@@ -169,15 +166,13 @@ def _regroup(full: _Group, singles: list[_Group]) -> None:
     for i, group in enumerate(singles):
         keep = np.flatnonzero(group.state[0] < np.inf)
         moved = np.flatnonzero((live == 1) & finite[i])
-        group.hold(
-            np.concatenate(
-                (group.state.take(keep, axis=1), full.state[i : i + 1].take(moved, axis=1)),
-                axis=1,
-            ),
-            np.concatenate((group.run_ids.take(keep), full.run_ids.take(moved))),
+        group.state = np.concatenate(
+            (group.state.take(keep, axis=1), full.state[i : i + 1].take(moved, axis=1)), axis=1
         )
+        group.run_ids = np.concatenate((group.run_ids.take(keep), full.run_ids.take(moved)))
     keep = np.flatnonzero(live > 1)
-    full.hold(full.state.take(keep, axis=1), full.run_ids.take(keep))
+    full.state = full.state.take(keep, axis=1)
+    full.run_ids = full.run_ids.take(keep)
 
 
 def simulate_block_cmc(
@@ -204,7 +199,8 @@ def simulate_block_cmc(
     grid = _step_grid(spec.horizon, cfg.dt)
     step = spec.horizon / len(grid)
     full = _Group(spec, np.arange(m), spec.sigma, step)
-    full.hold(np.repeat(spec.x0[:, None], size, axis=1), np.arange(size))
+    full.state = np.repeat(spec.x0[:, None], size, axis=1)
+    full.run_ids = np.arange(size)
     norms = spec.sigma_row_norms()
     singles = [_Group(spec, np.array([i]), norms[i : i + 1, None], step) for i in range(m)]
     groups = [full, *singles]

@@ -54,6 +54,31 @@ _TAIL = 2.0**-53
 _LOG_TAIL = math.log(_TAIL)
 
 
+def _order_bounds() -> list[float]:
+    """Bounds on |T_n| r^n relative to the kernel peak for n = 0, 1, ...,
+    stopping before the first order below ``_TAIL``.
+
+    sup_x exp(-x^2/kappa) |2x/kappa|^n / n! is reached at x^2 = n kappa/2,
+    and nearest-node rounding leaves every offset r within half a lattice
+    step, so in units of std (kappa = 2) the bound depends on neither std
+    nor the samples: 13 orders at a step of a quarter std."""
+    bounds = [1.0]
+    while True:
+        n = len(bounds)
+        log_b = 0.5 * n * (math.log(n) - 1.0) + n * math.log(_LATTICE_STEP / 2.0)
+        log_b -= math.lgamma(n + 1.0)
+        if log_b < _LOG_TAIL:
+            return bounds
+        bounds.append(math.exp(log_b))
+
+
+_ORDER_BOUNDS = _order_bounds()
+# In std: a node this far from a grid point adds less than _TAIL of the
+# peak there, sqrt(-kappa ln _TAIL) for the kernel plus step/2 for the
+# offset, about 8.70.
+_REACH = math.sqrt(-2.0 * _LOG_TAIL) + _LATTICE_STEP / 2.0
+
+
 @dataclass(frozen=True)
 class WeightedSamples:
     """Crossing times from N Monte Carlo runs, each sample counting once.
@@ -253,17 +278,17 @@ class _Lattice:
     so a sample enters only through the moments r^n exp(-r^2 / kappa) of
     its node, and the grid receives sum_n T_n M_n with the operators
     T_n[j, a] = K(g_j - c_a) (2 (g_j - c_a) / kappa)^n / n! built over the
-    occupied nodes only.  ``bounds[n]`` bounds |T_n| max|r|^n relative to
-    the kernel peak; the list stops before the first order below ``_TAIL``.
+    occupied nodes only.  ``_ORDER_BOUNDS[n]`` bounds |T_n| |r|^n relative
+    to the kernel peak, since |r| <= step/2.
 
     A sample's whole series is exp(-(g - s)^2 / kappa), at most
-    exp(-(|g - c| - max|r|)^2 / kappa), so a node at least ``reach`` =
-    sqrt(-kappa ln _TAIL) + max|r| from a grid point adds less than
-    ``_TAIL`` of the peak there and is skipped.  The grid is cut into
-    ``chunks`` of points spanning at most ``reach``; each pairs a slice of
-    the grid with the contiguous slice of nodes within reach of it, so it
-    holds at most about 3 reach / step nodes, and the operators are built
-    on those blocks only.  A chunk with no node in reach is left out.
+    exp(-(|g - c| - step/2)^2 / kappa), so a node at least ``_REACH`` std
+    from a grid point adds less than ``_TAIL`` of the peak there and is
+    skipped.  The grid is cut into ``chunks`` of points spanning at most
+    that reach; each pairs a slice of the grid with the contiguous slice of
+    nodes within reach of it, so it holds at most about 3 reach / step
+    nodes, and the operators are built on those blocks only.  A chunk with
+    no node in reach has an empty block, which adds nothing.
     """
 
     def __init__(self, s: np.ndarray, grid: np.ndarray, std: float):
@@ -276,41 +301,26 @@ class _Lattice:
         self.damp = np.exp(-np.square(self.offset) / self.kappa)
         self.grid = grid
         self.std = std
-        self.bounds = [1.0]
-        r_max = float(np.abs(self.offset).max())
-        while r_max > 0.0:
-            # sup_x exp(-x^2/kappa) |2x/kappa|^n / n! is reached at x^2 = n kappa/2
-            n = len(self.bounds)
-            log_b = (
-                0.5 * n * (math.log(2.0 * n / self.kappa) - 1.0)
-                + n * math.log(r_max)
-                - math.lgamma(n + 1.0)
-            )
-            if log_b < _LOG_TAIL:
-                break
-            self.bounds.append(math.exp(log_b))
-        reach = math.sqrt(-self.kappa * _LOG_TAIL) + r_max
+        reach = _REACH * std
         first = np.searchsorted(self.centres, grid - reach, side="right")
         stop = np.searchsorted(self.centres, grid + reach, side="left")
         self.chunks = []
         j = 0
         while j < len(grid):
             end = max(int(np.searchsorted(grid, grid[j] + reach, side="right")), j + 1)
-            lo, hi = int(first[j]), int(stop[end - 1])
-            if lo < hi:
-                self.chunks.append((slice(j, end), slice(lo, hi)))
+            self.chunks.append((slice(j, end), slice(int(first[j]), int(stop[end - 1]))))
             j = end
 
     def operators(self):
-        """Yield T_0, T_1, ... for every order in ``bounds``, each as its
-        list of blocks, one per chunk.  Every order is built in place from
-        the previous one, so a consumer that keeps an order copies it."""
+        """Yield T_0, T_1, ... for every order in ``_ORDER_BOUNDS``, each as
+        its list of blocks, one per chunk.  Every order is built in place
+        from the previous one, so a consumer that keeps an order copies it."""
         diffs = [self.grid[g, None] - self.centres[None, c] for g, c in self.chunks]
         ops = [gaussian_kernel(2.0 * self.std, diff) for diff in diffs]
         yield ops
         for diff in diffs:
             diff *= 2.0 / self.kappa
-        for n in range(1, len(self.bounds)):
+        for n in range(1, len(_ORDER_BOUNDS)):
             for op, diff in zip(ops, diffs):
                 op *= diff
                 op /= n
@@ -354,7 +364,7 @@ def _contract(lattices, operators, cell, k, q, bound) -> np.ndarray:
     outer = math.prod(len(x.centres) for x in lattices[:k])
     inner = math.prod(len(x.grid) for x in lattices[k + 1 :])
     total = np.zeros((outer, len(lat.grid), inner))
-    for n, (op, b) in enumerate(zip(operators[k], lat.bounds)):
+    for n, (op, b) in enumerate(zip(operators[k], _ORDER_BOUNDS)):
         if bound * b < _TAIL:
             break
         if n:

@@ -61,24 +61,21 @@ def _floats(array) -> list:
 def emit_density_csv(estimate: DensityEstimate, path: str) -> None:
     """Write a density estimate in the documented CSV format.
 
-    A joint estimate is written one t1 row of grid nodes at a time, so the
-    text held at once is one row's whatever the grid size."""
+    The file is written one t1 row of grid nodes at a time, so the text
+    held at once is one row's whatever the grid size; a marginal is the
+    case of one row, whose label is empty, so it is written at once."""
     joint = isinstance(estimate.grid, tuple)
     if joint and len(estimate.grid) != 2:
         raise ValueError("CSV output supports 1-D and 2-D estimates only")
+    # each axis value is formatted once, not once per row it appears in
+    axes = estimate.grid if joint else [estimate.grid]
+    labels = [[repr(t) + "," for t in _floats(g)] for g in axes]
+    rows, cols = labels if joint else ([""], labels[0])
+    values = np.asarray(estimate.values, dtype=float).reshape(len(rows), len(cols))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if joint:
-            # each axis value is formatted once, not once per row it appears in
-            g0, g1 = ([repr(t) for t in _floats(g)] for g in estimate.grid)
-            handle.write("# t1,t2,density\n")
-            for t1, row in zip(g0, np.asarray(estimate.values, dtype=float)):
-                prefix = t1 + ","
-                lines = [f"{prefix}{t2},{v!r}\n" for t2, v in zip(g1, row.tolist())]
-                handle.write("".join(lines))
-        else:
-            handle.write("# t,density\n")
-            grid, values = _floats(estimate.grid), _floats(estimate.values)
-            handle.write("".join([f"{t!r},{v!r}\n" for t, v in zip(grid, values)]))
+        handle.write("# t1,t2,density\n" if joint else "# t,density\n")
+        for prefix, row in zip(rows, values):
+            handle.write("".join([f"{prefix}{col}{v!r}\n" for col, v in zip(cols, row.tolist())]))
 
 
 @dataclass

@@ -202,10 +202,9 @@ def block_rng(seed: int, block_index: int) -> np.random.Generator:
 
 
 def block_sizes(n_runs: int) -> list[int]:
-    sizes = [BLOCK_SIZE] * (n_runs // BLOCK_SIZE)
-    if n_runs % BLOCK_SIZE:
-        sizes.append(n_runs % BLOCK_SIZE)
-    return sizes
+    """The job's blocks in order: each ``BLOCK_SIZE`` runs, or the runs
+    left for the last."""
+    return [min(BLOCK_SIZE, n_runs - start) for start in range(0, n_runs, BLOCK_SIZE)]
 
 
 def run_blocks(

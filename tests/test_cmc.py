@@ -174,10 +174,12 @@ def test_regroup_moves_each_run_with_its_state():
     full = cmc._Group(spec, np.arange(3), spec.sigma, 0.1)
     # a crossed cell holds +inf
     alive = np.array([[1, 0, 1, 0, 0, 1], [1, 1, 0, 0, 0, 1], [0, 1, 0, 1, 0, 1]], dtype=bool)
-    full.hold(np.where(alive, 10.0 * np.arange(6) + np.arange(3)[:, None], np.inf), np.arange(6))
+    full.state = np.where(alive, 10.0 * np.arange(6) + np.arange(3)[:, None], np.inf)
+    full.run_ids = np.arange(6)
     singles = [cmc._Group(spec, np.array([i]), np.zeros((1, 1)), 0.1) for i in range(3)]
     # component 1's group already holds runs 7 and 9, and run 7 has crossed
-    singles[0].hold(np.array([[np.inf, 90.0]]), np.array([7, 9]))
+    singles[0].state = np.array([[np.inf, 90.0]])
+    singles[0].run_ids = np.array([7, 9])
     cmc._regroup(full, singles)
     assert full.run_ids.tolist() == [0, 1, 5]
     assert singles[0].run_ids.tolist() == [9, 2]

@@ -91,6 +91,15 @@ class TestDensityCsv:
         assert float(second[1]) == g1[1]
         assert float(lines[-1].split(",")[2]) == 255.0
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_only_two_axis_tuples_are_written(self, tmp_path, m):
+        axis = np.linspace(0.0, 1.0, 4)
+        est = DensityEstimate(
+            grid=(axis,) * m, values=np.zeros((4,) * m), bandwidth=0.1, total_mass=0.0
+        )
+        with pytest.raises(ValueError, match="1-D and 2-D"):
+            emit_density_csv(est, str(tmp_path / "density.csv"))
+
     def test_zero_mass_rows(self, tmp_path):
         grid = np.linspace(0.0, 1.0, 8)
         est = DensityEstimate(

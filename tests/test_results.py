@@ -33,6 +33,18 @@ def caller_first(caller: int, ran: list):
     return block
 
 
+@pytest.mark.parametrize("size", [results.BLOCK_SIZE, 1000])
+def test_block_sizes_fill_each_block_but_the_last(monkeypatch, size):
+    # the block size is read when the job is cut, and a multiple of it gets
+    # no empty last block
+    monkeypatch.setattr(results, "BLOCK_SIZE", size)
+    assert results.block_sizes(1) == [1]
+    assert results.block_sizes(size - 1) == [size - 1]
+    assert results.block_sizes(size) == [size]
+    assert results.block_sizes(size + 1) == [size, 1]
+    assert results.block_sizes(3 * size) == [size] * 3
+
+
 def test_threads_capped_at_block_count():
     # a job runs on at most min(workers, blocks) threads, the calling
     # thread among them, and the record and outputs do not depend on which

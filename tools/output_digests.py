@@ -33,7 +33,14 @@ and on models that reach the engines' other inputs:
   [[0.2, 0, 0], [0.1, 0.17, 0], [0.06, 0.05, 0.18]], lambda 2, jump sd 0.1,
   intercepts [-0.1, -0.15, -0.2], slopes [0, -0.05, 0] and horizon 1,
   through ``run_engine`` (100,000 runs, seed 13, 2 workers) and ``run_cmc``
-  (20,000 runs, seed 14, dt 1e-3).
+  (20,000 runs, seed 14, dt 1e-3);
+- sixteen names on one factor: pairwise diffusion correlation 0.3 and
+  sigma row norm 0.2 through a Cholesky factor, mu -0.01, barriers
+  -0.1 - 0.01 t, lambda 1, jump sd 0.15 and horizon 1, through
+  ``run_engine`` (100,000 runs, two blocks, seed 16, 2 workers) and
+  ``run_cmc`` (10,000 runs, seed 17, dt 1e-2), whose regrouping moves runs
+  into sixteen single-component groups while its full group steps many
+  crossed cells.
 """
 
 import hashlib
@@ -157,6 +164,23 @@ def main() -> None:
     lines += result_lines("mixed3.unif", run_engine(mixed, 100_000, seed=13, workers=2))
     lines += result_lines(
         "mixed3.cmc", run_cmc(mixed, CmcConfig(dt=1e-3, n_runs=20_000, seed=14))
+    )
+    m = 16
+    factor = ModelSpec(
+        m=m,
+        x0=np.zeros(m),
+        mu=np.full(m, -0.01),
+        sigma=0.2 * np.linalg.cholesky(np.full((m, m), 0.3) + 0.7 * np.eye(m)),
+        jump_rate=1.0,
+        jump_mean=np.zeros(m),
+        jump_sd=np.full(m, 0.15),
+        barrier_intercept=np.full(m, -0.1),
+        barrier_slope=np.full(m, -0.01),
+        horizon=1.0,
+    )
+    lines += result_lines("factor16.unif", run_engine(factor, 100_000, seed=16, workers=2))
+    lines += result_lines(
+        "factor16.cmc", run_cmc(factor, CmcConfig(dt=1e-2, n_runs=10_000, seed=17))
     )
     print("\n".join(lines))
 
