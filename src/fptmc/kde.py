@@ -215,10 +215,11 @@ def optimal_bandwidth_multi(m: int, n: int) -> float:
 def estimate_density_1d(samples: WeightedSamples, grid, h: float) -> DensityEstimate:
     """Kernel estimate on a finite sorted grid: f(t) = (1/n_runs) * sum_k K(h, t - s_k).
 
-    An empty sample set yields the all-zero estimate (no crossings observed).
+    The samples are the one-component case of ``estimate_density_multi``'s:
+    (n,) times, or (n, 1), which is read as the same n times; samples of
+    more components raise ``ValueError``.  An empty sample set yields the
+    all-zero estimate (no crossings observed).
     """
-    if samples.times.ndim != 1:
-        raise ValueError("1-D estimator needs scalar crossing times")
     est = _estimate(samples, (grid,), h, h / 2.0)
     return replace(est, grid=est.grid[0])
 
@@ -307,7 +308,7 @@ class _Lattice:
         self.chunks = []
         j = 0
         while j < len(grid):
-            end = max(int(np.searchsorted(grid, grid[j] + reach, side="right")), j + 1)
+            end = int(np.searchsorted(grid, grid[j] + reach, side="right"))
             self.chunks.append((slice(j, end), slice(int(first[j]), int(stop[end - 1]))))
             j = end
 
@@ -364,11 +365,9 @@ def _contract(lattices, operators, cell, k, q, bound) -> np.ndarray:
     outer = math.prod(len(x.centres) for x in lattices[:k])
     inner = math.prod(len(x.grid) for x in lattices[k + 1 :])
     total = np.zeros((outer, len(lat.grid), inner))
-    for n, (op, b) in enumerate(zip(operators[k], _ORDER_BOUNDS)):
+    for op, b in zip(operators[k], _ORDER_BOUNDS):
         if bound * b < _TAIL:
             break
-        if n:
-            q *= lat.offset
         if k + 1 < len(lattices):
             sub = _contract(lattices, operators, cell, k + 1, q, bound * b)
         else:
@@ -382,5 +381,6 @@ def _contract(lattices, operators, cell, k, q, bound) -> np.ndarray:
                 total[:, rows, 0] += sub[:, cols, 0] @ block.T
             else:
                 total[:, rows] += block @ sub[:, cols]
+        q *= lat.offset
     shape = [len(x.centres) for x in lattices[:k]] + [len(x.grid) for x in lattices[k:]]
     return total.reshape(shape)

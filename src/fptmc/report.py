@@ -53,11 +53,6 @@ def normalized_l1(values_a, values_b, grid) -> float:
     return diff / denom
 
 
-def _floats(array) -> list:
-    """Python floats, whose repr is the CSV text."""
-    return np.asarray(array, dtype=float).tolist()
-
-
 def emit_density_csv(estimate: DensityEstimate, path: str) -> None:
     """Write a density estimate in the documented CSV format.
 
@@ -69,7 +64,7 @@ def emit_density_csv(estimate: DensityEstimate, path: str) -> None:
         raise ValueError("CSV output supports 1-D and 2-D estimates only")
     # each axis value is formatted once, not once per row it appears in
     axes = estimate.grid if joint else [estimate.grid]
-    labels = [[repr(t) + "," for t in _floats(g)] for g in axes]
+    labels = [[repr(t) + "," for t in np.asarray(g, dtype=float).tolist()] for g in axes]
     rows, cols = labels if joint else ([""], labels[0])
     values = np.asarray(estimate.values, dtype=float).reshape(len(rows), len(cols))
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

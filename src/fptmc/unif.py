@@ -206,8 +206,11 @@ def run_engine(
     each recording its crossings in the columns it owns of the record that
     ``run_blocks`` makes and times: ``seconds_per_run`` includes making it
     and excludes density estimation.
+
+    A model with an all-zero diffusion row raises ``ValueError`` from
+    ``spec.effective_sigmas()``, which every block calls before it draws:
+    ``run_blocks`` raises the first block's error.
     """
-    spec.effective_sigmas()  # reject degenerate diffusion rows up front
     hits, outputs, elapsed = run_blocks(
         spec.m, n_runs, seed, workers, partial(simulate_block, spec)
     )

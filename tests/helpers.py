@@ -11,6 +11,7 @@ import math
 import tracemalloc
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
 from scipy.integrate import quad
 from scipy.signal import fftconvolve
 from scipy.special import ive
@@ -444,6 +445,96 @@ def compound_poisson_law(distances, jump_means, jump_sds, rate, horizon, jumps=N
     at_least = jumps.sf(k - 1)
     both = jumps.pmf(k) @ (np.cumsum(f1) * np.cumsum(f2))
     return float(at_least @ f1), float(at_least @ f2), float(both), float(at_least @ (f1 * f2))
+
+
+def jump_diffusion_crossing_probability(
+    y0, drift, sigma, rate, jump_mean, jump_sd, horizon, steps=200, dx=4e-3
+) -> float:
+    """P(y hits 0 by ``horizon``) for y = y0 + drift t + sigma W_t + Z_t,
+    y0 > 0, with Z compound Poisson of ``rate`` and N(jump_mean, jump_sd^2)
+    jumps: the crossing probability of one component of a jump-diffusion
+    through the line D(t) = intercept + slope t, for the distance
+    y = x - D(t) (y0 = x0 - intercept, drift mu - slope), with the
+    diffusion monitored continuously.
+
+    The density p of the surviving y is held at the nodes j dx, p[0] being
+    its limit at 0+.  Each time step is a Strang step of the diffusion and
+    the jumps (Strang 1968, SIAM J. Numer. Anal. 5:506): half a killed
+    diffusion step, a jump step, half a killed diffusion step.  The first
+    half step, from y0, is the exact law, and two consecutive half steps
+    make one step.  Each step is an FFT convolution:
+    - the killed diffusion step is the method of images: extended to y < 0
+      by -p(-y) exp(2 drift y / sigma^2), the density diffuses freely, and
+      its trapezoid sum against the sampled normal kernel is exact but for
+      the extension's jump of 2 p(0+) at 0, whose Euler-Maclaurin term is
+      added;
+    - the jump step is the Poisson series e^-a sum_k a^k J^k / k!, a = rate
+      dt, with J p(y) = int_0^inf p(z) psi(y - z) dz, which moves the
+      density by one jump and kills what lands at or below 0: its trapezoid
+      sum with its Euler-Maclaurin end term.
+    The survival is the trapezoid sum of p with its end term.
+
+    At lambda = 0 it equals ``line_crossing_probability`` to 3e-9 whatever
+    the steps.  With jumps, halving dx moves it by less than 1e-7, and the
+    splitting error falls as about dt^1.5: on example1's distances the
+    default is within 1e-6 of the converged value, on example3's (lambda =
+    8) within 5e-5.
+    """
+    dt = horizon / steps
+    spread = math.sqrt(sigma**2 * horizon + rate * horizon * (jump_sd**2 + jump_mean**2))
+    top = y0 + (max(drift, 0.0) + rate * max(jump_mean, 0.0)) * horizon + 8.0 * spread
+    n = int(top / dx) + 3
+    y = np.arange(n) * dx
+
+    def convolution(kernel, lo):
+        # p -> (p * kernel)[lo : lo + n], zero-padded past any wrap-around
+        size = next_fast_len(len(kernel) + n + lo)
+        spectrum = rfft(kernel, size)
+        return lambda p: irfft(rfft(p, size) * spectrum, size)[lo : lo + n]
+
+    def diffusion(tau):
+        s = sigma * math.sqrt(tau)
+        reach = min(math.ceil(12.0 * s / dx), n - 1)
+        images = -np.exp(-2.0 * drift * y[reach:0:-1] / sigma**2)
+        heat = convolution(norm.pdf(np.arange(-reach, reach + 1) * dx, drift * tau, s) * dx, 2 * reach)
+        u = y - drift * tau
+        edge = dx * dx / 6.0 * (drift / sigma**2 + u / s**2) * norm.pdf(u, scale=s)
+
+        def step(p):
+            q = heat(np.concatenate([images * p[reach:0:-1], [0.0], p[1:]])) + p[0] * edge
+            q[0] = 0.0
+            return q
+
+        return step
+
+    move = convolution(norm.pdf(np.arange(1 - n, n) * dx, jump_mean, jump_sd) * dx, n - 1)
+    psi = norm.pdf(y, jump_mean, jump_sd)
+    dpsi = (jump_mean - y) / jump_sd**2 * psi
+
+    def jump(p):
+        slope = (4.0 * p[1] - 3.0 * p[0] - p[2]) / (2.0 * dx)
+        return move(np.concatenate([[p[0] / 2.0], p[1:]])) + dx * dx / 12.0 * (
+            slope * psi - p[0] * dpsi
+        )
+
+    a = rate * dt
+    terms = 0
+    while poisson.sf(terms, a) > 1e-17:
+        terms += 1
+    half, full = diffusion(dt / 2.0), diffusion(dt)
+    # the first half step: the killed law from y0, by the method of images
+    s, shift = sigma * math.sqrt(dt / 2.0), drift * dt / 2.0
+    p = norm.pdf(y, y0 + shift, s)
+    p -= math.exp(-2.0 * drift * y0 / sigma**2) * norm.pdf(y, shift - y0, s)
+    p[0] = 0.0
+    for k in range(steps):
+        term, total = p, p.copy()
+        for j in range(1, terms + 1):
+            term = jump(term) * (a / j)
+            total += term
+        p = (full if k < steps - 1 else half)(total * math.exp(-a))
+    survival = dx * (p.sum() - p[0] / 2.0) + dx * (4.0 * p[1] - 3.0 * p[0] - p[2]) / 24.0
+    return 1.0 - survival
 
 
 def direct_kernel_sum(times, axes, std: float) -> np.ndarray:

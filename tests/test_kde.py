@@ -229,6 +229,22 @@ class TestEstimate1D:
         with pytest.raises(ValueError, match="finite and positive"):
             estimate_density_multi(WeightedSamples([[0.5, 0.5]], 1), (ws.times, ws.times), h)
 
+    def test_one_column_samples_are_the_scalar_samples(self, rng):
+        # the one-component case of the shared body's shape rule: (n, 1)
+        # times are the n scalar times
+        times = rng.uniform(0.2, 0.8, 300)
+        grid = np.linspace(0.0, 1.0, 64)
+        flat = estimate_density_1d(WeightedSamples(times, 1000), grid, 0.05)
+        column = estimate_density_1d(WeightedSamples(times[:, None], 1000), grid, 0.05)
+        assert np.array_equal(column.values, flat.values)
+        assert np.array_equal(column.grid, flat.grid)
+        assert column.total_mass == flat.total_mass
+
+    def test_rejects_samples_of_two_components(self, rng):
+        ws = WeightedSamples(rng.uniform(0.2, 0.8, (30, 2)), 100)
+        with pytest.raises(ValueError, match="samples have 2 components, grid has 1"):
+            estimate_density_1d(ws, np.linspace(0.0, 1.0, 64), 0.05)
+
 
 class TestEstimateMulti:
     def test_single_sample_peak_2d(self):
